@@ -32,15 +32,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .lp import exact_rref
 from .polycore import (
     Poly,
     PolyMatrix,
     eval_poly_exact,
-    exact_det,
     grlex_key,
-    mi_order,
-    poly_from_json,
-    poly_to_json,
     polymatrix_from_json,
     polymatrix_to_json,
 )
@@ -228,31 +225,9 @@ class IncidenceMatrix:
         for _ in range(2):
             pt = [Fraction(int(rng.integers(-99, 100)), 101) for _ in range(self.d)]
             rows = [[eval_poly_exact(e, pt) for e in row] for row in self.M.entries]
-            if _exact_rank(rows) == self.p:
+            if len(exact_rref(rows)[1]) == self.p:
                 return True
         return False
-
-
-def _exact_rank(rows) -> int:
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = Fraction(1) / a[rank][c]
-        a[rank] = [v * inv for v in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 @dataclass
@@ -484,35 +459,13 @@ def _solve_linear_combo(vectors, target):
 
 def _solve_exact_system(A, b):
     """One exact solution of A x = b (free variables zeroed); None if none."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    tab = [list(A[i]) + [b[i]] for i in range(m)]
-    piv_of_col = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if tab[i][c] != 0), None)
-        if piv is None:
-            continue
-        tab[r], tab[piv] = tab[piv], tab[r]
-        inv = Fraction(1) / tab[r][c]
-        tab[r] = [v * inv for v in tab[r]]
-        for i in range(m):
-            if i != r and tab[i][c] != 0:
-                f = tab[i][c]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
-        piv_of_col[c] = r
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if tab[i][n] != 0:
-            return None
-    if any(tab[i][n] != 0 and all(tab[i][j] == 0 for j in range(n))
-           for i in range(m)):
+    n = len(A[0]) if A else 0
+    rref, piv_cols = exact_rref([list(row) + [v] for row, v in zip(A, b)])
+    if n in piv_cols:
         return None
     x = [Fraction(0)] * n
-    for c, i in piv_of_col.items():
-        x[c] = tab[i][n]
+    for r, c in enumerate(piv_cols):
+        x[c] = rref[r][n]
     return x
 
 

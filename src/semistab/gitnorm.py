@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lp import solve_eq_lp, feasible_point
+from .lp import CertificateError, feasible_point, solve_eq_lp
 from .polycore import (
     GroupElement,
     PolyMatrix,
@@ -752,7 +752,8 @@ def polytope_membership(E: SupportSet, sigma) -> MembershipResult:
         sum(wi * pi for wi, pi in zip(w, pt)) for pt in E.weight_points()
     )
     gap = wt - worst
-    assert gap > 0
+    if gap <= 0:
+        raise CertificateError("separator has no positive gap")
     return MembershipResult(member=False, separator=(w, gap))
 
 
@@ -841,7 +842,8 @@ def find_destabilizer(E: SupportSet, sigma, sigma_uniform: bool = False):
     x = res2.x if res2.status == "optimal" else res.x
     w = [x[c] - x[nw + c] for c in range(nw)]
     dest = Destabilizer(w[:p], w[p:p + q], w[p + q:], mstar)
-    assert dest.verify(E, sigma)
+    if not dest.verify(E, sigma):
+        raise CertificateError("destabilizer fails its exact check")
     return dest
 
 

@@ -1,19 +1,48 @@
-"""Exact rational linear programming via the simplex method with Bland's rule.
+"""Exact linear programming: a fraction-free integer simplex with Bland's rule.
 
 Problems are solved in equality standard form
 
     minimize c.x   subject to   A x = b,  x >= 0
 
-over Fractions.  Instances here are tiny (tens of rows), so a dense tableau
-with Bland's anti-cycling rule is plenty.  Infeasible problems return a
-Farkas certificate y with y.A <= 0 componentwise and y.b > 0, which is what
-turns "not a member" into a separating functional.
+with rational data.  Instances here are small (tens of rows), so a dense
+tableau with Bland's anti-cycling rule is plenty.  Infeasible problems return
+a Farkas certificate y with y.A <= 0 componentwise and y.b > 0, which is what
+turns "not a member" into a separating functional; it is checked exactly
+before it is returned.
+
+Tableau invariant.  The tableau holds Python ints and one common denominator
+D > 0: its rational value is T / D, and D is the absolute determinant of the
+current basis in the integer start tableau [S A | I | S b], whose identity
+basis has D = 1.  The last row is the reduced-cost row, also over D.  A pivot
+on p = T[r][c] is an Edmonds-Bareiss step: every row i != r becomes
+(p T_i - T_ic T_r) / D, row r stays, and D becomes p; when p < 0 (a
+degenerate artificial pivoted out after phase I) the tableau and D are
+negated together.  Every entry is then a minor of the start tableau, so each
+division is exact.  It is checked anyway, since floor division would round an
+inexact one silently.
+
+Why the scales.  Row i, signed so that b_i >= 0, is scaled to integers by its
+own s_i > 0 (the lcm of its denominators), and its artificial keeps a unit
+column.  That is the positive change of variables a'_i = s_i a_i, under which
+each tableau row and column is a positive multiple of the one over Fractions:
+signs, ratios and ties, hence Bland's pivot path, are unchanged as long as
+the phase-I objective sum_i a_i is kept.  Scaled by L = lcm(s), it gives
+artificial k the cost L / s_k.  Phase-II costs are scaled to integers by one
+positive factor, ratios are compared by cross-multiplying, and the Farkas
+vector is un-scaled as y_k = sign_k s_k y'_k / (D L).  Two shortcuts change
+results: one global scale with artificial columns L e_k makes the divisions
+inexact, and unit artificial costs with per-row scales change the pivot path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+class CertificateError(Exception):
+    """An exact certificate failed the check made before it is returned."""
 
 
 @dataclass
@@ -24,100 +53,123 @@ class LPResult:
     farkas: list | None = None      # y with y.A <= 0, y.b > 0 when infeasible
 
 
-def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    inv = Fraction(1) / piv
-    T[row] = [v * inv for v in T[row]]
-    for i, r in enumerate(T):
-        if i != row and r[col] != 0:
-            f = r[col]
-            T[i] = [a - f * b for a, b in zip(r, T[row])]
-    basis[row] = col
+def _rational(v):
+    """``v`` as an int or a Fraction (both carry numerator and denominator)."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
-def _simplex_core(T, basis, cost, enterable):
-    """Minimize cost over the tableau; returns 'optimal' or 'unbounded'.
+def _pivot(T, basis, r, c, D):
+    """Edmonds-Bareiss pivot on T[r][c]; returns the new denominator."""
+    p = T[r][c]
+    prow = T[r]
+    psum = sum(prow)
+    for i, row in enumerate(T):
+        f = row[c]
+        if i == r or (not f and p == D):
+            continue
+        new = [(p * a - f * b) // D for a, b in zip(row, prow)]
+        # floor remainders are >= 0 for D > 0, so the row sums agree only if
+        # every division is exact
+        if D * sum(new) != p * sum(row) - f * psum:
+            raise ArithmeticError("inexact fraction-free pivot")
+        T[i] = new
+    basis[r] = c
+    if p < 0:
+        for i, row in enumerate(T):
+            T[i] = [-v for v in row]
+        p = -p
+    return p
 
-    Reduced costs are recomputed from scratch each round; fine at this
-    scale and exact arithmetic makes it drift-free.
-    """
-    m = len(T)
-    ncols = len(cost)
+
+def _simplex_core(T, basis, D, n):
+    """Minimize over the tableau, whose last row is the reduced-cost row;
+    columns below n may enter.  Returns ('optimal' | 'unbounded', D)."""
+    z = len(T) - 1
     while True:
-        yrow = [Fraction(0)] * ncols
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb:
-                for j in range(ncols):
-                    if T[i][j]:
-                        yrow[j] += cb * T[i][j]
-        enter = -1
-        for j in enterable:
-            if cost[j] - yrow[j] < 0:
-                enter = j
-                break  # Bland: first improving index
+        enter = next((j for j in range(n) if T[z][j] < 0), -1)  # Bland
         if enter < 0:
-            return "optimal"
+            return "optimal", D
         leave = -1
-        best = None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][ncols] / T[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+        for i in range(z):
+            a = T[i][enter]
+            if a <= 0:
+                continue
+            if leave >= 0:
+                # ratios T[i][-1] / a against best_b / best_a, both a > 0
+                lhs, rhs = T[i][-1] * best_a, best_b * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave, best_b, best_a = i, T[i][-1], a
         if leave < 0:
-            return "unbounded"
-        _pivot(T, basis, leave, enter)
+            return "unbounded", D
+        D = _pivot(T, basis, leave, enter, D)
+
+
+def _cost_row(T, cost, basis_cost, D):
+    """D times the reduced costs of the integer ``cost`` (one per column)."""
+    z = [D * v for v in cost]
+    for row, k in zip(T, basis_cost):
+        if k:
+            z = [a - k * b for a, b in zip(z, row)]
+    return z
+
+
+def _phase_one(rows, n, art_cost, artificials):
+    """Phase-I tableau from the scaled rows, basis and D at its optimum; the
+    unit artificial columns are carried only when ``artificials``."""
+    m = len(rows)
+    T = [row[:n] + [int(k == i) for k in range(m) if artificials] + row[n:]
+         for i, row in enumerate(rows)]
+    basis = [n + i for i in range(m)]
+    cost = [0] * n + (art_cost if artificials else []) + [0]
+    T.append(_cost_row(T, cost, art_cost, 1))
+    _, D = _simplex_core(T, basis, 1, n)
+    T.pop()
+    return T, basis, D
+
+
+def _farkas_vector(T, basis, n, sign, s, D):
+    """Phase-I dual y = c_B B^-1, un-scaled and in the caller's row signs."""
+    L = math.lcm(*s)
+    y = []
+    for k, sk in enumerate(s):
+        yk = sum(L // s[j - n] * row[n + k] for row, j in zip(T, basis) if j >= n)
+        y.append(Fraction(sign[k] * sk * yk, D * L))
+    return y
 
 
 def solve_eq_lp(A, b, c, maximize: bool = False) -> LPResult:
     """Solve min/max c.x subject to A x = b, x >= 0, all data rational."""
     m = len(A)
     n = len(A[0]) if m else 0
-    A0 = [[Fraction(v) for v in row] for row in A]
-    b0 = [Fraction(v) for v in b]
+    A0 = [[_rational(v) for v in row] for row in A]
+    b0 = [_rational(v) for v in b]
     c = [Fraction(v) for v in c]
     if maximize:
         c = [-v for v in c]
 
-    # normalize to b >= 0, remembering the flips for the Farkas certificate
-    sign = [1] * m
-    A = [list(row) for row in A0]
-    b = list(b0)
+    # rows signed to b >= 0 and scaled to integers
+    sign = [-1 if v < 0 else 1 for v in b0]
+    s, rows = [], []
     for i in range(m):
-        if b[i] < 0:
-            sign[i] = -1
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
+        vals = A0[i] + [b0[i]]
+        si = math.lcm(*(v.denominator for v in vals))
+        rows.append([sign[i] * v.numerator * (si // v.denominator) for v in vals])
+        s.append(si)
 
-    ncols = n + m  # originals + artificials
-    T = []
-    for i in range(m):
-        row = A[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        row.append(b[i])
-        T.append(row)
-    basis = [n + i for i in range(m)]
-
-    # phase I: drive artificials to zero
-    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
-    _simplex_core(T, basis, cost1, list(range(n)))
-    w = sum(T[i][ncols] for i in range(m) if basis[i] >= n)
-    if w > 0:
-        # dual vector y = c_B B^{-1}; B^{-1} occupies the artificial columns
-        y = []
-        for k in range(m):
-            yk = Fraction(0)
-            for i in range(m):
-                if basis[i] >= n:
-                    yk += T[i][n + k]
-            y.append(yk)
-        y = [sign[i] * y[i] for i in range(m)]  # back to caller's row signs
+    # phase I: drive artificials to zero; artificial k costs lcm(s) / s_k
+    L = math.lcm(*s)
+    art_cost = [L // si for si in s]
+    T, basis, D = _phase_one(rows, n, art_cost, False)
+    if any(row[-1] > 0 for row, j in zip(T, basis) if j >= n):
+        # artificial columns never steer a pivot, so a replay that carries
+        # them ends in the same basis, with D B^-1 in those columns
+        T, basis, D = _phase_one(rows, n, art_cost, True)
+        y = _farkas_vector(T, basis, n, sign, s, D)
         yA = [sum(y[i] * A0[i][j] for i in range(m)) for j in range(n)]
         yb = sum(y[i] * b0[i] for i in range(m))
-        assert yb > 0 and all(v <= 0 for v in yA), "bad Farkas certificate"
+        if not (yb > 0 and all(v <= 0 for v in yA)):
+            raise CertificateError("bad Farkas certificate")
         return LPResult(status="infeasible", farkas=y)
 
     # pivot lingering artificials out of the basis (degenerate rows)
@@ -125,17 +177,19 @@ def solve_eq_lp(A, b, c, maximize: bool = False) -> LPResult:
         if basis[i] >= n:
             col = next((j for j in range(n) if T[i][j] != 0), None)
             if col is not None:
-                _pivot(T, basis, i, col)
+                D = _pivot(T, basis, i, col, D)
 
-    # phase II over the original columns only
-    cost2 = c + [Fraction(0)] * m
-    status = _simplex_core(T, basis, cost2, list(range(n)))
+    # phase II over the original columns, costs scaled to integers by K > 0
+    K = math.lcm(*(v.denominator for v in c))
+    cost = [v.numerator * (K // v.denominator) for v in c]
+    T.append(_cost_row(T, cost + [0], [cost[k] if k < n else 0 for k in basis], D))
+    status, D = _simplex_core(T, basis, D, n)
     if status == "unbounded":
         return LPResult(status="unbounded")
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = T[i][ncols]
+            x[basis[i]] = Fraction(T[i][-1], D)
     obj = sum(ci * xi for ci, xi in zip(c, x))
     if maximize:
         obj = -obj
@@ -146,3 +200,31 @@ def feasible_point(A, b) -> LPResult:
     """Find x >= 0 with A x = b, or a Farkas separator."""
     n = len(A[0]) if A else 0
     return solve_eq_lp(A, b, [Fraction(0)] * n)
+
+
+def exact_rref(rows):
+    """Reduced row echelon form over Fractions; returns (rows, pivot columns).
+
+    The rank is the number of pivot columns.
+    """
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = Fraction(1) / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, piv_cols

@@ -19,7 +19,6 @@ numeric evidence attached.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,16 +26,14 @@ import numpy as np
 
 from .gitnorm import (
     Destabilizer,
-    LogWeights,
-    criticality_residual,
     find_destabilizer,
     git_norm,
     haar_orthogonal,
     minimize_diagonal,
     polytope_membership,
-    rescale_by_weights,
     sparse_criterion,
 )
+from .lp import CertificateError, exact_rref
 from .polycore import (
     GroupElement,
     Poly,
@@ -44,6 +41,7 @@ from .polycore import (
     act_group,
     exact_det,
     hs_norm,
+    mi_factorial,
     mi_order,
     partial_derivative,
     poly_from_json,
@@ -98,7 +96,7 @@ class RadonProblem:
                     row.append(eval_poly_exact(
                         partial_derivative(self.phi[i], ej), pt))
                 rows.append(row)
-            if len(_exact_rref(rows)[1]) == self.k:
+            if len(exact_rref(rows)[1]) == self.k:
                 return True
         return False
 
@@ -275,30 +273,6 @@ def specialize_incidence(prob: RadonProblem, x0) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-def _exact_rref(rows):
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    return a, piv_cols
-
-
 def curvature_form(prob: RadonProblem, z0) -> CurvatureForm:
     """Extract the curvature form at a base point.
 
@@ -326,7 +300,7 @@ def curvature_form(prob: RadonProblem, z0) -> CurvatureForm:
         for j in range(prob.n):
             ej = tuple(1 if m == j else 0 for m in range(nv))
             J[i][j] = shifted[i].terms.get(ej, Fraction(0))
-    rref, piv_cols = _exact_rref(J)
+    rref, piv_cols = exact_rref(J)
     if len(piv_cols) < prob.k:
         raise NonTransverse(
             f"x-Jacobian rank {len(piv_cols)} < codimension {prob.k}")
@@ -404,20 +378,11 @@ def _curvature_form_float(prob: RadonProblem, z0) -> CurvatureForm:
 
 def _exact_inverse(M):
     n = len(M)
-    aug = [list(M[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    rref, piv_cols = exact_rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                                 for i, row in enumerate(M)])
+    if piv_cols != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in rref]
 
 
 # -- pencil destabilizer for z-linear matrices ----------------------------------------
@@ -427,7 +392,7 @@ def _rational_nullspace(rows):
     if not rows:
         return []
     m, n = len(rows), len(rows[0])
-    rref, piv_cols = _exact_rref(rows)
+    rref, piv_cols = exact_rref(rows)
     free = [c for c in range(n) if c not in piv_cols]
     basis = []
     for fc in free:
@@ -563,7 +528,8 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
         if got is not None:
             g, dest = got
             cert = UnstableCertificate(g, dest, exact=True, sigma=sigma)
-            assert cert.reverify(P)
+            if not cert.reverify(P):
+                raise CertificateError("pencil certificate fails reverify")
             return SemistabilityVerdict("unstable", cert, 0.0,
                                         "pencil-reduction destabilizer")
     est = git_norm(P, sigma, restarts=min(restarts, 16), budget=budget,
@@ -588,7 +554,7 @@ def model_exponents(n: int, n1: int, k: int) -> dict:
     """Model L^p-improving exponents and their duals, exact.
 
     Returns the Lebesgue pair (for the n-side and n1-side functions), the
-    dual reciprocals, and asserts the exact identity
+    dual reciprocals, and checks the exact identity
     n1 + n = (n+k)/p2 + (n1+k)/p1.
     """
     if not (0 < k < min(n, n1)):
@@ -597,7 +563,8 @@ def model_exponents(n: int, n1: int, k: int) -> dict:
     r1 = Fraction(k * (n - k), n * (n1 - k)) + 1
     inv_p2 = Fraction(n1 * (n - k), n * n1 - k * k)
     inv_p1 = Fraction(n * (n1 - k), n * n1 - k * k)
-    assert (n + k) * inv_p2 + (n1 + k) * inv_p1 == n1 + n
+    if (n + k) * inv_p2 + (n1 + k) * inv_p1 != n1 + n:
+        raise CertificateError("exponents break n1 + n = (n+k)/p2 + (n1+k)/p1")
     return {"r2": r2, "r1": r1, "inv_p2": inv_p2, "inv_p1": inv_p1}
 
 
@@ -710,7 +677,7 @@ def moment_family_type1(alphas, k: int):
     d = len(alphas[0])
     rows = N * k
     cols = N * k + k
-    fac = lambda a: Fraction(1, _mi_fact(a))
+    fac = lambda a: Fraction(1, mi_factorial(a))
 
     def mono(a, coef):
         return Poly(d, {tuple(a): coef})
@@ -744,7 +711,7 @@ def moment_family_type1(alphas, k: int):
             diff = tuple(x - y for x, y in zip(a, a2))
             if any(v < 0 for v in diff):
                 continue
-            coef = Fraction((-1) ** sum(diff), _mi_fact(diff))
+            coef = Fraction((-1) ** sum(diff), mi_factorial(diff))
             for m in range(k):
                 A[i * k + m][i2 * k + m] = mono(diff, coef)
                 P[i * k + m][i2 * k + m] = s_mono(diff, coef)
@@ -783,7 +750,7 @@ def moment_family_type2(alphas):
             return Poly.zero(d)
         a2 = list(a)
         a2[l] -= 1
-        return Poly(d, {tuple(a2): coef * Fraction(1, _mi_fact(tuple(a2)))})
+        return Poly(d, {tuple(a2): coef * Fraction(1, mi_factorial(tuple(a2)))})
 
     def to_z(e):
         return Poly(2 * d, {(0,) * d + a: c for a, c in e.terms.items()})
@@ -813,19 +780,12 @@ def moment_family_type2(alphas):
             diff = tuple(x - y for x, y in zip(a, a2))
             if any(v < 0 for v in diff):
                 continue
-            coef = Fraction(1, _mi_fact(diff))
+            coef = Fraction(1, mi_factorial(diff))
             A[i][i2] = Poly(d, {diff: coef})
             P[i][i2] = to_s(Poly(d, {diff: coef}))
     Pm = PolyMatrix(P)
     return (PolyMatrix(M), PolyMatrix(A), PolyMatrix(B), Pm,
             PolyMatrix(right), chk.sigma)
-
-
-def _mi_fact(a) -> int:
-    out = 1
-    for v in a:
-        out *= math.factorial(v)
-    return out
 
 
 # -- decomposition verification ---------------------------------------------------------

@@ -1,12 +1,16 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from semistab.gitnorm import polytope_membership
-from semistab.lp import feasible_point, solve_eq_lp
-from semistab.polycore import SupportSet
+import lp_reference
+from semistab import gitnorm, lp, radon
+from semistab.gitnorm import Destabilizer, find_destabilizer, polytope_membership
+from semistab.lp import CertificateError, LPResult, feasible_point, solve_eq_lp
+from semistab.polycore import Poly, PolyMatrix, SupportSet, support_set
 
 
 def test_simple_feasible():
@@ -140,3 +144,123 @@ def test_grid_agrees_when_lp_vertex_is_coarse():
             assert _grid_feasible(E.weight_points(), target)
             agreements += 1
     assert agreements > 0
+
+
+# -- the integer kernel against the Fraction reference ----------------------------
+
+
+def _fields(res):
+    return res.status, res.x, res.objective, res.farkas
+
+
+def _entry(rng):
+    u = rng.random()
+    if u < 0.3:
+        return F(0)
+    if u < 0.65:
+        return F(rng.randint(-5, 5))
+    if u < 0.9:
+        return F(rng.randint(-9, 9), rng.randint(1, 12))
+    return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+
+def _oracle_corpus(count, seed):
+    """Small LPs: mixed-sign b, fractional and large entries, repeated and
+    zero rows, zero right-hand sides, both objective senses."""
+    rng = random.Random(seed)
+    for k in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        A = [[_entry(rng) for _ in range(n)] for _ in range(m)]
+        b = [_entry(rng) for _ in range(m)]
+        if m > 1 and k % 3 == 0:
+            i, j = rng.sample(range(m), 2)
+            # k odd: row j a multiple of row i; k even: row j zero, b_j = 0
+            t = F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) * (k % 2)
+            A[j], b[j] = [t * v for v in A[i]], t * b[i]
+        if k % 5 == 0:
+            b = [F(0)] * m
+        c = [_entry(rng) for _ in range(n)]
+        yield A, b, c, k % 4 < 2
+
+
+def test_integer_kernel_matches_fraction_reference():
+    seen = Counter()
+    for A, b, c, maximize in _oracle_corpus(360, seed=2407):
+        got = solve_eq_lp(A, b, c, maximize=maximize)
+        want = lp_reference.solve_eq_lp(A, b, c, maximize=maximize)
+        assert _fields(got) == _fields(want)
+        seen[got.status] += 1
+    assert min(seen[s] for s in ("optimal", "infeasible", "unbounded")) >= 30
+
+
+def test_integer_kernel_matches_reference_on_support_lps(monkeypatch):
+    """Membership and destabilizer LPs of random supports, both kernels."""
+    seen = Counter()
+
+    def both(A, b, c, maximize=False):
+        got = solve_eq_lp(A, b, c, maximize=maximize)
+        assert _fields(got) == _fields(
+            lp_reference.solve_eq_lp(A, b, c, maximize=maximize))
+        seen[got.status] += 1
+        return got
+
+    monkeypatch.setattr(gitnorm, "solve_eq_lp", both)
+    monkeypatch.setattr(gitnorm, "feasible_point",
+                        lambda A, b: both(A, b, [0] * len(A[0])))
+    rng = random.Random(11)
+    for _ in range(8):
+        p, q, d = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+        triples = sorted({(rng.randrange(p), rng.randrange(q),
+                           tuple(rng.randint(0, 2) for _ in range(d)))
+                          for _ in range(rng.randint(1, 5))})
+        E = SupportSet(p, q, d, triples)
+        sigma = F(rng.randint(0, 3), rng.randint(1, 3))
+        polytope_membership(E, sigma)
+        find_destabilizer(E, sigma)
+    assert seen["optimal"] > 0 and seen["infeasible"] > 0
+
+
+def test_pivot_rejects_inexact_division():
+    T = [[2, 3, 1], [4, 1, 1]]
+    with pytest.raises(ArithmeticError):
+        lp._pivot(T, [0, 1], 0, 0, 3)
+
+
+# -- certificate checks raise CertificateError, also under python -O ---------------
+
+
+def test_bad_farkas_vector_raises(monkeypatch):
+    farkas = lp._farkas_vector
+    monkeypatch.setattr(lp, "_farkas_vector", lambda *a: [-v for v in farkas(*a)])
+    with pytest.raises(CertificateError):
+        feasible_point([[1, 1]], [-1])
+
+
+def test_separator_without_gap_raises(monkeypatch):
+    monkeypatch.setattr(gitnorm, "feasible_point", lambda A, b: LPResult(
+        "infeasible", farkas=[F(0)] * len(b)))
+    E = support_set(PolyMatrix([[Poly(1, {(1,): 1})]]))
+    with pytest.raises(CertificateError):
+        polytope_membership(E, 2)
+
+
+def test_destabilizer_failing_verify_raises(monkeypatch):
+    monkeypatch.setattr(Destabilizer, "verify", lambda self, E, sigma: False)
+    E = support_set(PolyMatrix([[Poly(2, {(1, 1): 1})]]))
+    with pytest.raises(CertificateError):
+        find_destabilizer(E, 2)
+
+
+def test_pencil_certificate_failing_reverify_raises(monkeypatch):
+    monkeypatch.setattr(radon.UnstableCertificate, "reverify", lambda self, P: False)
+    rnd = random.Random(55)
+    T = [[[F(rnd.randint(-9, 9)) for _ in range(3)] for _ in range(2)]
+         for _ in range(5)]
+    with pytest.raises(CertificateError):
+        radon.semistability_verdict(radon.CurvatureForm(T), restarts=0)
+
+
+def test_exponent_identity_failure_raises(monkeypatch):
+    monkeypatch.setattr(radon, "Fraction", lambda a, b=1: F(a, b) + F(1, 7))
+    with pytest.raises(CertificateError):
+        radon.model_exponents(4, 5, 2)
