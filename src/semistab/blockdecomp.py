@@ -116,15 +116,6 @@ def specialize_s(P: Poly, d: int, t0) -> Poly:
     return Poly(d, out)
 
 
-def substitute_z_negate(P: Poly, d: int) -> Poly:
-    """Sign adapter between the two diagonal conventions: z -> -z."""
-    return Poly(
-        P.dim,
-        {a: (c if sum(a[d:]) % 2 == 0 else -c) for a, c in P.terms.items()},
-        exact=P.exact,
-    )
-
-
 def pm_mul(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
     if X.q != Y.p:
         raise ValueError("shape mismatch in polynomial matrix product")
@@ -243,6 +234,12 @@ class Tile:
                 "sigma": {"num": self.sigma.numerator, "den": self.sigma.denominator}}
 
 
+def group_offsets(sizes) -> list:
+    """Prefix offsets of consecutive groups: group i spans
+    range(offsets[i], offsets[i + 1])."""
+    return [0, *itertools.accumulate(sizes)]
+
+
 @dataclass
 class BlockDecomposition:
     row_groups: list          # sizes p_0 .. p_{m*}
@@ -263,14 +260,6 @@ class BlockDecomposition:
     @property
     def d(self):
         return self.A.d
-
-    def row_slice(self, i: int) -> range:
-        lo = sum(self.row_groups[:i])
-        return range(lo, lo + self.row_groups[i])
-
-    def col_slice(self, j: int) -> range:
-        lo = sum(self.col_groups[:j])
-        return range(lo, lo + self.col_groups[j])
 
     def degree(self, i: int, j: int):
         """Formal degree with zero blocks reading as +infinity."""
@@ -792,12 +781,7 @@ def vanishing_degrees(R: PolyMatrix, row_groups, col_groups):
     d = R.d // 2
     if sum(row_groups) != R.p or sum(col_groups) != R.q:
         raise ValueError("groups do not partition the matrix")
-    ri = [0]
-    for s in row_groups:
-        ri.append(ri[-1] + s)
-    ci = [0]
-    for s in col_groups:
-        ci.append(ci[-1] + s)
+    ri, ci = group_offsets(row_groups), group_offsets(col_groups)
     nI, nJ = len(row_groups), len(col_groups)
     D = [[0] * nJ for _ in range(nI)]
     zero_blocks = set()
@@ -871,12 +855,7 @@ def verify_block_decomposition(M, decomp: BlockDecomposition) -> VerifyReport:
               and pm_det(decomp.B) == Poly.constant(d, 1))
     R = reduced_matrix(M, decomp)
     violations = []
-    ri = [0]
-    for s in decomp.row_groups:
-        ri.append(ri[-1] + s)
-    ci = [0]
-    for s in decomp.col_groups:
-        ci.append(ci[-1] + s)
+    ri, ci = group_offsets(decomp.row_groups), group_offsets(decomp.col_groups)
     for i in range(len(decomp.row_groups)):
         for j in range(len(decomp.col_groups)):
             need = decomp.D[i][j]
@@ -920,12 +899,7 @@ def tile_map(M, decomp: BlockDecomposition, tile: Tile, t0) -> PolyMatrix:
     R = reduced_matrix(M, decomp)
     iL, iR = tile.I
     jL, jR = tile.J
-    ri = [0]
-    for s in decomp.row_groups:
-        ri.append(ri[-1] + s)
-    ci = [0]
-    for s in decomp.col_groups:
-        ci.append(ci[-1] + s)
+    ri, ci = group_offsets(decomp.row_groups), group_offsets(decomp.col_groups)
     rows = []
     for i in range(iL, iR + 1):
         for r in range(ri[i], ri[i + 1]):

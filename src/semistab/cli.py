@@ -15,27 +15,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import fixtures
 from .blockdecomp import (
     BlockDecomposition,
     Tile,
     eliminate,
-    tile_map,
     useful_tiles,
     verify_block_decomposition,
 )
 from .gitnorm import (
-    feasible_sigma_interval,
     find_destabilizer,
     git_norm,
     polytope_membership,
-    sparse_criterion,
 )
 from .polycore import (
     PolyMatrix,
     hs_norm,
     polymatrix_from_json,
-    polymatrix_to_json,
     support_set,
 )
 from .radon import (
@@ -316,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input")
         p.add_argument("--out")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("hsnorm")
     common(p)

@@ -1,16 +1,16 @@
 """Worked-example fixtures: the matrices, decompositions and plans used by
 the test suite and shipped as JSON for the command line.
 
-Diagonal variables inside this package are z = t - s; the literature
-displays for two of the fixtures use z = s - t and are converted through the
-sign adapter (z -> -z) where they enter.
+Diagonal variables inside this package are z = t - s.  The literature
+displays use z = s - t; a fixture taken from one carries the sign flip on
+odd z-degrees in its data (see :func:`example61_reduced_display`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .blockdecomp import BlockDecomposition, IncidenceMatrix, Tile
+from .blockdecomp import BlockDecomposition, Tile
 from .polycore import Poly, PolyMatrix
 
 F = Fraction

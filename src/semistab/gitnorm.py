@@ -17,7 +17,7 @@ that infimum is decided three ways, in increasing order of effort:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -578,11 +578,13 @@ def criticality_residual(P: PolyMatrix, sigma) -> float:
     Row Gram minus ||P||^2/p, column Gram minus ||P||^2/q, and the
     derivative-pairing tensor minus sigma ||P||^2 I.  Exact rational
     arithmetic throughout for rational input (irrational square roots are
-    tracked by squarefree radicand), rounded only at the very end.
+    tracked by squarefree radicand), rounded only at the very end.  Float
+    input uses the residual matrices that :func:`kempf_ness_polish` descends.
     """
     if P.exact:
         return _criticality_exact(P, Fraction(sigma))
-    return _criticality_float(P, float(sigma))
+    R1, R2, R3, _ = _foc_matrices(P, float(sigma))
+    return math.sqrt((R1 ** 2).sum() + (R2 ** 2).sum() + (R3 ** 2).sum())
 
 
 def _criticality_exact(P: PolyMatrix, sigma: Fraction) -> float:
@@ -645,51 +647,6 @@ def _criticality_exact(P: PolyMatrix, sigma: Fraction) -> float:
     return math.sqrt(float(fro2) + extra)
 
 
-def _criticality_float(P: PolyMatrix, sigma: float) -> float:
-    p, q, d = P.p, P.q, P.d
-    tc = {}
-    for i in range(p):
-        for j in range(q):
-            for a, c in P.entries[i][j].terms.items():
-                tc[(i, j, a)] = float(c) * mi_factorial(a)
-    norm2 = sum(v * v / mi_factorial(a) for (_, _, a), v in tc.items())
-    fro2 = 0.0
-    for i1 in range(p):
-        for i2 in range(p):
-            s = sum(tc[(i1, j, a)] * tc[(i2, j, a)] / mi_factorial(a)
-                    for j in range(q)
-                    for a in set(P.entries[i1][j].terms) & set(P.entries[i2][j].terms))
-            if i1 == i2:
-                s -= norm2 / p
-            fro2 += s * s
-    for j1 in range(q):
-        for j2 in range(q):
-            s = sum(tc[(i, j1, a)] * tc[(i, j2, a)] / mi_factorial(a)
-                    for i in range(p)
-                    for a in set(P.entries[i][j1].terms) & set(P.entries[i][j2].terms))
-            if j1 == j2:
-                s -= norm2 / q
-            fro2 += s * s
-    for k1 in range(d):
-        for k2 in range(d):
-            s = 0.0
-            for (i, j, a), v in tc.items():
-                if a[k1] == 0:
-                    continue
-                a2 = list(a)
-                a2[k1] -= 1
-                a2[k2] += 1
-                v2 = tc.get((i, j, tuple(a2)))
-                if v2 is None:
-                    continue
-                fa, fa2 = mi_factorial(a), mi_factorial(tuple(a2))
-                s += v * v2 * math.sqrt(a[k1] * a2[k2] / (fa * fa2))
-            if k1 == k2:
-                s -= sigma * norm2
-            fro2 += s * s
-    return math.sqrt(fro2)
-
-
 def rescale_by_weights(P: PolyMatrix, w: LogWeights, sigma) -> PolyMatrix:
     """|det D3|^(-sigma) rho_(D1,D2,D3) P for D_k = exp(diag w_k)."""
     p, q, d = P.p, P.q, P.d
@@ -702,7 +659,7 @@ def rescale_by_weights(P: PolyMatrix, w: LogWeights, sigma) -> PolyMatrix:
 
 
 def criticality_residual_at(P: PolyMatrix, w: LogWeights, sigma) -> float:
-    return _criticality_float(rescale_by_weights(P, w, sigma), float(sigma))
+    return criticality_residual(rescale_by_weights(P, w, sigma), sigma)
 
 
 # -- exact certificates ------------------------------------------------------------

@@ -15,7 +15,6 @@ is graded lexicographic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -362,16 +361,6 @@ def exact_det(M) -> Fraction:
     return det
 
 
-def mat_mul(A, B):
-    if isinstance(A, np.ndarray) or isinstance(B, np.ndarray):
-        return np.asarray(A, dtype=float) @ np.asarray(B, dtype=float)
-    n, m, k = len(A), len(B[0]), len(B)
-    return tuple(
-        tuple(sum(A[i][l] * B[l][j] for l in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
 @dataclass
 class GroupElement:
     """A triple (A, B, C): row mixer, column mixer, variable change."""
@@ -585,13 +574,3 @@ def polymatrix_from_json(obj: dict) -> PolyMatrix:
     if (M.p, M.q) != (p, q):
         raise ValueError("entry grid does not match declared shape")
     return M
-
-
-def dump_polymatrix(P: PolyMatrix, path: str):
-    with open(path, "w") as fh:
-        json.dump(polymatrix_to_json(P), fh, sort_keys=True, indent=2)
-
-
-def load_polymatrix(path: str) -> PolyMatrix:
-    with open(path) as fh:
-        return polymatrix_from_json(json.load(fh))

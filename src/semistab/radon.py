@@ -10,16 +10,15 @@ is decided by the machinery of :mod:`semistab.gitnorm` applied to the
 z-linear matrix encoding of the form.
 
 Verdicts are certificate-backed: positive comes with a sparse convex-weight
-certificate or a converged critical point, unstable with a volume-one frame
-plus a diagonal destabilizer that is re-verified exactly whenever the frame
-is rational.  Everything else is reported as undetermined, with the best
-numeric evidence attached.
+certificate or a converged critical point, unstable with a rational frame
+plus a diagonal destabilizer that is re-verified exactly.  Everything else
+is reported as undetermined, with the best numeric evidence attached.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,9 +27,7 @@ from .gitnorm import (
     Destabilizer,
     find_destabilizer,
     git_norm,
-    haar_orthogonal,
     minimize_diagonal,
-    polytope_membership,
     sparse_criterion,
 )
 from .lp import CertificateError, exact_rref
@@ -147,12 +144,6 @@ class CurvatureForm:
                 row.append(Poly(c, terms))
             rows.append(row)
         return PolyMatrix(rows)
-
-    @staticmethod
-    def from_array(arr) -> "CurvatureForm":
-        return CurvatureForm(
-            [[[Fraction(v) if not isinstance(v, float) else v for v in row]
-              for row in plane] for plane in arr])
 
     def transformed(self, L_out, L_x, L_t) -> "CurvatureForm":
         """Apply linear maps to the three slots (exact for rational maps)."""
@@ -484,10 +475,10 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
     """Decide semistability of a curvature form, with certificates.
 
     Pipeline: sparse criterion at sigma = 1/(t-kernel dimension); exact
-    identity-frame destabilizer; destabilizer search over random orthogonal
-    frames; the exact pencil reduction for z-linear shapes it covers; and
-    finally the numeric frame descent, whose converged critical points count
-    as positive when the first-order residual is below 1e-6 relative.
+    identity-frame destabilizer; the exact pencil reduction for z-linear
+    shapes it covers; and finally the numeric frame descent, whose converged
+    critical points count as positive when the first-order residual is below
+    1e-6 relative.
     """
     k, b, c = Q.shape
     sigma = Fraction(1, c)
@@ -509,20 +500,6 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
             cert = UnstableCertificate(None, dest, exact=True, sigma=sigma)
             return SemistabilityVerdict("unstable", cert, 0.0,
                                         "identity-frame destabilizer")
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        frames = (haar_orthogonal(rng, P.p), haar_orthogonal(rng, P.q),
-                  haar_orthogonal(rng, P.d))
-        g = GroupElement(*frames, volume_preserving=False)
-        Pg = act_group(P, g)
-        E = support_set(Pg)
-        if polytope_membership(E, sigma).member:
-            continue
-        dest = find_destabilizer(E, sigma)
-        if dest is not None:
-            cert = UnstableCertificate(g, dest, exact=False, sigma=sigma)
-            return SemistabilityVerdict("unstable", cert, 0.0,
-                                        "random-frame destabilizer")
     if P.exact:
         got = pencil_destabilizer(P, sigma)
         if got is not None:
@@ -716,11 +693,6 @@ def moment_family_type1(alphas, k: int):
                 A[i * k + m][i2 * k + m] = mono(diff, coef)
                 P[i * k + m][i2 * k + m] = s_mono(diff, coef)
     Pm = PolyMatrix(P)
-    right = PolyMatrix([[Poly(d, {a: -fac(a)}) if r == i * k + m else zero
-                         for m in range(k)]
-                        for i, a in enumerate(alphas) for r_ in [0]
-                        for r in [i * k]
-                        ])
     # right block in the z variables alone, for the sparse criterion
     right_rows = []
     for i, a in enumerate(alphas):

@@ -15,7 +15,7 @@ strata in a deterministic priority order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,12 +24,13 @@ from .blockdecomp import (
     BlockDecomposition,
     IncidenceMatrix,
     Tile,
+    group_offsets,
     reduced_matrix,
     specialize_s,
     tile_map,
 )
 from .gitnorm import git_norm, minimize_diagonal, sparse_criterion
-from .polycore import Poly, PolyMatrix, mi_factorial, substitute_linear
+from .polycore import PolyMatrix, mi_factorial, substitute_linear
 
 
 @dataclass
@@ -451,12 +452,7 @@ def probe_nondegeneracy(M, decomp: BlockDecomposition, t0, sigma, w_value,
     R = reduced_matrix(M, decomp)
     diag = [[specialize_s(R.entries[r][c], d, t0) for c in range(R.q)]
             for r in range(R.p)]
-    ri = [0]
-    for s in decomp.row_groups:
-        ri.append(ri[-1] + s)
-    ci = [0]
-    for s in decomp.col_groups:
-        ci.append(ci[-1] + s)
+    ri, ci = group_offsets(decomp.row_groups), group_offsets(decomp.col_groups)
     if tile is None:
         irange = range(len(decomp.row_groups))
         jrange = range(len(decomp.col_groups))

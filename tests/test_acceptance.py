@@ -34,7 +34,7 @@ from semistab.gitnorm import (
     polytope_membership,
     rescale_by_weights,
     sparse_criterion,
-    _criticality_float,
+    criticality_residual,
     haar_orthogonal,
 )
 from semistab.polycore import (
@@ -147,7 +147,7 @@ def test_criterion_4_optimizer_soundness():
         est = git_norm(P, sigma, restarts=16, budget=80, seed=0)
         assert abs(est.value - inner.value) <= 1e-3 * inner.value
         rescaled = rescale_by_weights(P, inner.weights, sigma)
-        resid = _criticality_float(rescaled, float(sigma))
+        resid = criticality_residual(rescaled, float(sigma))
         assert resid <= 1e-6 * hs_norm(rescaled) ** 2
     # homogeneous fixtures off the balance parameter drift to zero
     homogeneous = [

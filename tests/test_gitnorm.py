@@ -311,10 +311,10 @@ def test_sparse_positive_attained_diagonally(P, sigma):
     est = git_norm(P, sigma, restarts=16, budget=60, seed=0)
     assert est.value >= (1 - 1e-3) * inner.value
     assert est.value <= inner.value * (1 + 1e-9)
-    from semistab.gitnorm import rescale_by_weights, _criticality_float
+    from semistab.gitnorm import rescale_by_weights
 
     rescaled = rescale_by_weights(P, inner.weights, sigma)
-    resid = _criticality_float(rescaled, float(sigma))
+    resid = criticality_residual(rescaled, float(sigma))
     assert resid <= 1e-6 * hs_norm(rescaled) ** 2
 
 
@@ -326,6 +326,34 @@ def test_membership_necessity_under_random_frames(P, sigma):
         g = GroupElement(haar_orthogonal(rng, P.p), haar_orthogonal(rng, P.q),
                          haar_orthogonal(rng, P.d), volume_preserving=False)
         E = support_set(act_group(P, g))
+        assert polytope_membership(E, sigma).member
+
+
+UNSTABLE_5_2_3 = {
+    "seeded": [[[F(int(v)) for v in row] for row in plane]
+               for plane in np.random.default_rng(7).integers(-9, 10, (5, 2, 3))],
+    "equal_slices": [[[F(1) if l == i % 3 else F(0) for l in range(3)]
+                      for _ in range(2)] for i in range(5)],
+    "rank_one": [[[F(1)] * 3 for _ in range(2)] for _ in range(5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSTABLE_5_2_3))
+def test_random_frames_cannot_expose_instability(name):
+    # every (5,2,3) form is unstable at sigma = 1/3, yet a Haar frame gives a
+    # nonzero z-linear form full support (with probability one), and uniform
+    # weights on the full support sit at the barycenter (1/p; 1/q; 1/d):
+    # a random frame never yields a destabilizer
+    from semistab.radon import CurvatureForm
+
+    P = CurvatureForm(UNSTABLE_5_2_3[name]).to_polymatrix()
+    sigma = F(1, 3)
+    rng = np.random.default_rng(123)
+    for _ in range(100):
+        g = GroupElement(haar_orthogonal(rng, P.p), haar_orthogonal(rng, P.q),
+                         haar_orthogonal(rng, P.d), volume_preserving=False)
+        E = support_set(act_group(P, g))
+        assert len(E) == P.p * P.q * P.d
         assert polytope_membership(E, sigma).member
 
 
