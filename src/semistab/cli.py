@@ -34,6 +34,7 @@ from .polycore import (
     support_set,
 )
 from .radon import (
+    VERDICT_MAX_RESTARTS,
     CurvatureForm,
     RadonProblem,
     balanced_check,
@@ -298,6 +299,11 @@ VERBS = {
 }
 
 
+RESTARTS_HELP = (f"frame restarts of the verdict's numeric stage, capped at "
+                 f"{VERDICT_MAX_RESTARTS}: the default 64 acts as "
+                 f"{VERDICT_MAX_RESTARTS}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="semistab",
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=64)
     p = sub.add_parser("semistable")
     common(p)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=64, help=RESTARTS_HELP)
     p = sub.add_parser("destabilize")
     common(p)
     p.add_argument("--sigma", type=parse_rational, required=True)
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--n1", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=64, help=RESTARTS_HELP)
     return top
 
 

@@ -19,18 +19,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .lp import CertificateError, feasible_point, solve_eq_lp
 from .polycore import (
+    GradedBasis,
     GroupElement,
     PolyMatrix,
     SupportSet,
+    act_dense,
     act_group,
+    from_dense,
     hs_norm,
     mi_factorial,
     support_set,
+    to_dense,
 )
 
 DRIFT_WALL = 50.0          # ||w||_inf beyond this while decreasing = ray to zero
@@ -172,23 +177,32 @@ class MembershipResult:
 # -- support data ---------------------------------------------------------------
 
 
-def support_data(P: PolyMatrix, sigma):
-    """(triples, V, m): weight vectors v_t = (e^i; e^j; alpha - sigma 1_d)
-    and masses m_t = alpha! c^2 for the squared norm written as an
+def _weight_matrix(basis: GradedBasis, p: int, q: int, sigma) -> np.ndarray:
+    """Weight vectors v = (e^i; e^j; alpha - sigma 1_d) of every cell
+    (i, j, alpha) of a dense p x q matrix, one row per cell in (i, j, grlex)
+    order."""
+    n, d = len(basis.alphas), basis.d
+    V = np.zeros((p, q, n, p + q + d))
+    for i in range(p):
+        V[i, :, :, i] = 1.0
+    for j in range(q):
+        V[:, j, :, p + j] = 1.0
+    V[..., p + q:] = basis.exps - float(sigma)
+    return V.reshape(p * q * n, p + q + d)
+
+
+def _cells(basis: GradedBasis, T: np.ndarray, V: np.ndarray):
+    """(V, m) on the support: the weight rows and masses m = alpha! c^2 of
+    the cells with a nonzero coefficient, for the squared norm written as an
     exponential sum over the support."""
-    E = support_set(P)
-    sigma = float(sigma)
-    n = len(E.triples)
-    V = np.zeros((n, P.p + P.q + P.d))
-    m = np.zeros(n)
-    for t, (i, j, alpha) in enumerate(E.triples):
-        V[t, i] = 1.0
-        V[t, P.p + j] = 1.0
-        for k, a in enumerate(alpha):
-            V[t, P.p + P.q + k] = a - sigma
-        c = float(P.entries[i][j].terms[alpha])
-        m[t] = mi_factorial(alpha) * c * c
-    return E, V, m
+    keep = T.ravel() != 0
+    return V[keep], (basis.fac * T * T).ravel()[keep]
+
+
+def _scaled_norm(V: np.ndarray, m: np.ndarray, w: LogWeights) -> float:
+    if len(m) == 0:
+        return 0.0
+    return math.sqrt(float(np.sum(m * np.exp(2.0 * V @ w.flat()))))
 
 
 def scaled_norm(P: PolyMatrix, w: LogWeights, sigma) -> float:
@@ -198,10 +212,8 @@ def scaled_norm(P: PolyMatrix, w: LogWeights, sigma) -> float:
     """
     if len(w.w_p) != P.p or len(w.w_q) != P.q or len(w.w_d) != P.d:
         raise ValueError("weight dimensions do not match the matrix")
-    _, V, m = support_data(P, sigma)
-    if len(m) == 0:
-        return 0.0
-    return math.sqrt(float(np.sum(m * np.exp(2.0 * V @ w.flat()))))
+    basis, T = to_dense(P)
+    return _scaled_norm(*_cells(basis, T, _weight_matrix(basis, P.p, P.q, sigma)), w)
 
 
 # -- convex diagonal minimization -------------------------------------------------
@@ -250,19 +262,26 @@ def minimize_diagonal(P: PolyMatrix, sigma, tol: float = DEFAULT_GRAD_TOL,
     objective keeps decreasing (the infimum is then 0 along a ray).
     """
     p, q, d = P.p, P.q, P.d
-    _, V, m = support_data(P, sigma)
+    basis, T = to_dense(P)
+    V, m = _cells(basis, T, _weight_matrix(basis, p, q, sigma))
+    return _minimize(V, m, _traceless_basis(p, q, d), (p, q, d), tol, max_iter)
+
+
+def _minimize(V: np.ndarray, m: np.ndarray, U: np.ndarray, dims, tol: float,
+              max_iter: int) -> DiagonalResult:
+    """:func:`minimize_diagonal` on the support (V, m), with U the
+    traceless basis of the weights."""
+    p, q, d = dims
     if len(m) == 0:
         return DiagonalResult(0.0, LogWeights.zeros(p, q, d), "converged", 0, 0.0)
     total = float(m.sum())
     mh = m / total
-    U = _traceless_basis(p, q, d)
 
     def split(wflat):
         return LogWeights(wflat[:p] - wflat[:p].mean(),
                           wflat[p:p + q] - wflat[p:p + q].mean(),
                           wflat[p + q:])
 
-    w = np.zeros(p + q + d)
     VU = V @ U  # support vectors in subspace coordinates
     y = np.zeros(U.shape[1])
 
@@ -357,32 +376,15 @@ def group_value(P: PolyMatrix, g: GroupElement, sigma) -> float:
     return abs(g.det_C()) ** (-float(sigma)) * hs_norm(act_group(P, g))
 
 
-def _foc_matrices(P: PolyMatrix, sigma: float):
-    """Row-Gram, column-Ram and derivative-pairing residual matrices.
-
-    These are the gradients of the squared norm along the three group
-    directions; the flow that shrinks the norm moves against them.
-    """
-    p, q, d = P.p, P.q, P.d
-    tc = {}
-    for i in range(p):
-        for j in range(q):
-            for a, c in P.entries[i][j].terms.items():
-                tc[(i, j, a)] = float(c) * mi_factorial(a)
-    norm2 = sum(v * v / mi_factorial(a) for (_, _, a), v in tc.items())
-    G1 = np.zeros((p, p))
-    G2 = np.zeros((q, q))
-    G3 = np.zeros((d, d))
-    for (i, j, a), v in tc.items():
-        fa = mi_factorial(a)
-        for i2 in range(p):
-            v2 = tc.get((i2, j, a))
-            if v2 is not None:
-                G1[i, i2] += v * v2 / fa
-        for j2 in range(q):
-            v2 = tc.get((i, j2, a))
-            if v2 is not None:
-                G2[j, j2] += v * v2 / fa
+@lru_cache(maxsize=None)
+def _pairing_table(basis: GradedBasis):
+    """Shift table of the derivative pairing: for each alpha and k1, k2 with
+    alpha_k1 > 0, the cell k1*d + k2 of G3, the monomials alpha and
+    alpha2 = alpha - e_k1 + e_k2, and the weight sqrt(alpha_k1 alpha2_k2
+    alpha! alpha2!)."""
+    d = basis.d
+    slot, m1, m2, wt = [], [], [], []
+    for m, a in enumerate(basis.alphas):
         for k1 in range(d):
             if a[k1] == 0:
                 continue
@@ -390,14 +392,39 @@ def _foc_matrices(P: PolyMatrix, sigma: float):
                 a2 = list(a)
                 a2[k1] -= 1
                 a2[k2] += 1
-                v2 = tc.get((i, j, tuple(a2)))
-                if v2 is not None:
-                    fa2 = mi_factorial(tuple(a2))
-                    G3[k1, k2] += v * v2 * math.sqrt(a[k1] * a2[k2] / (fa * fa2))
+                a2 = tuple(a2)
+                slot.append(k1 * d + k2)
+                m1.append(m)
+                m2.append(basis.index[a2])
+                wt.append(math.sqrt(a[k1] * a2[k2] * mi_factorial(a) * mi_factorial(a2)))
+    return (np.array(slot, dtype=int), np.array(m1, dtype=int),
+            np.array(m2, dtype=int), np.array(wt, dtype=float))
+
+
+def _foc_matrices(basis: GradedBasis, T: np.ndarray, sigma: float):
+    """Row-Gram, column-Gram and derivative-pairing residual matrices of the
+    dense matrix T.
+
+    These are the gradients of the squared norm along the three group
+    directions; the flow that shrinks the norm moves against them.
+    """
+    p, q, _ = T.shape
+    d = basis.d
+    norm2 = float(np.sum(basis.fac * T * T))
+    G1 = np.einsum("ijm,kjm,m->ik", T, T, basis.fac)
+    G2 = np.einsum("ijm,ikm,m->jk", T, T, basis.fac)
+    H = np.einsum("ijm,ijn->mn", T, T)
+    slot, m1, m2, wt = _pairing_table(basis)
+    G3 = np.bincount(slot, weights=wt * H[m1, m2], minlength=d * d).reshape(d, d)
     R1 = G1 - np.eye(p) * (norm2 / p)
     R2 = G2 - np.eye(q) * (norm2 / q)
     R3 = G3 - np.eye(d) * (sigma * norm2)
     return R1, R2, R3, norm2
+
+
+def _residual(basis: GradedBasis, T: np.ndarray, sigma: float) -> float:
+    R1, R2, R3, _ = _foc_matrices(basis, T, sigma)
+    return math.sqrt((R1 ** 2).sum() + (R2 ** 2).sum() + (R3 ** 2).sum())
 
 
 def _sym_expm(S: np.ndarray) -> np.ndarray:
@@ -408,19 +435,19 @@ def _sym_expm(S: np.ndarray) -> np.ndarray:
 def kempf_ness_polish(P: PolyMatrix, sigma, g0, max_steps: int = 200,
                       foc_target_rel: float = 1e-9):
     """Gradient flow on the full group, driving the criticality residual
-    to zero from a near-optimal start.  Returns (A, B, C) float matrices,
-    the final value, and the residual."""
+    to zero from a near-optimal start.  A step that does not lower the value,
+    or whose C is numerically singular, is retried at half the step size.
+    Returns (A, B, C) float matrices, the final value, and the residual."""
     sigma = float(sigma)
     A = np.array(g0[0], dtype=float)
     B = np.array(g0[1], dtype=float)
     C = np.array(g0[2], dtype=float)
+    basis, T = to_dense(P)
 
     def value_and_res(A, B, C):
         g = GroupElement(A, B, C, volume_preserving=False)
-        Pg = act_group(P, g)
-        pref = abs(g.det_C()) ** (-sigma)
-        Pn = Pg.map(lambda e: e.scale(pref))
-        R1, R2, R3, norm2 = _foc_matrices(Pn, sigma)
+        Tn = act_dense(basis, T, g.A, g.B, g.C) * abs(g.det_C()) ** (-sigma)
+        R1, R2, R3, norm2 = _foc_matrices(basis, Tn, sigma)
         res = math.sqrt((R1 ** 2).sum() + (R2 ** 2).sum()
                         + ((0.5 * (R3 + R3.T)) ** 2).sum())
         return math.sqrt(norm2), res, (R1, R2, 0.5 * (R3 + R3.T)), norm2
@@ -435,7 +462,10 @@ def kempf_ness_polish(P: PolyMatrix, sigma, g0, max_steps: int = 200,
         A2 = _sym_expm(-eta * sc * R1) @ A
         B2 = _sym_expm(-eta * sc * R2) @ B
         C2 = _sym_expm(-eta * sc * R3s) @ C
-        val2, res2, grads2, norm22 = value_and_res(A2, B2, C2)
+        try:
+            val2, res2, grads2, norm22 = value_and_res(A2, B2, C2)
+        except ValueError:  # C2 is numerically singular: a failed step
+            val2 = math.inf
         if val2 <= val * (1 + 1e-12):
             A, B, C = A2, B2, C2
             val, res, grads, norm2 = val2, res2, grads2, norm22
@@ -473,12 +503,19 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = DEFAULT_RESTARTS,
                            (np.eye(p), np.eye(q), np.eye(d)), 0.0, 0)
     rng = np.random.default_rng(seed)
     evals = 0
+    basis, T = to_dense(P)
+    V = _weight_matrix(basis, p, q, sigma)
+    U = _traceless_basis(p, q, d)
+
+    def in_frame(frames):
+        g = frame_element(frames)
+        return act_dense(basis, T, g.A, g.B, g.C)
 
     def inner(frames):
         nonlocal evals
         evals += 1
-        Pf = act_group(P, frame_element(frames))
-        return minimize_diagonal(Pf, sigma, tol=tol, max_iter=max_iter)
+        Vf, m = _cells(basis, in_frame(frames), V)
+        return _minimize(Vf, m, U, (p, q, d), tol, max_iter)
 
     best = None
     best_frames = None
@@ -542,12 +579,12 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = DEFAULT_RESTARTS,
             w3, V3t = _split_polar(C)
             frames = (V1t, V2t, V3t)
             weights = LogWeights(w1 - w1.mean(), w2 - w2.mean(), w3)
-            Pf = act_group(P, frame_element(frames))
-            value = min(value, scaled_norm(Pf, weights, sigma))
-            foc = criticality_residual_at(Pf, weights, sigma)
+            Tf = in_frame(frames)
+            value = min(value, _scaled_norm(*_cells(basis, Tf, V), weights))
+            foc = _residual(basis, _rescaled(basis, Tf, weights, sigma), float(sigma))
     elif weights.inf_norm() < 40.0:
-        Pf = act_group(P, frame_element(best_frames))
-        foc = criticality_residual_at(Pf, weights, sigma)
+        Tf = in_frame(best_frames)
+        foc = _residual(basis, _rescaled(basis, Tf, weights, sigma), float(sigma))
     if value < DRIFT_VALUE_REL * hs0:
         # the polish follows the norm-shrinking flow, so an unstable input
         # can slide to numerical zero after a nominally converged inner solve
@@ -583,8 +620,7 @@ def criticality_residual(P: PolyMatrix, sigma) -> float:
     """
     if P.exact:
         return _criticality_exact(P, Fraction(sigma))
-    R1, R2, R3, _ = _foc_matrices(P, float(sigma))
-    return math.sqrt((R1 ** 2).sum() + (R2 ** 2).sum() + (R3 ** 2).sum())
+    return _residual(*to_dense(P), float(sigma))
 
 
 def _criticality_exact(P: PolyMatrix, sigma: Fraction) -> float:
@@ -647,19 +683,17 @@ def _criticality_exact(P: PolyMatrix, sigma: Fraction) -> float:
     return math.sqrt(float(fro2) + extra)
 
 
+def _rescaled(basis: GradedBasis, T: np.ndarray, w: LogWeights, sigma) -> np.ndarray:
+    g = GroupElement(np.diag(np.exp(w.w_p)), np.diag(np.exp(w.w_q)),
+                     np.diag(np.exp(w.w_d)), volume_preserving=False)
+    pref = math.exp(-float(sigma) * float(np.sum(w.w_d)))
+    return act_dense(basis, T, g.A, g.B, g.C) * pref
+
+
 def rescale_by_weights(P: PolyMatrix, w: LogWeights, sigma) -> PolyMatrix:
     """|det D3|^(-sigma) rho_(D1,D2,D3) P for D_k = exp(diag w_k)."""
-    p, q, d = P.p, P.q, P.d
-    A = np.diag(np.exp(w.w_p))
-    B = np.diag(np.exp(w.w_q))
-    C = np.diag(np.exp(w.w_d))
-    out = act_group(P, GroupElement(A, B, C, volume_preserving=False))
-    pref = math.exp(-float(sigma) * float(np.sum(w.w_d)))
-    return out.map(lambda e: e.scale(pref))
-
-
-def criticality_residual_at(P: PolyMatrix, w: LogWeights, sigma) -> float:
-    return criticality_residual(rescale_by_weights(P, w, sigma), sigma)
+    basis, T = to_dense(P)
+    return from_dense(basis, _rescaled(basis, T, w, sigma))
 
 
 # -- exact certificates ------------------------------------------------------------

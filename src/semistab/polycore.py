@@ -3,26 +3,35 @@
 Coefficients live in one of two layers:
 
 * the exact layer (``fractions.Fraction``), used for every decision that must
-  be a certificate (vanishing orders, support sets, LP data), and
-* a double-precision layer, produced whenever a matrix is pushed through a
-  non-rational change of basis.  Float coefficients below 1e-14 relative to
-  the largest coefficient of the result are pruned.
+  be a certificate (vanishing orders, support sets, LP data).  A polynomial
+  is a mapping ``multiindex -> coefficient`` with no stored zero, and the
+  group action by rational matrices expands and recollects it term by term;
+* a double-precision layer, used whenever P or any of the acting matrices is
+  float.  A p x q matrix is then a dense array of shape (p, q, n_mon) over
+  the graded monomial basis of degree <= ``degree_cap`` (:class:`GradedBasis`,
+  which carries the alpha! weights of the norm).  The action is one kernel,
+  :func:`act_dense`: A . T . B^T on the first two axes and the symmetric
+  power S(C) of the variable change on the monomial axis.  After the action
+  each entry is pruned once: coefficients at or below 1e-14 of that entry's
+  largest coefficient become zero.
 
-A polynomial is a mapping ``multiindex -> coefficient`` with no stored zero.
 Multiindices are plain tuples of nonnegative ints; the canonical term order
 is graded lexicographic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 FLOAT_PRUNE_REL = 1e-14
+SINGULAR_REL = 1e-12      # float C with sigma_min <= this * sigma_max is singular
 
 Multiindex = tuple
 
@@ -277,12 +286,15 @@ def _substitute_forms(P: Poly, forms: list[Poly]) -> Poly:
 def substitute_linear(P: Poly, C) -> Poly:
     """Return z -> P(C^T z), expanded and recollected.
 
-    Exact when C has rational entries (sequence of rows of Fraction/int),
-    double precision when C is a float array.
+    Exact when P and C are (C a sequence of rows of Fraction/int); otherwise
+    the float kernel :func:`act_dense` on P as a 1 x 1 matrix.
     """
     C = _as_matrix(C, P.dim, P.dim)
-    exact = matrix_is_exact(C)
     d = P.dim
+    if not (P.exact and matrix_is_exact(C)):
+        basis, T = to_dense(PolyMatrix([[P]]))
+        one = np.ones((1, 1))
+        return from_dense(basis, act_dense(basis, T, one, one, C)).entries[0][0]
     forms = []
     for k in range(d):
         # (C^T z)_k = sum_l C[l][k] z_l
@@ -292,7 +304,7 @@ def substitute_linear(P: Poly, C) -> Poly:
             if c != 0:
                 key = tuple(1 if j == l else 0 for j in range(d))
                 terms[key] = c
-        forms.append(Poly(d, terms, exact=exact))
+        forms.append(Poly(d, terms, exact=True))
     return _substitute_forms(P, forms)
 
 
@@ -374,8 +386,7 @@ class GroupElement:
         self.A = _as_matrix(self.A)
         self.B = _as_matrix(self.B)
         self.C = _as_matrix(self.C)
-        detC = _num_det(self.C)
-        if abs(detC) <= 1e-12:
+        if not _invertible(self.C):
             raise ValueError("C is numerically singular")
         if self.volume_preserving:
             for name, M in (("A", self.A), ("B", self.B)):
@@ -398,6 +409,20 @@ def _num_det(M) -> float:
     if isinstance(M, np.ndarray):
         return float(np.linalg.det(M))
     return float(exact_det(M))
+
+
+def _invertible(M) -> bool:
+    """Exact matrices: det != 0.  Float matrices: finite entries and
+    sigma_min > SINGULAR_REL * sigma_max, a test that does not change when M
+    is scaled."""
+    if not isinstance(M, np.ndarray):
+        return exact_det(M) != 0
+    if M.size == 0:
+        return True
+    if not np.all(np.isfinite(M)):
+        return False
+    s = np.linalg.svd(M, compute_uv=False)
+    return bool(s[-1] > SINGULAR_REL * s[0])
 
 
 class PolyMatrix:
@@ -439,10 +464,6 @@ class PolyMatrix:
             and self.entries == other.entries
         )
 
-    def map(self, f) -> "PolyMatrix":
-        return PolyMatrix([[f(e) for e in row] for row in self.entries],
-                          degree_cap=None)
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix([[self.entries[i][j] for i in range(self.p)]
                            for j in range(self.q)])
@@ -454,32 +475,115 @@ class PolyMatrix:
         return "PolyMatrix(%dx%d in %d vars)" % (self.p, self.q, self.d)
 
 
+# -- the dense float layer ------------------------------------------------------
+
+
+class GradedBasis:
+    """Monomials z^alpha in d variables of degree <= D, in grlex order.
+
+    ``fac`` holds the alpha! weights of the norm and ``exps`` the exponents as
+    rows.  ``plan`` builds the symmetric power S(C) degree by degree: the
+    column of alpha is the column of its parent alpha - e_k (k the first
+    variable of alpha) times the linear form (C^T z)_k, and ``mul[l]`` maps
+    each monomial of the degree below to its product with z_l.
+    """
+
+    def __init__(self, d: int, D: int):
+        self.d, self.D = d, D
+        self.alphas = sorted((a for a in itertools.product(range(D + 1), repeat=d)
+                              if sum(a) <= D), key=grlex_key)
+        self.index = {a: m for m, a in enumerate(self.alphas)}
+        self.exps = np.array(self.alphas, dtype=float).reshape(len(self.alphas), d)
+        self.fac = np.array([float(mi_factorial(a)) for a in self.alphas])
+        # degree n occupies alphas[start[n]:start[n + 1]]
+        start = [sum(1 for a in self.alphas if sum(a) < n) for n in range(D + 2)]
+        self.plan = []
+        for n in range(1, D + 1):
+            cols = self.alphas[start[n]:start[n + 1]]
+            ks = [next(k for k, e in enumerate(a) if e) for a in cols]
+            parents = [self.index[_shift(a, k, -1)] for a, k in zip(cols, ks)]
+            below = self.alphas[start[n - 1]:start[n]]
+            mul = [np.array([self.index[_shift(b, l, 1)] for b in below], dtype=int)
+                   for l in range(d)]
+            self.plan.append((start[n - 1], start[n], start[n + 1],
+                              np.array(parents, dtype=int), np.array(ks, dtype=int),
+                              mul))
+
+    def sym_power(self, C: np.ndarray) -> np.ndarray:
+        """S with S[beta, alpha] the coefficient of z^beta in (C^T z)^alpha."""
+        n = len(self.alphas)
+        S = np.zeros((n, n))
+        S[0, 0] = 1.0
+        for lo, mid, hi, parents, ks, mul in self.plan:
+            prev = S[lo:mid, parents]
+            for l in range(self.d):
+                S[mul[l], mid:hi] += prev * C[l, ks]
+        return S
+
+
+def _shift(alpha, k: int, by: int):
+    return alpha[:k] + (alpha[k] + by,) + alpha[k + 1:]
+
+
+@lru_cache(maxsize=None)
+def graded_basis(d: int, D: int) -> GradedBasis:
+    return GradedBasis(d, D)
+
+
+def to_dense(P: PolyMatrix):
+    """(basis, T): the coefficients of P as a float array of shape (p, q, n_mon)."""
+    basis = graded_basis(P.d, max(P.degree_cap, 0))
+    T = np.zeros((P.p, P.q, len(basis.alphas)))
+    for i, row in enumerate(P.entries):
+        for j, e in enumerate(row):
+            for a, c in e.terms.items():
+                T[i, j, basis.index[a]] = float(c)
+    return basis, T
+
+
+def from_dense(basis: GradedBasis, T: np.ndarray) -> PolyMatrix:
+    """The float PolyMatrix with coefficients T over ``basis``."""
+    rows = [[Poly(basis.d, {basis.alphas[m]: float(e[m]) for m in np.flatnonzero(e)},
+                  exact=False) for e in row] for row in T]
+    return PolyMatrix(rows, degree_cap=basis.D)
+
+
+def act_dense(basis: GradedBasis, T: np.ndarray, A, B, C) -> np.ndarray:
+    """The action on a dense float matrix, entry (k, l) being
+    sum_{i,j} A[k][i] B[l][j] T_ij(C^T z), pruned once per entry."""
+    A, B, C = (np.asarray(M, dtype=float) for M in (A, B, C))
+    p, q, n = T.shape
+    X = T @ basis.sym_power(C).T
+    X = B @ (A @ X.reshape(p, q * n)).reshape(p, q, n)
+    cut = FLOAT_PRUNE_REL * np.abs(X).max(axis=2, keepdims=True)
+    return np.where(np.abs(X) > cut, X, 0.0)
+
+
 def act_group(P: PolyMatrix, g: GroupElement) -> PolyMatrix:
     """Apply the representation: mix rows by A, columns by B, substitute C.
 
-    The result entry (k, l) is sum_{i,j} A[k][i] B[l][j] P_ij(C^T z).
+    The result entry (k, l) is sum_{i,j} A[k][i] B[l][j] P_ij(C^T z).  Exact
+    when P and g are; otherwise the float kernel :func:`act_dense`.
     """
     A, B, C = g.A, g.B, g.C
     if (len(A) != P.p) or (len(B) != P.q) or (len(C) != P.d):
         raise ValueError("group element shape does not match matrix")
+    if not (P.exact and all(matrix_is_exact(M) for M in (A, B, C))):
+        basis, T = to_dense(P)
+        return from_dense(basis, act_dense(basis, T, A, B, C))
     sub = [[substitute_linear(P.entries[i][j], C) for j in range(P.q)]
            for i in range(P.p)]
-    exact_mix = matrix_is_exact(A) and matrix_is_exact(B)
     rows = []
     for k in range(P.p):
         row = []
         for l in range(P.q):
             acc = Poly.zero(P.d)
             for i in range(P.p):
-                a = A[k][i]
-                if a == 0:
+                if A[k][i] == 0:
                     continue
                 for j in range(P.q):
-                    b = B[l][j]
-                    if b == 0:
-                        continue
-                    coef = a * b if exact_mix else float(a) * float(b)
-                    acc = acc + sub[i][j].scale(coef)
+                    if B[l][j] != 0:
+                        acc = acc + sub[i][j].scale(A[k][i] * B[l][j])
             row.append(acc)
         rows.append(row)
     return PolyMatrix(rows, degree_cap=max(P.degree_cap, 0))

@@ -52,6 +52,9 @@ class NonTransverse(Exception):
 
 
 DRIFT_REL = 1e-6
+# the verdict's numeric stage runs git_norm with at most this many restarts;
+# larger ``restarts`` values behave like it
+VERDICT_MAX_RESTARTS = 16
 
 
 @dataclass
@@ -478,7 +481,9 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
     identity-frame destabilizer; the exact pencil reduction for z-linear
     shapes it covers; and finally the numeric frame descent, whose converged
     critical points count as positive when the first-order residual is below
-    1e-6 relative.
+    1e-6 relative.  The numeric stage runs ``git_norm`` with
+    min(restarts, VERDICT_MAX_RESTARTS) restarts, so any value above 16
+    behaves like 16.
     """
     k, b, c = Q.shape
     sigma = Fraction(1, c)
@@ -509,8 +514,8 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
                 raise CertificateError("pencil certificate fails reverify")
             return SemistabilityVerdict("unstable", cert, 0.0,
                                         "pencil-reduction destabilizer")
-    est = git_norm(P, sigma, restarts=min(restarts, 16), budget=budget,
-                   seed=seed)
+    est = git_norm(P, sigma, restarts=min(restarts, VERDICT_MAX_RESTARTS),
+                   budget=budget, seed=seed)
     hs0 = hs_norm(P)
     if est.status == "converged" and est.value > DRIFT_REL * hs0 \
             and est.foc_residual <= 1e-6 * est.value ** 2:

@@ -28,6 +28,17 @@ def test_gitnorm_two_squares(tmp_path):
     assert abs(report["value"] - 2.0) < 1e-9
 
 
+def test_gitnorm_p63_sigma_3_16(tmp_path):
+    # once a traceback: 'C is numerically singular' at det C ~ e^-56.6
+    out = tmp_path / "r.json"
+    proc = run_cli("gitnorm", "--input", fx("p63.json"), "--sigma", "3/16",
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["status"] == "converged"
+    assert abs(report["value"] - 3.6529141338528466) < 1e-9
+
+
 def test_blockdecomp_verify_intro(tmp_path):
     proc = run_cli("blockdecomp", "--verify", fx("intro.json"))
     assert proc.returncode == 0

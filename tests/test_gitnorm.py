@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -392,3 +393,34 @@ def test_continuity_under_perturbation():
                      [Poly(2, {(0, 2): 1 - 1e-6})]])
     pert = minimize_diagonal(Pp, 1).value
     assert abs(pert - base) <= 1e-3 * base
+
+
+# -- the 4x8 fixture ---------------------------------------------------------------
+
+
+P63_REFERENCE_3_16 = 3.6529141338528466  # minimize_diagonal(p63, 3/16).value
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_git_norm_p63_sigma_3_16_converges(seed):
+    # the inner solve ends with sum(w_d) = -56.6, so the polish starts at
+    # det C ~ e^-56.6; the singularity test must not depend on that scale
+    P = fx.example63_P()
+    assert minimize_diagonal(P, F(3, 16)).value == pytest.approx(
+        P63_REFERENCE_3_16, rel=1e-12)
+    est = git_norm(P, F(3, 16), seed=seed)
+    assert est.status == "converged"
+    assert est.value == pytest.approx(P63_REFERENCE_3_16, rel=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [F(1, 5), F(3, 16), F(5, 24)])
+def test_git_norm_p63_reaches_diagonal_optimum_deterministically(sigma):
+    # the sparse criterion holds at these sigmas, so the identity-frame
+    # diagonal optimum is the infimum
+    P = fx.example63_P()
+    target = minimize_diagonal(P, sigma).value
+    first = git_norm(P, sigma, restarts=4, seed=11)
+    assert first.status == "converged"
+    assert abs(first.value - target) <= 1e-6 * target
+    again = git_norm(fx.example63_P(), sigma, restarts=4, seed=11)
+    assert json.dumps(first.to_json()) == json.dumps(again.to_json())

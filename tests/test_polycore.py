@@ -8,6 +8,7 @@ from semistab.polycore import (
     GroupElement,
     Poly,
     PolyMatrix,
+    act_dense,
     act_group,
     diagonal_shift,
     eval_poly,
@@ -20,6 +21,7 @@ from semistab.polycore import (
     substitute_linear,
     support_set,
     taylor_coeff,
+    to_dense,
 )
 
 
@@ -247,3 +249,39 @@ def test_diagonal_substitution_matches_weighted_sum():
 def test_exact_norm_squared():
     P = PolyMatrix([[Poly(2, {(2, 0): 1})], [Poly(2, {(0, 2): 1})]])
     assert hs_norm_sq_exact(P) == 4
+
+
+def test_float_action_prunes_each_entry_once():
+    # z0 + z1 under a 45-degree turn keeps a rounding residue of ~1e-16 on z0,
+    # pruned against its own entry; the 1e-20 entry is kept whole
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    assert c != s
+    C = np.array([[c, -s], [s, c]])
+    P = PolyMatrix([[Poly(2, {(1, 0): 1, (0, 1): 1})],
+                    [Poly(2, {(1, 0): F(1, 10 ** 20)})]])
+    basis, T = to_dense(P)
+    dense = act_dense(basis, T, np.eye(2), np.eye(1), C)
+    assert np.count_nonzero(dense[0, 0]) == 1 and np.count_nonzero(dense[1, 0]) == 2
+    got = act_group(P, GroupElement(np.eye(2), np.eye(1), C, volume_preserving=False))
+    assert set(got.entries[0][0].terms) == {(0, 1)}
+    assert got.entries[0][0].terms[(0, 1)] == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert set(got.entries[1][0].terms) == {(1, 0), (0, 1)}
+    assert not got.exact and got.degree_cap == 1
+
+
+def test_singular_variable_change_is_scale_free():
+    eye = lambda n: np.eye(n)
+    # well conditioned at any scale: accepted (det 1e-60 here)
+    GroupElement(eye(1), eye(1), 1e-20 * eye(3), volume_preserving=False)
+    GroupElement([[1]], [[1]], [[F(1, 10 ** 30), 0], [0, 1]], volume_preserving=False)
+    singular = (
+        np.array([[1.0, 2.0], [2.0, 4.0]]),          # exactly singular, float
+        np.diag([1.0, 1e-13]),                       # sigma_min <= 1e-12 sigma_max
+        np.array([[1.0, 0.0], [0.0, np.inf]]),       # not finite
+        np.array([[1.0, 0.0], [0.0, np.nan]]),
+        [[F(1), F(2)], [F(2), F(4)]],                # exactly singular, exact
+        np.zeros((2, 2)),
+    )
+    for C in singular:
+        with pytest.raises(ValueError, match="singular"):
+            GroupElement(eye(1), eye(1), C, volume_preserving=False)

@@ -444,6 +444,25 @@ def test_verdict_rank_one_form_reports_drift_evidence():
     assert v.value_bound < 1e-6
 
 
+def test_verdict_caps_numeric_restarts(monkeypatch):
+    # only the numeric stage reads restarts, through the named cap
+    from semistab import radon
+
+    seen = []
+    real = radon.git_norm
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["restarts"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radon, "git_norm", spy)
+    T2 = CurvatureForm([[[F(1)] * 3 for _ in range(2)] for _ in range(5)])
+    for restarts in (4, 64):
+        semistability_verdict(T2, restarts=restarts, seed=0)
+    assert radon.VERDICT_MAX_RESTARTS == 16
+    assert seen == [4, 16]
+
+
 def test_curvature_float_chart():
     # irrational coefficients go through the double-precision path; the
     # verdict still lands positive by the numeric critical-point route
