@@ -214,6 +214,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_sublevel(args) -> int:
+    if args.samples < 1 or args.omegas < 1:
+        raise InputError("--samples and --omegas must be at least 1")
     obj = _load(args.input)
     M = _matrix_from(obj["matrix"], args.input)
     domain = [tuple(map(float, iv)) for iv in obj["domain"]]

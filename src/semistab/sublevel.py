@@ -2,9 +2,13 @@
 
 The integrand is w(t) / ||u(t)||_omega^tau where u(t) is the row family of
 an incidence matrix, omega a volume-one basis, and w a weight (typically a
-product of tile-map group norms).  The form norm is computed through the
-Cauchy-Binet identity: the sum of squared maximal minors of the pairing
-matrix G equals det(G G^T), so no explicit minor enumeration is needed.
+product of tile-map group norms).  A polynomial family is evaluated as a
+table of its monomials at the sample points, built degree by degree over
+the dense graded basis, times its coefficient array: one GEMM.  The form
+norm is computed through the Cauchy-Binet identity: the sum of squared
+maximal minors of the pairing matrix G equals det(G G^T), so no explicit
+minor enumeration is needed.  G for all samples is one GEMM; det(G G^T) is
+the Gram entry itself for one row and LAPACK's determinant for more.
 
 Estimators are deterministic given (seed, samples, domain, omega): sampling
 uses counter-mode Philox streams keyed by the master seed, chunk sums are
@@ -29,8 +33,8 @@ from .blockdecomp import (
     specialize_s,
     tile_map,
 )
-from .gitnorm import git_norm, minimize_diagonal, sparse_criterion
-from .polycore import PolyMatrix, mi_factorial, substitute_linear
+from .gitnorm import git_norm, haar_orthogonal, minimize_diagonal, sparse_criterion
+from .polycore import PolyMatrix, act_dense, to_dense
 
 
 @dataclass
@@ -76,22 +80,19 @@ def wedge_norm(rows, omega) -> float:
     computed as sqrt(det(G G^T)).
     """
     rows = np.asarray(rows, dtype=float)
-    cols = omega.columns if isinstance(omega, OmegaBasis) else np.asarray(omega)
-    p, q = rows.shape
-    if p > q:
+    if rows.shape[0] > rows.shape[1]:
         raise ValueError("more rows than ambient dimensions")
-    G = rows @ cols
-    gram = G @ G.T
-    det = np.linalg.det(gram)
-    return math.sqrt(max(det, 0.0))
+    return float(wedge_norm_batch(rows[None], omega)[0])
 
 
 def wedge_norm_batch(rows, omega) -> np.ndarray:
     """Vectorized wedge_norm for a batch of shape (n, p, q)."""
     cols = omega.columns if isinstance(omega, OmegaBasis) else np.asarray(omega)
-    G = rows @ cols
-    gram = np.einsum("nij,nkj->nik", G, G)
-    det = np.linalg.det(gram)
+    rows = np.asarray(rows, dtype=float)
+    n, p, q = rows.shape
+    G = (rows.reshape(n * p, q) @ cols).reshape(n, p, q)
+    gram = G @ G.transpose(0, 2, 1)
+    det = gram[:, 0, 0] if p == 1 else np.linalg.det(gram)
     return np.sqrt(np.maximum(det, 0.0))
 
 
@@ -106,8 +107,6 @@ def sample_omega(seed: int, scale_max: float, q: int) -> OmegaBasis:
     if scale_max < 0:
         raise ValueError("scale_max must be nonnegative")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    from .gitnorm import haar_orthogonal
-
     O1 = haar_orthogonal(rng, q)
     O2 = haar_orthogonal(rng, q)
     while True:
@@ -122,24 +121,23 @@ def sample_omega(seed: int, scale_max: float, q: int) -> OmegaBasis:
 
 
 def matrix_evaluator(M: PolyMatrix):
-    """callable mapping points (n, d) to evaluated row matrices (n, p, q)."""
-    terms = []
-    for i in range(M.p):
-        for j in range(M.q):
-            for a, c in M.entries[i][j].terms.items():
-                terms.append((i, j, a, float(c)))
+    """callable mapping points (n, d) to evaluated row matrices (n, p, q).
+
+    The monomial table (one row per monomial, so each product is contiguous)
+    follows ``GradedBasis.plan``: z^alpha is its parent's row times pts[:, k];
+    the rows are one GEMM of the table with the coefficients.
+    """
+    basis, T = to_dense(M)
+    p, q, n_mon = T.shape
+    coef = T.reshape(p * q, n_mon).T
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        out = np.zeros((n, M.p, M.q))
-        for i, j, a, c in terms:
-            mono = np.full(n, c)
-            for k, e in enumerate(a):
-                if e:
-                    mono = mono * pts[:, k] ** e
-            out[:, i, j] += mono
-        return out
+        Z = np.empty((n_mon, len(pts)))
+        Z[0] = 1.0
+        for _, lo, hi, parents, ks, _ in basis.plan:
+            Z[lo:hi] = Z[parents] * pts.T[ks]
+        return (Z.T @ coef).reshape(-1, p, q)
 
     return evaluate
 
@@ -148,8 +146,18 @@ def _philox_stream(seed: int, counter: int) -> np.random.Generator:
     return np.random.default_rng(np.random.Philox(key=seed, counter=[0, 0, 0, counter]))
 
 
+# points per Philox stream of the plain estimator (part of its determinism:
+# changing it changes the estimates) and per integrand evaluation, so that
+# the temporaries of a large stratified pass stay small
+CHUNK = 1 << 14
+
+
 def _integrand_factory(u_of_t, weight, tau: float):
     def f(pts, omega):
+        parts = [f_chunk(pts[i:i + CHUNK], omega) for i in range(0, len(pts), CHUNK)]
+        return np.concatenate([v for v, _ in parts]), sum(b for _, b in parts)
+
+    def f_chunk(pts, omega):
         rows = u_of_t(pts)
         norms = wedge_norm_batch(rows, omega)
         w = weight(pts)
@@ -189,6 +197,8 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if n_samples < 1 or budget_factor < 1:
+        raise ValueError("n_samples and budget_factor must be at least 1")
     tau = float(tau)
     if isinstance(M, IncidenceMatrix):
         M = M.M
@@ -211,23 +221,15 @@ def _sample_box(rng, box, n):
     return lo + (hi - lo) * rng.random((n, len(box)))
 
 
-def _box_volume(box) -> float:
-    v = 1.0
-    for lo, hi in box:
-        v *= hi - lo
-    return v
-
-
 def _plain_mc(f, dom, omega, seed, n_samples) -> IntegralEstimate:
-    vol = _box_volume(dom)
-    chunk = 1 << 14
+    vol = math.prod(hi - lo for lo, hi in dom)
     sums, sqsums = [], []
     count = 0
     flagged = 0
     counter = 0
     while count < n_samples:
         counter += 1
-        n = min(chunk, n_samples - count)
+        n = min(CHUNK, n_samples - count)
         rng = _philox_stream(seed, counter)
         pts = _sample_box(rng, dom, n)
         vals, bad = f(pts, omega)
@@ -450,8 +452,9 @@ def probe_nondegeneracy(M, decomp: BlockDecomposition, t0, sigma, w_value,
     d = M.d
     sigma = float(sigma)
     R = reduced_matrix(M, decomp)
-    diag = [[specialize_s(R.entries[r][c], d, t0) for c in range(R.q)]
-            for r in range(R.p)]
+    basis, T = to_dense(PolyMatrix(
+        [[specialize_s(R.entries[r][c], d, t0) for c in range(R.q)]
+         for r in range(R.p)]))
     ri, ci = group_offsets(decomp.row_groups), group_offsets(decomp.col_groups)
     if tile is None:
         irange = range(len(decomp.row_groups))
@@ -461,40 +464,33 @@ def probe_nondegeneracy(M, decomp: BlockDecomposition, t0, sigma, w_value,
         jrange = range(tile.J[0], tile.J[1] + 1)
     row_lo = ri[irange.start]
     col_lo = ci[jrange.start]
-
-    def rhs(Mx, row_scale=None, col_scale=None) -> float:
-        total = 0.0
-        for i in irange:
-            for j in jrange:
-                if (i, j) in decomp.zero_blocks:
-                    continue
-                D = decomp.D[i][j] if degree_override is None else degree_override
-                for r in range(ri[i], ri[i + 1]):
-                    for c in range(ci[j], ci[j + 1]):
-                        e = substitute_linear(diag[r][c], Mx)
-                        scale = 1.0
-                        if row_scale is not None:
-                            scale *= row_scale[r - row_lo]
-                        if col_scale is not None:
-                            scale *= col_scale[c - col_lo]
-                        for a, coef in e.homogeneous_part(D).terms.items():
-                            total += mi_factorial(a) * (float(coef) * scale) ** 2
-        return math.sqrt(total)
-
+    # alpha! on the degree-D monomials of every block in the sum, 0 elsewhere
+    degree = basis.exps.sum(axis=1)
+    mass = np.zeros(T.shape)
+    for i in irange:
+        for j in jrange:
+            if (i, j) in decomp.zero_blocks:
+                continue
+            on = degree == (decomp.D[i][j] if degree_override is None
+                            else degree_override)
+            mass[ri[i]:ri[i + 1], ci[j]:ci[j + 1], on] = basis.fac[on]
     samples = []
     w_value = float(w_value)
 
     def record(desc, Mx, row_scale=None, col_scale=None):
         det = abs(float(np.linalg.det(np.asarray(Mx, dtype=float))))
-        val = rhs(Mx, row_scale, col_scale)
+        rs, cs = np.ones(R.p), np.ones(R.q)
+        if row_scale is not None:
+            rs[row_lo:row_lo + len(row_scale)] = row_scale
+            cs[col_lo:col_lo + len(col_scale)] = col_scale
+        X = act_dense(basis, T, np.eye(R.p), np.eye(R.q), Mx) * np.outer(rs, cs)[:, :, None]
+        val = math.sqrt(float((mass * X ** 2).sum()))
         denom = det ** sigma * w_value ** sigma
         ratio = math.inf if denom == 0 else val / denom
         samples.append({"sample": desc, "rhs": val, "det": det, "ratio": ratio})
 
     record("identity", np.eye(d))
     rng = np.random.default_rng(seed)
-    from .gitnorm import haar_orthogonal
-
     for k in range(max(0, M_samples - 1)):
         O1 = haar_orthogonal(rng, d)
         O2 = haar_orthogonal(rng, d)

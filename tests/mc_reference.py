@@ -1,0 +1,49 @@
+"""Test-only reference: the Monte-Carlo evaluator and wedge norm as they were
+before the dense monomial table.
+
+``matrix_evaluator`` sums one term c * z^alpha at a time, each monomial
+built from ``pts[:, k] ** e``; ``wedge_norm_batch`` pairs rows and basis by
+a broadcast batched matmul and forms the Gram by einsum.  The code is kept
+as it was, apart from this docstring.  The oracle tests compare
+``semistab.sublevel`` with it: the evaluated rows, the wedge norms and whole
+estimates (with this wedge norm patched into the estimator).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from semistab.polycore import PolyMatrix
+from semistab.sublevel import OmegaBasis
+
+
+def wedge_norm_batch(rows, omega) -> np.ndarray:
+    """Vectorized wedge_norm for a batch of shape (n, p, q)."""
+    cols = omega.columns if isinstance(omega, OmegaBasis) else np.asarray(omega)
+    G = rows @ cols
+    gram = np.einsum("nij,nkj->nik", G, G)
+    det = np.linalg.det(gram)
+    return np.sqrt(np.maximum(det, 0.0))
+
+
+def matrix_evaluator(M: PolyMatrix):
+    """callable mapping points (n, d) to evaluated row matrices (n, p, q)."""
+    terms = []
+    for i in range(M.p):
+        for j in range(M.q):
+            for a, c in M.entries[i][j].terms.items():
+                terms.append((i, j, a, float(c)))
+
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        n = pts.shape[0]
+        out = np.zeros((n, M.p, M.q))
+        for i, j, a, c in terms:
+            mono = np.full(n, c)
+            for k, e in enumerate(a):
+                if e:
+                    mono = mono * pts[:, k] ** e
+            out[:, i, j] += mono
+        return out
+
+    return evaluate

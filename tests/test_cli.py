@@ -160,6 +160,18 @@ def test_fixture_roundtrips():
             assert again == M
 
 
+def test_sublevel_rejects_bad_sample_counts():
+    # --samples 0 once ended in a ZeroDivisionError traceback, and a negative
+    # count under --stratified printed an estimate
+    for flags in (["--samples", "0"], ["--samples", "-5", "--stratified"],
+                  ["--omegas", "0"]):
+        proc = run_cli("sublevel", "--input", fx("sublevel_line.json"), *flags)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+
 def test_sublevel_stratified_flag(tmp_path):
     out = tmp_path / "s.json"
     proc = run_cli("sublevel", "--input", fx("sublevel_line.json"),

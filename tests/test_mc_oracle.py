@@ -1,0 +1,120 @@
+"""Oracle tests: the dense Monte-Carlo evaluator against the per-term one.
+
+The monomial-table evaluator, the one-GEMM wedge norm and whole estimates
+built on them must agree with ``tests/mc_reference.py`` on the fixtures'
+row families, on seeded random polynomial matrices and on the inputs of
+acceptance criteria 6 and 7.
+"""
+
+import json
+import math
+import os
+import random
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+import mc_reference as ref
+from semistab import fixtures as fx
+from semistab import sublevel
+from semistab.polycore import Poly, PolyMatrix
+from semistab.sublevel import estimate_integral, matrix_evaluator, sample_omega
+
+FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _random_matrix(rng):
+    d, D = rng.randint(1, 3), rng.randint(0, 3)
+    p = rng.randint(1, 4)
+    q = rng.randint(p, 8)
+    alphas = [a for a in np.ndindex(*(D + 1,) * d) if sum(a) <= D]
+    exact = rng.random() < 0.5
+
+    def coef():
+        if exact:
+            return F(rng.randint(-9, 9), rng.randint(1, 7))
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3)
+
+    def entry():
+        if rng.random() < 0.2:
+            return Poly.zero(d)
+        return Poly(d, {a: coef() for a in rng.sample(alphas, rng.randint(1, len(alphas)))})
+
+    return PolyMatrix([[entry() for _ in range(q)] for _ in range(p)], degree_cap=D)
+
+
+def _largest_terms(M, pts):
+    """Per point and entry, the largest |c z^alpha| among the entry's terms."""
+    out = np.zeros((len(pts), M.p, M.q))
+    for i, row in enumerate(M.entries):
+        for j, e in enumerate(row):
+            for a, c in e.terms.items():
+                term = abs(float(c)) * np.prod(np.abs(pts) ** np.array(a), axis=1)
+                out[:, i, j] = np.maximum(out[:, i, j], term)
+    return out
+
+
+@pytest.mark.parametrize("name,M,half_width", [
+    ("example61", fx.example61_matrix(), 50.0),
+    ("line", fx.line_family(), 1000.0),
+    ("zero", PolyMatrix([[Poly.zero(1), Poly.zero(1)]]), 1.0),
+] + [(f"random-{k}", _random_matrix(random.Random(k)), 2.0) for k in range(40)])
+def test_evaluator_matches_per_term_sum(name, M, half_width):
+    rng = np.random.default_rng(len(name))
+    for scale in (1.0, half_width):
+        pts = rng.uniform(-scale, scale, size=(257, M.d))
+        got = matrix_evaluator(M)(pts)
+        want = ref.matrix_evaluator(M)(pts)
+        assert got.shape == want.shape == (257, M.p, M.q)
+        assert np.all(np.abs(got - want) <= 1e-13 * _largest_terms(M, pts))
+
+
+def test_wedge_norm_matches_einsum_gram():
+    # det(G G^T) loses about cond(G)^2 ulps in either Gram order, so the two
+    # agree to 1e-10 only where rows and basis are well conditioned
+    rng = np.random.default_rng(21)
+    for p in range(1, 5):
+        for q in range(p, 9):
+            omega = sample_omega(1000 * p + q, 1.0, q)
+            rows = rng.normal(size=(400, p, q))
+            sv = np.linalg.svd(rows, compute_uv=False)
+            rows = rows[sv[:, 0] <= 10 * sv[:, -1]]
+            assert len(rows) >= 100
+            got = sublevel.wedge_norm_batch(rows, omega)
+            want = ref.wedge_norm_batch(rows, omega)
+            assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+def _estimate_pair(monkeypatch, M, *args, **kwargs):
+    new = estimate_integral(M, *args, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(sublevel, "wedge_norm_batch", ref.wedge_norm_batch)
+        old = estimate_integral(ref.matrix_evaluator(M), *args, **kwargs)
+    return new, old
+
+
+def test_estimates_match_reference_criterion_7_shape(monkeypatch):
+    with open(os.path.join(FIXDIR, "sublevel61_cap.json")) as fh:
+        cap = json.load(fh)
+    M = fx.example61_matrix()
+    tau = cap["tau"]["num"] / cap["tau"]["den"]
+    box = [tuple(b) for b in cap["box"]]
+    for k in range(20):
+        seed = 555_000 + k  # disjoint from the cap's and criterion 7's seeds
+        omega = sample_omega(seed, cap["scale_max"], 9)
+        new, old = _estimate_pair(monkeypatch, M, cap["weight_constant"], tau,
+                                  box, omega, seed=seed, n_samples=cap["n_samples"])
+        assert new.samples == old.samples
+        assert new.value == pytest.approx(old.value, rel=1e-6)
+
+
+def test_estimates_match_reference_line_oracle(monkeypatch):
+    for c in (0.1, 1.0, 10.0):
+        new, old = _estimate_pair(monkeypatch, fx.line_family(), 1.0, 2,
+                                  [(-1000.0, 1000.0)], fx.anisotropic_omega(c),
+                                  seed=123, n_samples=100_000, stratified=True,
+                                  budget_factor=64)
+        assert new.samples == old.samples
+        assert new.value == pytest.approx(old.value, rel=1e-6)
+        assert abs(new.value - math.pi) <= 0.10 * math.pi

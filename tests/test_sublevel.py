@@ -177,6 +177,14 @@ def test_estimator_rejects_bad_tau():
                           fx.anisotropic_omega(1.0))
 
 
+def test_estimator_rejects_bad_sample_counts():
+    line, om = fx.line_family(), fx.anisotropic_omega(1.0)
+    for kwargs in ({"n_samples": 0}, {"n_samples": -5, "stratified": True},
+                   {"budget_factor": 0, "stratified": True}):
+        with pytest.raises(ValueError):
+            estimate_integral(line, 1.0, 2, [(0, 1)], om, **kwargs)
+
+
 # -- tile-plan weights ----------------------------------------------------------------
 
 
