@@ -153,10 +153,6 @@ CHUNK = 1 << 14
 
 
 def _integrand_factory(u_of_t, weight, tau: float):
-    def f(pts, omega):
-        parts = [f_chunk(pts[i:i + CHUNK], omega) for i in range(0, len(pts), CHUNK)]
-        return np.concatenate([v for v, _ in parts]), sum(b for _, b in parts)
-
     def f_chunk(pts, omega):
         rows = u_of_t(pts)
         norms = wedge_norm_batch(rows, omega)
@@ -168,6 +164,10 @@ def _integrand_factory(u_of_t, weight, tau: float):
         nonfinite = ~np.isfinite(vals)
         vals = np.where(nonfinite, 0.0, vals)
         return vals, int(np.count_nonzero(bad | nonfinite))
+
+    def f(pts, omega):
+        parts = [f_chunk(pts[i:i + CHUNK], omega) for i in range(0, len(pts), CHUNK)]
+        return np.concatenate([v for v, _ in parts]), sum(b for _, b in parts)
 
     return f
 
