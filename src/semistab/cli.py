@@ -34,7 +34,6 @@ from .polycore import (
     support_set,
 )
 from .radon import (
-    VERDICT_MAX_RESTARTS,
     CurvatureForm,
     RadonProblem,
     balanced_check,
@@ -118,7 +117,7 @@ def cmd_hsnorm(args) -> int:
 
 def cmd_gitnorm(args) -> int:
     M = _matrix_from(_load(args.input), args.input)
-    est = git_norm(M, args.sigma, restarts=args.restarts, seed=args.seed)
+    est = git_norm(M, args.sigma)
     _table([
         ["value", f"{est.value:.6f}"],
         ["status", est.status],
@@ -217,11 +216,15 @@ def cmd_sublevel(args) -> int:
     if args.samples < 1 or args.omegas < 1:
         raise InputError("--samples and --omegas must be at least 1")
     obj = _load(args.input)
-    M = _matrix_from(obj["matrix"], args.input)
-    domain = [tuple(map(float, iv)) for iv in obj["domain"]]
-    tau = float(args.tau) if args.tau is not None else float(
-        Fraction(obj["tau"]["num"], obj["tau"]["den"]))
-    weight = float(obj.get("weight", 1.0))
+    try:
+        M = _matrix_from(obj["matrix"], args.input)
+        domain = [tuple(map(float, iv)) for iv in obj["domain"]]
+        tau = float(args.tau) if args.tau is not None else float(
+            Fraction(obj["tau"]["num"], obj["tau"]["den"]))
+        weight = float(obj.get("weight", 1.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{args.input}: not a sublevel problem "
+                         f"({type(exc).__name__}: {exc})") from exc
     n_omegas = args.omegas
     rows = [["omega", "estimate", "stderr"]]
     report = {"tau": tau, "omegas": [], "max_estimate": 0.0}
@@ -256,7 +259,7 @@ def cmd_semistable(args) -> int:
         Q = curvature_form(prob, point)
     else:
         raise InputError(f"{args.input}: need a tensor or a problem with phi")
-    verdict = semistability_verdict(Q, restarts=args.restarts, seed=args.seed)
+    verdict = semistability_verdict(Q)
     _table([["state", verdict.state], ["detail", verdict.detail]])
     _emit(verdict.to_json(), args.out)
     return 0 if verdict.state in ("positive", "unstable") else 2
@@ -301,9 +304,9 @@ VERBS = {
 }
 
 
-RESTARTS_HELP = (f"frame restarts of the verdict's numeric stage, capped at "
-                 f"{VERDICT_MAX_RESTARTS}: the default 64 acts as "
-                 f"{VERDICT_MAX_RESTARTS}")
+RESTARTS_HELP = ("accepted and ignored: the critical-point search of gitnorm "
+                 "and of the verdict is deterministic, so --restarts and "
+                 "--seed do not change its result")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gitnorm")
     common(p)
     p.add_argument("--sigma", type=parse_rational, required=True)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=64, help=RESTARTS_HELP)
     p = sub.add_parser("semistable")
     common(p)
     p.add_argument("--restarts", type=int, default=64, help=RESTARTS_HELP)
@@ -366,16 +369,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    verb = VERBS[args.verb]
-    try:
         if args.verb == "blockdecomp" and not (args.input or args.verify):
             raise InputError("blockdecomp needs --input or --verify")
         if args.verb == "radon" and not (args.exponents or args.balanced
                                          or args.input):
             raise InputError("radon needs --exponents, --balanced or --input")
-        return verb(args)
+        return VERBS[args.verb](args)
+    except SystemExit as exc:
+        return 1 if exc.code not in (0, None) else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,9 @@ Coefficients live in one of two layers:
   which carries the alpha! weights of the norm).  The action is one kernel,
   :func:`act_dense`: A . T . B^T on the first two axes and the symmetric
   power S(C) of the variable change on the monomial axis.  After the action
-  each entry is pruned once: coefficients at or below 1e-14 of that entry's
-  largest coefficient become zero.
+  a coefficient becomes zero when it lies within the running round-off
+  bound of the sums that formed it.  Float ``Poly`` objects prune at 1e-14
+  of an entry's largest coefficient.
 
 Multiindices are plain tuples of nonnegative ints; the canonical term order
 is graded lexicographic.
@@ -548,14 +549,26 @@ def from_dense(basis: GradedBasis, T: np.ndarray) -> PolyMatrix:
     return PolyMatrix(rows, degree_cap=basis.D)
 
 
+def _mix(T: np.ndarray, A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
+    p, q, n = T.shape
+    X = T @ S.T
+    return B @ (A @ X.reshape(p, q * n)).reshape(p, q, n)
+
+
 def act_dense(basis: GradedBasis, T: np.ndarray, A, B, C) -> np.ndarray:
     """The action on a dense float matrix, entry (k, l) being
-    sum_{i,j} A[k][i] B[l][j] T_ij(C^T z), pruned once per entry."""
+    sum_{i,j} A[k][i] B[l][j] T_ij(C^T z).
+
+    A coefficient is set to zero when it lies within the running round-off
+    bound of its sums: the same products on |A|, |T|, |B| and S(|C|), times
+    (n_mon + p + q + D) machine epsilons.  The bound is relative to each
+    coefficient's own sums, so an exact input in the identity frame is never
+    cut, whatever the spread of its coefficients."""
     A, B, C = (np.asarray(M, dtype=float) for M in (A, B, C))
     p, q, n = T.shape
-    X = T @ basis.sym_power(C).T
-    X = B @ (A @ X.reshape(p, q * n)).reshape(p, q, n)
-    cut = FLOAT_PRUNE_REL * np.abs(X).max(axis=2, keepdims=True)
+    X = _mix(T, A, B, basis.sym_power(C))
+    bound = _mix(np.abs(T), np.abs(A), np.abs(B), basis.sym_power(np.abs(C)))
+    cut = (n + p + q + basis.D) * np.finfo(float).eps * bound
     return np.where(np.abs(X) > cut, X, 0.0)
 
 

@@ -33,7 +33,7 @@ from .blockdecomp import (
     specialize_s,
     tile_map,
 )
-from .gitnorm import git_norm, haar_orthogonal, minimize_diagonal, sparse_criterion
+from .gitnorm import git_norm, haar_orthogonal
 from .polycore import PolyMatrix, act_dense, to_dense
 
 
@@ -332,29 +332,15 @@ def _stratified_mc(f, dom, omega, seed, n_samples, target, budget_factor):
 # -- tile-plan weights ---------------------------------------------------------------
 
 
-def git_value(P: PolyMatrix, sigma, restarts: int = 8, seed: int = 0,
-              budget: int = 120) -> float:
-    """Group norm value with the sparse fast path.
-
-    A strictly positive sparse certificate means the infimum is attained by
-    diagonal scalings in the given frame, so the inner solve alone is exact
-    up to optimizer tolerance; otherwise fall back to the frame search
-    (upper bound).
-    """
-    if P.exact:
-        sv = sparse_criterion(P, Fraction(sigma))
-        if sv.applicable and sv.positive and sv.strictly_positive_theta:
-            return minimize_diagonal(P, sigma).value
-    return git_norm(P, sigma, restarts=restarts, seed=seed, budget=budget).value
-
-
 class TilePlanWeight:
     """w(t) = prod_i git(tile_map(..., t))^(theta_i / sigma).
 
-    ``mode="auto"`` probes a few rational points; if the composed value is
-    constant to 1e-4 relative (the optimizer's own accuracy scale) the
-    weight collapses to that constant, otherwise each requested point is
-    evaluated exactly (no interpolation).
+    Each tile value is :func:`git_norm`'s deterministic critical-point
+    search (at most 120 inner solves).  ``mode="auto"`` probes a few
+    rational points; if the composed value is constant to 1e-4 relative
+    the weight collapses to that constant, otherwise each requested point
+    is evaluated exactly (no interpolation).  ``restarts`` and ``seed``
+    have no effect; they are accepted so that existing callers keep working.
     """
 
     def __init__(self, M, decomp: BlockDecomposition, plan, mode: str = "auto",
@@ -364,8 +350,6 @@ class TilePlanWeight:
         self.M = M
         self.decomp = decomp
         self.plan = plan
-        self.restarts = restarts
-        self.seed = seed
         self.constant = None
         if mode not in ("auto", "exact", "constant"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -381,7 +365,7 @@ class TilePlanWeight:
             if theta == 0:
                 continue
             tm = tile_map(self.M, self.decomp, pt.tile, t0)
-            v = git_value(tm, pt.sigma, restarts=self.restarts, seed=self.seed)
+            v = git_norm(tm, pt.sigma, budget=120).value
             total *= v ** (float(theta) / float(self.plan.sigma_total))
         return total
 

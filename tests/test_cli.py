@@ -128,6 +128,50 @@ def test_exit_code_input_error(tmp_path):
     assert "error" in proc.stderr
 
 
+def one_error_line(proc):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_bad_rational_is_an_input_error():
+    # the rational parser runs inside argparse, and its error once escaped
+    # main's handler as a traceback
+    for sigma in ("1/0", "one"):
+        one_error_line(run_cli("gitnorm", "--input", fx("t2.json"), "--sigma", sigma))
+
+
+def test_sublevel_rejects_files_without_its_fields(tmp_path):
+    # m61.json is a bare matrix: it once ended in "KeyError: 'matrix'"
+    one_error_line(run_cli("sublevel", "--input", fx("m61.json")))
+    with open(fx("sublevel_line.json")) as fh:
+        problem = json.load(fh)
+    for key in ("domain", "tau"):
+        path = tmp_path / f"no_{key}.json"
+        path.write_text(json.dumps({k: v for k, v in problem.items() if k != key}))
+        one_error_line(run_cli("sublevel", "--input", str(path), "--samples", "10"))
+
+
+def test_gitnorm_is_scale_free(tmp_path, capsys):
+    # x^2 + 10^-k y^2 at sigma 1 has infimum 2 * 10^(-k/2); it was once
+    # reported as 0.0 and drift-to-zero for k >= 14
+    from semistab.cli import main
+
+    for k in range(31):
+        path, out = tmp_path / f"x{k}.json", tmp_path / f"r{k}.json"
+        terms = [{"alpha": [0, 2], "num": 1, "den": 10 ** k},
+                 {"alpha": [2, 0], "num": 1, "den": 1}]
+        path.write_text(json.dumps({"p": 1, "q": 1, "d": 2, "entries": [[terms]]}))
+        assert main(["gitnorm", "--input", str(path), "--sigma", "1",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        expect = 2 * 10 ** (-k / 2)
+        assert report["status"] == "converged", k
+        assert abs(report["value"] - expect) <= 1e-6 * expect, k
+    capsys.readouterr()
+
+
 def test_unknown_verb_rejected():
     proc = run_cli("frobnicate")
     assert proc.returncode == 1

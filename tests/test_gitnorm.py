@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import search_reference as ref
 from semistab import fixtures as fx
 from semistab.gitnorm import (
     Destabilizer,
@@ -424,3 +425,83 @@ def test_git_norm_p63_reaches_diagonal_optimum_deterministically(sigma):
     assert abs(first.value - target) <= 1e-6 * target
     again = git_norm(fx.example63_P(), sigma, restarts=4, seed=11)
     assert json.dumps(first.to_json()) == json.dumps(again.to_json())
+
+
+# -- the deterministic critical-point search ----------------------------------------
+
+FOC_TARGET = 1e-9  # converged means residual <= this * value^2
+
+
+def scale_form(k):
+    """x^2 + 10^-k y^2, whose infimum at sigma = 1 is 2 * 10^(-k/2)."""
+    return PolyMatrix([[Poly(2, {(2, 0): 1, (0, 2): F(1, 10 ** k)})]])
+
+
+def test_git_norm_is_scale_free():
+    # z -> (e^a z0, e^-a z1) balances the two terms; neither the pruning of
+    # the action nor the stopping and drift tests may depend on 10^-k
+    for k in range(31):
+        est = git_norm(scale_form(k), 1)
+        expect = 2 * 10 ** (-k / 2)
+        assert est.status == "converged", k
+        assert abs(est.value - expect) <= 1e-6 * expect, k
+        assert est.foc_residual <= FOC_TARGET * est.value ** 2, k
+
+
+def float_form_523(seed):
+    """A seeded z-linear float (5,2,3) form: unstable at sigma = 1/3."""
+    T = np.random.default_rng(seed).standard_normal((5, 2, 3))
+    lin = [tuple(int(k == l) for k in range(3)) for l in range(3)]
+    return PolyMatrix([[Poly(3, {lin[l]: T[i, j, l] for l in range(3)}, exact=False)
+                         for j in range(2)] for i in range(5)])
+
+
+def float_quadratic_222(seed):
+    """A seeded 2 x 2 matrix of float binary quadratic forms (sigma = 1)."""
+    T = np.random.default_rng(seed).standard_normal((2, 2, 3))
+    mons = ((2, 0), (1, 1), (0, 2))
+    return PolyMatrix([[Poly(2, dict(zip(mons, T[i, j])), exact=False)
+                        for j in range(2)] for i in range(2)])
+
+
+FLOAT_FORMS = ([pytest.param(float_form_523(s), F(1, 3), False, id=f"523-{s}")
+                for s in range(4)]
+               + [pytest.param(float_quadratic_222(s), F(1), True, id=f"222-{s}")
+                  for s in range(4)])
+
+
+@pytest.mark.parametrize("P,sigma,semistable", FLOAT_FORMS)
+def test_git_norm_float_forms_never_raise_or_overstate(P, sigma, semistable):
+    # a numerically singular C on the search path is drift evidence, never an
+    # exception; "converged" always comes with the residual it promises
+    est = git_norm(P, sigma)
+    assert est.status in ("converged", "drift-to-zero", "budget-exhausted")
+    if est.status == "converged":
+        assert est.foc_residual <= FOC_TARGET * est.value ** 2
+        again = scaled_norm(act_group(P, frame_element(est.frames)), est.weights, sigma)
+        assert again == pytest.approx(est.value, rel=1e-9)
+    if semistable:
+        assert est.status == "converged"
+    else:
+        # every (5,2,3) form is unstable at 1/3: no critical point exists
+        assert est.status == "drift-to-zero"
+
+
+ORACLE_CASES = ([pytest.param(fx.example63_P(), s, True, id=f"p63-{s}")
+                 for s in (F(1, 5), F(3, 16), F(5, 24))]
+                + [pytest.param(float_form_523(s), F(1, 3), False, id=f"523-{s}")
+                   for s in range(2)]
+                + [pytest.param(float_quadratic_222(s), F(1), True, id=f"222-{s}")
+                   for s in range(2)])
+
+
+@pytest.mark.parametrize("P,sigma,semistable", ORACLE_CASES)
+def test_search_no_worse_than_randomized_reference(P, sigma, semistable):
+    new = git_norm(P, sigma)
+    old = ref.git_norm(P, sigma, restarts=8, seed=0)
+    # both values are upper bounds on the infimum; on a semistable input the
+    # certified critical point is the infimum
+    assert new.value <= old.value * (1 + 1e-9)
+    if semistable:
+        assert new.status == "converged"
+        assert new.evaluations <= 3 < old.evaluations
