@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lp import exact_rref
+from .lp import exact_rank, exact_solve
 from .polycore import (
     Poly,
     PolyMatrix,
@@ -216,7 +216,7 @@ class IncidenceMatrix:
         for _ in range(2):
             pt = [Fraction(int(rng.integers(-99, 100)), 101) for _ in range(self.d)]
             rows = [[eval_poly_exact(e, pt) for e in row] for row in self.M.entries]
-            if len(exact_rref(rows)[1]) == self.p:
+            if exact_rank(rows) == self.p:
                 return True
         return False
 
@@ -279,7 +279,9 @@ class BlockDecomposition:
 
     @staticmethod
     def from_json(obj: dict) -> "BlockDecomposition":
-        return BlockDecomposition(
+        """Parse and check the shapes; KeyError names a missing field and
+        ValueError a field of the wrong shape."""
+        dec = BlockDecomposition(
             row_groups=list(obj["row_groups"]),
             col_groups=list(obj["col_groups"]),
             D=[list(r) for r in obj["D"]],
@@ -287,6 +289,13 @@ class BlockDecomposition:
             B=polymatrix_from_json(obj["B"]),
             zero_blocks={tuple(b) for b in obj.get("zero_blocks", [])},
         )
+        nI, nJ = len(dec.row_groups), len(dec.col_groups)
+        if len(dec.D) != nI or any(len(r) != nJ for r in dec.D):
+            raise ValueError(f"D is not {nI} x {nJ}, one degree per block")
+        if (dec.A.p, dec.A.q, dec.B.p, dec.B.q) != (dec.p, dec.p, dec.q, dec.q):
+            raise ValueError(f"A and B are not {dec.p} x {dec.p} and "
+                             f"{dec.q} x {dec.q}, the sizes of the groups")
+        return dec
 
 
 # -- kernel parametrization ---------------------------------------------------------
@@ -394,11 +403,8 @@ def _solve_constant_closure(M: PolyMatrix):
     mon_index = {a: ix for ix, a in enumerate(monomials)}
 
     def col_vector(col):
-        v = [Fraction(0)] * (p * len(monomials))
-        for i, e in enumerate(col):
-            for a, c in e.terms.items():
-                v[i * len(monomials) + mon_index[a]] = c
-        return v
+        return {i * len(monomials) + mon_index[a]: c
+                for i, e in enumerate(col) for a, c in e.terms.items()}
 
     col_vecs = [col_vector(c) for c in cols]
     generators = []
@@ -412,50 +418,33 @@ def _solve_constant_closure(M: PolyMatrix):
             target = col_vector(dcol)
             # candidate pivots: strictly lower degree first, then everything
             lower = [j2 for j2 in range(q) if degs[j2] < degs[j]]
-            sol = _solve_linear_combo([col_vecs[j2] for j2 in lower], target)
-            use = lower
-            if sol is None:
-                allow = [j2 for j2 in range(q) if j2 != j]
-                sol = _solve_linear_combo([col_vecs[j2] for j2 in allow], target)
-                use = allow
-            if sol is None:
+            for use in (lower, [j2 for j2 in range(q) if j2 != j]):
+                sol = _solve_linear_combo([col_vecs[j2] for j2 in use], target)
+                if sol is not None:
+                    break
+            else:
                 raise NotDerivativeClosed(j, k)
             for coef, j2 in zip(sol, use):
                 G[j2][j] = coef
         generators.append(G)
-    # nilpotency: required so the flow stays polynomial
+    # nilpotency (G^q = 0): required so the flow stays polynomial
     for G in generators:
         power = G
         for _ in range(M.q):
-            if all(v == 0 for row in power for v in row):
+            if not any(v for row in power for v in row):
                 break
             power = _mat_mul_frac(power, G)
         else:
-            if any(v != 0 for row in power for v in row):
-                return None
+            return None
     return generators
 
 
 def _solve_linear_combo(vectors, target):
-    """Coefficients x with sum x_i vectors_i = target, exact; None if none."""
-    if not vectors:
-        return None if any(v != 0 for v in target) else []
-    n = len(vectors)
-    m = len(target)
-    A = [[vectors[j][i] for j in range(n)] for i in range(m)]
-    return _solve_exact_system(A, target)
-
-
-def _solve_exact_system(A, b):
-    """One exact solution of A x = b (free variables zeroed); None if none."""
-    n = len(A[0]) if A else 0
-    rref, piv_cols = exact_rref([list(row) + [v] for row, v in zip(A, b)])
-    if n in piv_cols:
-        return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(piv_cols):
-        x[c] = rref[r][n]
-    return x
+    """Coefficients x with sum x_i vectors_i = target, exact; None if none.
+    Vectors and target are sparse ``{index: value}`` mappings."""
+    keys = set(target).union(*vectors)
+    rows = [{j: v[i] for j, v in enumerate(vectors) if i in v} for i in keys]
+    return exact_solve(rows, [target.get(i, 0) for i in keys], len(vectors))
 
 
 def _mat_mul_frac(X, Y):
@@ -506,25 +495,13 @@ def _row_z_order(R: PolyMatrix, i: int, cols, d: int):
     return min(orders) if orders else math.inf
 
 
-def _col_jet(R: PolyMatrix, j: int, m: int, d: int):
-    """Order-m diagonal jet of a column: {(row, z-beta): s-poly coeff}."""
+def _jet(entries, m: int, d: int):
+    """Order-m diagonal jet of labelled entries (a column labelled by row,
+    or a row by column): {(label, z-beta): s-poly coeff}."""
     jet = {}
-    for i in range(R.p):
-        part = z_homogeneous_part(R.entries[i][j], d, m)
-        for a, c in part.terms.items():
-            key = (i, a[d:])
-            spoly = jet.setdefault(key, {})
-            spoly[a[:d]] = spoly.get(a[:d], 0) + c
-    return jet
-
-
-def _row_jet(R: PolyMatrix, i: int, cols, m: int, d: int):
-    jet = {}
-    for j in cols:
-        part = z_homogeneous_part(R.entries[i][j], d, m)
-        for a, c in part.terms.items():
-            key = (j, a[d:])
-            spoly = jet.setdefault(key, {})
+    for label, e in entries:
+        for a, c in z_homogeneous_part(e, d, m).terms.items():
+            spoly = jet.setdefault((label, a[d:]), {})
             spoly[a[:d]] = spoly.get(a[:d], 0) + c
     return jet
 
@@ -532,48 +509,27 @@ def _row_jet(R: PolyMatrix, i: int, cols, m: int, d: int):
 def _solve_jet_kill(target_jet, pivot_jets, d: int, degbound: int):
     """Polynomial coefficients f (one per pivot, degree <= degbound in s)
     with sum_p f_p . jet_p = -target; None if impossible."""
-    smonos = sorted(
-        {a for a in _s_monomials(degbound, d)}, key=grlex_key)
-    keys = set(target_jet)
-    for jet in pivot_jets:
-        keys |= set(jet)
-    keys = sorted(keys)
-    # unknown u[(pividx, gamma)]: coefficient of s^gamma in f_pividx
-    unknowns = [(pi, g) for pi in range(len(pivot_jets)) for g in smonos]
-    uix = {u: i for i, u in enumerate(unknowns)}
-    rows = []
-    rhs = []
-    eq_index = {}
-    for key in keys:
-        base = target_jet.get(key, {})
-        # collect equation rows per s-monomial of the products
-        contributions: dict = {}
+    smonos = sorted(_s_monomials(degbound, d), key=grlex_key)
+    ns = len(smonos)
+    rows, rhs = [], []
+    for key in set(target_jet).union(*pivot_jets):
+        # one sparse equation per s-monomial of the products; unknown
+        # pi * ns + gi is the coefficient of s^smonos[gi] in f_pi
+        eqs: dict = {}
         for pi, jet in enumerate(pivot_jets):
             for sg, c in jet.get(key, {}).items():
-                for g in smonos:
-                    mono = tuple(x + y for x, y in zip(sg, g))
-                    contributions.setdefault(mono, []).append((uix[(pi, g)], c))
-        monos = set(contributions) | set(base)
-        for mono in sorted(monos, key=grlex_key):
-            row = [Fraction(0)] * len(unknowns)
-            for ucol, c in contributions.get(mono, []):
-                row[ucol] += c
-            rows.append(row)
-            rhs.append(-Fraction(base.get(mono, 0)))
-    if not rows:
-        return [Poly.zero(d) for _ in pivot_jets]
-    sol = _solve_exact_system(rows, rhs)
+                for gi, g in enumerate(smonos):
+                    row = eqs.setdefault(tuple(x + y for x, y in zip(sg, g)), {})
+                    row[pi * ns + gi] = row.get(pi * ns + gi, 0) + c
+        base = target_jet.get(key, {})
+        for mono in set(eqs) | set(base):
+            rows.append(eqs.get(mono, {}))
+            rhs.append(-base.get(mono, 0))
+    sol = exact_solve(rows, rhs, ns * len(pivot_jets))
     if sol is None:
         return None
-    polys = []
-    for pi in range(len(pivot_jets)):
-        terms = {}
-        for g in smonos:
-            c = sol[uix[(pi, g)]]
-            if c:
-                terms[g] = c
-        polys.append(Poly(d, terms))
-    return polys
+    return [Poly(d, dict(zip(smonos, sol[pi * ns:(pi + 1) * ns])))
+            for pi in range(len(pivot_jets))]
 
 
 def _s_monomials(degbound: int, d: int):
@@ -599,8 +555,9 @@ def _greedy_columns(R: PolyMatrix, B: PolyMatrix, d: int, degbound: int):
             pivots = [j2 for j2 in range(q) if j2 != j and orders[j2] == m]
             if not pivots:
                 continue
-            target = _col_jet(R, j, m, d)
-            piv_jets = [_col_jet(R, j2, m, d) for j2 in pivots]
+            target, *piv_jets = [
+                _jet(((i, R.entries[i][c]) for i in range(R.p)), m, d)
+                for c in [j, *pivots]]
             fs = _solve_jet_kill(target, piv_jets, d, degbound)
             if fs is None:
                 continue
@@ -662,8 +619,9 @@ def _greedy_rows(R: PolyMatrix, A: PolyMatrix, d: int, degbound: int):
                 ]
                 if not pivots:
                     continue
-                target = _row_jet(R, i, cols, m, d)
-                piv_jets = [_row_jet(R, i2, cols, m, d) for i2 in pivots]
+                target, *piv_jets = [
+                    _jet(((j, R.entries[r][j]) for j in cols), m, d)
+                    for r in [i, *pivots]]
                 fs = _solve_jet_kill(target, piv_jets, d, degbound)
                 if fs is None or all(f.is_zero() for f in fs):
                     continue
@@ -734,11 +692,8 @@ def eliminate(M, degbound: int | None = None):
     col_orders = [col_orders[j] for j in cperm]
     col_groups = _runs(col_orders)
 
-    group_cols = []
-    lo = 0
-    for size in col_groups:
-        group_cols.append(list(range(lo, lo + size)))
-        lo += size
+    off = group_offsets(col_groups)
+    group_cols = [list(range(off[k], off[k + 1])) for k in range(len(col_groups))]
     profiles = [tuple(_row_z_order(R, i, g, d) for g in group_cols)
                 for i in range(p)]
     rperm = sorted(range(p), key=lambda i: (profiles[i], i))

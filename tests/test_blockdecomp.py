@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,16 @@ from semistab.blockdecomp import (
     verify_block_decomposition,
     z_order,
 )
-from semistab.polycore import Poly, PolyMatrix, act_group, GroupElement
+from semistab.polycore import (
+    GroupElement,
+    Poly,
+    PolyMatrix,
+    act_group,
+    polymatrix_from_json,
+    polymatrix_to_json,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # -- kernel parametrization ----------------------------------------------------------
@@ -117,6 +128,17 @@ def test_eliminate_example61_reproduces_display():
     assert dec.col_groups == [4, 4, 1]
     assert dec.D == [[0, 1, 2], [0, 1, 3]]
     assert verify_block_decomposition(M, dec).ok
+
+
+def test_eliminate_m61_reproduces_fixture_bytes():
+    # A, B, D, the groups and the zero blocks, not only D: every solve in
+    # the elimination is exact, so the shipped decomposition must come back
+    # byte for byte in the layout it was written in
+    text = (FIXTURES / "m61_decomp.json").read_text()
+    M = polymatrix_from_json(json.loads(text)["matrix"])
+    _, _, _, dec = eliminate(M)
+    again = {"decomposition": dec.to_json(), "matrix": polymatrix_to_json(M)}
+    assert json.dumps(again, indent=2, sort_keys=True) == text
 
 
 def test_eliminate_example63_flow():

@@ -6,11 +6,15 @@ import sys
 import pytest
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run_cli(*args):
+    # the child finds the package in this checkout, installed or not
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "semistab.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     return proc
 
 
@@ -151,6 +155,37 @@ def test_sublevel_rejects_files_without_its_fields(tmp_path):
         path = tmp_path / f"no_{key}.json"
         path.write_text(json.dumps({k: v for k, v in problem.items() if k != key}))
         one_error_line(run_cli("sublevel", "--input", str(path), "--samples", "10"))
+
+
+def test_zero_denominator_is_an_input_error(tmp_path):
+    # once a ZeroDivisionError traceback
+    with open(fx("t2.json")) as fh:
+        matrix = json.load(fh)
+    matrix["entries"][1][0][0]["den"] = 0
+    path = tmp_path / "den0.json"
+    path.write_text(json.dumps(matrix))
+    one_error_line(run_cli("gitnorm", "--input", str(path), "--sigma", "1"))
+
+
+def test_short_entry_grid_is_an_input_error(tmp_path):
+    # a grid with fewer rows than p once raised IndexError under both verbs
+    with open(fx("m61.json")) as fh:
+        matrix = json.load(fh)
+    matrix["entries"] = matrix["entries"][:-1]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(matrix))
+    one_error_line(run_cli("gitnorm", "--input", str(path), "--sigma", "1"))
+    one_error_line(run_cli("blockdecomp", "--input", str(path)))
+
+
+def test_tiles_on_a_bare_matrix_is_an_input_error():
+    # once "KeyError: 'row_groups'"
+    one_error_line(run_cli("tiles", "--input", fx("m61.json")))
+
+
+def test_plan_without_a_decomposition_is_an_input_error():
+    # once "KeyError: 'decomposition'"
+    one_error_line(run_cli("plan", "--input", fx("t2.json")))
 
 
 def test_gitnorm_is_scale_free(tmp_path, capsys):
