@@ -9,7 +9,12 @@ diagonal z = 0 to orders that are read off blockwise as the formal degree
 matrix D.
 
 Internally bivariate objects live as polynomials in 2d variables: the first
-d are s, the last d are z.  All elimination decisions are exact.
+d are s, the last d are z.  This module owns that layout: the embeddings
+:func:`inflate_s`, :func:`inflate_z` and :func:`inflate_t`, the product
+:func:`reduced_product`, the determinant-one check :func:`unimodular`, the
+degree-grid check :func:`degrees_monotone` and the block order
+:func:`least_z_order`; :mod:`semistab.radon` verifies its moment families
+with the same functions.  All elimination decisions are exact.
 
 Two elimination strategies are tried in order:
 
@@ -67,6 +72,11 @@ def inflate_s(P: Poly, d: int) -> Poly:
     return Poly(2 * d, {a + (0,) * d: c for a, c in P.terms.items()}, exact=P.exact)
 
 
+def inflate_z(P: Poly, d: int) -> Poly:
+    """Poly in z (d vars) -> poly in (s, z) (2d vars), constant in s."""
+    return Poly(2 * d, {(0,) * d + a: c for a, c in P.terms.items()}, exact=P.exact)
+
+
 def inflate_t(P: Poly, d: int) -> Poly:
     """Poly in t (d vars) -> poly in (s, z) via t = s + z."""
     out = Poly.zero(2 * d)
@@ -96,6 +106,14 @@ def z_degree(P: Poly, d: int) -> int:
     return max(sum(a[d:]) for a in P.terms)
 
 
+def least_z_order(R: PolyMatrix, rows, cols):
+    """Least z-order over the nonzero entries R[r][c], r in rows and c in
+    cols, of a bivariate matrix; math.inf when all of them are zero."""
+    d = R.d // 2
+    return min((z_order(R.entries[r][c], d) for r in rows for c in cols
+                if not R.entries[r][c].is_zero()), default=math.inf)
+
+
 def z_homogeneous_part(P: Poly, d: int, deg: int) -> Poly:
     return Poly(2 * d,
                 {a: c for a, c in P.terms.items() if sum(a[d:]) == deg},
@@ -103,7 +121,8 @@ def z_homogeneous_part(P: Poly, d: int, deg: int) -> Poly:
 
 
 def specialize_s(P: Poly, d: int, t0) -> Poly:
-    """Substitute s := t0 in a bivariate poly; result lives in the z block."""
+    """Substitute t0 for the first d variables (s in a bivariate poly); the
+    result is a polynomial in the other P.dim - d variables (the z block)."""
     out: dict = {}
     for a, c in P.terms.items():
         val = c
@@ -113,7 +132,7 @@ def specialize_s(P: Poly, d: int, t0) -> Poly:
         if val:
             key = a[d:]
             out[key] = out.get(key, 0) + val
-    return Poly(d, out)
+    return Poly(P.dim - d, out)
 
 
 def pm_mul(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
@@ -130,6 +149,13 @@ def pm_mul(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
             row.append(acc)
         rows.append(row)
     return PolyMatrix(rows)
+
+
+def reduced_product(A: PolyMatrix, M: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
+    """A(s) M(s) B(s + z) as a bivariate matrix: A and M in s, B in t."""
+    d = M.d
+    lift = lambda X, f: PolyMatrix([[f(e, d) for e in row] for row in X.entries])
+    return pm_mul(pm_mul(lift(A, inflate_s), lift(M, inflate_s)), lift(B, inflate_t))
 
 
 def poly_exact_div(P: Poly, Q: Poly) -> Poly:
@@ -183,6 +209,20 @@ def pm_det(X: PolyMatrix) -> Poly:
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return det.scale(sign)
+
+
+def unimodular(d: int, *Xs: PolyMatrix) -> bool:
+    """Whether each X (polynomials in d variables) has determinant 1."""
+    return all(pm_det(X) == Poly.constant(d, 1) for X in Xs)
+
+
+def degrees_monotone(grid) -> bool:
+    """Whether a grid of degrees is nondecreasing along every row and down
+    every column; a None entry constrains nothing."""
+    le = lambda a, b: a is None or b is None or a <= b
+    return (all(le(a, b) for row in grid for a, b in zip(row, row[1:]))
+            and all(le(a, b) for up, down in zip(grid, grid[1:])
+                    for a, b in zip(up, down)))
 
 
 # -- data types --------------------------------------------------------------------
@@ -483,18 +523,6 @@ def _exp_flow(generators, d: int, q: int) -> PolyMatrix:
 # -- greedy elimination ----------------------------------------------------------------
 
 
-def _col_z_order(R: PolyMatrix, j: int, d: int):
-    orders = [z_order(R.entries[i][j], d) for i in range(R.p)]
-    orders = [o for o in orders if o >= 0]
-    return min(orders) if orders else math.inf
-
-
-def _row_z_order(R: PolyMatrix, i: int, cols, d: int):
-    orders = [z_order(R.entries[i][j], d) for j in cols]
-    orders = [o for o in orders if o >= 0]
-    return min(orders) if orders else math.inf
-
-
 def _jet(entries, m: int, d: int):
     """Order-m diagonal jet of labelled entries (a column labelled by row,
     or a row by column): {(label, z-beta): s-poly coeff}."""
@@ -546,7 +574,7 @@ def _greedy_columns(R: PolyMatrix, B: PolyMatrix, d: int, degbound: int):
     progress = True
     while progress:
         progress = False
-        orders = [_col_z_order(R, j, d) for j in range(q)]
+        orders = [least_z_order(R, range(R.p), [j]) for j in range(q)]
         for j in range(q):
             m = orders[j]
             if m is math.inf:
@@ -571,7 +599,7 @@ def _greedy_columns(R: PolyMatrix, B: PolyMatrix, d: int, degbound: int):
                     R.entries[i][j] = R.entries[i][j] + f2 * R.entries[i][j2]
                 for i in range(B.p):
                     B.entries[i][j] = B.entries[i][j] + f * B.entries[i][j2]
-            neworder = _col_z_order(R, j, d)
+            neworder = least_z_order(R, range(R.p), [j])
             if neworder > m:
                 progress = True
                 changed_any = True
@@ -594,7 +622,7 @@ def _runs(values):
 def _greedy_rows(R: PolyMatrix, A: PolyMatrix, d: int, degbound: int):
     """Raise within-column-group row orders using rows of compatible profile."""
     p = R.p
-    col_orders = [_col_z_order(R, j, d) for j in range(R.q)]
+    col_orders = [least_z_order(R, range(p), [j]) for j in range(R.q)]
     order_vals = sorted({o for o in col_orders})
     groups = [[j for j in range(R.q) if col_orders[j] == v] for v in order_vals]
     changed_any = False
@@ -602,7 +630,7 @@ def _greedy_rows(R: PolyMatrix, A: PolyMatrix, d: int, degbound: int):
     while progress:
         progress = False
         profiles = [
-            tuple(_row_z_order(R, i, g, d) for g in groups) for i in range(p)
+            tuple(least_z_order(R, [i], g) for g in groups) for i in range(p)
         ]
         for gi in range(len(groups) - 1, 0, -1):
             cols = groups[gi]
@@ -633,11 +661,11 @@ def _greedy_rows(R: PolyMatrix, A: PolyMatrix, d: int, degbound: int):
                         R.entries[i][j] = R.entries[i][j] + f2 * R.entries[i2][j]
                     for j in range(A.q):
                         A.entries[i][j] = A.entries[i][j] + f * A.entries[i2][j]
-                if _row_z_order(R, i, cols, d) > m:
+                if least_z_order(R, [i], cols) > m:
                     progress = True
                     changed_any = True
                     profiles = [
-                        tuple(_row_z_order(R, i3, g, d) for g in groups)
+                        tuple(least_z_order(R, [i3], g) for g in groups)
                         for i3 in range(p)
                     ]
     return changed_any
@@ -674,9 +702,7 @@ def eliminate(M, degbound: int | None = None):
     else:
         B = PolyMatrix([[Poly.constant(d, 1 if i == j else 0) for j in range(q)]
                         for i in range(q)])
-    Ms = PolyMatrix([[inflate_s(e, d) for e in row] for row in M.entries])
-    Bt = PolyMatrix([[inflate_t(e, d) for e in row] for row in B.entries])
-    R = pm_mul(Ms, Bt)
+    R = reduced_product(A, M, B)
 
     for _ in range(8):
         c1 = _greedy_columns(R, B, d, degbound)
@@ -685,7 +711,7 @@ def eliminate(M, degbound: int | None = None):
             break
 
     # sort columns by vanishing order, rows by their order profile
-    col_orders = [_col_z_order(R, j, d) for j in range(q)]
+    col_orders = [least_z_order(R, range(p), [j]) for j in range(q)]
     cperm = sorted(range(q), key=lambda j: (col_orders[j], j))
     _apply_col_perm(R, cperm)
     _apply_col_perm(B, cperm)
@@ -694,7 +720,7 @@ def eliminate(M, degbound: int | None = None):
 
     off = group_offsets(col_groups)
     group_cols = [list(range(off[k], off[k + 1])) for k in range(len(col_groups))]
-    profiles = [tuple(_row_z_order(R, i, g, d) for g in group_cols)
+    profiles = [tuple(least_z_order(R, [i], g) for g in group_cols)
                 for i in range(p)]
     rperm = sorted(range(p), key=lambda i: (profiles[i], i))
     _apply_row_perm(R, rperm)
@@ -742,16 +768,11 @@ def vanishing_degrees(R: PolyMatrix, row_groups, col_groups):
     zero_blocks = set()
     for i in range(nI):
         for j in range(nJ):
-            orders = [
-                z_order(R.entries[r][c], d)
-                for r in range(ri[i], ri[i + 1])
-                for c in range(ci[j], ci[j + 1])
-            ]
-            orders = [o for o in orders if o >= 0]
-            if orders:
-                D[i][j] = min(orders)
-            else:
+            order = least_z_order(R, range(ri[i], ri[i + 1]), range(ci[j], ci[j + 1]))
+            if order == math.inf:
                 zero_blocks.add((i, j))
+            else:
+                D[i][j] = order
     for (i, j) in zero_blocks:
         degs = [
             z_degree(R.entries[r][c], d)
@@ -788,11 +809,7 @@ def reduced_matrix(M, decomp: BlockDecomposition) -> PolyMatrix:
     """A(s) M(s) B(s+z) as a bivariate matrix."""
     if isinstance(M, IncidenceMatrix):
         M = M.M
-    d = M.d
-    As = PolyMatrix([[inflate_s(e, d) for e in row] for row in decomp.A.entries])
-    Ms = PolyMatrix([[inflate_s(e, d) for e in row] for row in M.entries])
-    Bt = PolyMatrix([[inflate_t(e, d) for e in row] for row in decomp.B.entries])
-    return pm_mul(pm_mul(As, Ms), Bt)
+    return reduced_product(decomp.A, M, decomp.B)
 
 
 def verify_block_decomposition(M, decomp: BlockDecomposition) -> VerifyReport:
@@ -806,8 +823,7 @@ def verify_block_decomposition(M, decomp: BlockDecomposition) -> VerifyReport:
     if isinstance(M, IncidenceMatrix):
         M = M.M
     d = M.d
-    det_ok = (pm_det(decomp.A) == Poly.constant(d, 1)
-              and pm_det(decomp.B) == Poly.constant(d, 1))
+    det_ok = unimodular(d, decomp.A, decomp.B)
     R = reduced_matrix(M, decomp)
     violations = []
     ri, ci = group_offsets(decomp.row_groups), group_offsets(decomp.col_groups)
@@ -822,19 +838,9 @@ def verify_block_decomposition(M, decomp: BlockDecomposition) -> VerifyReport:
                             violations.append(
                                 ((i, j), (0,) * d, a[d:], (r, c)))
                             break
-    monotone_ok = True
-    for i in range(len(decomp.row_groups)):
-        for j in range(len(decomp.col_groups)):
-            if (i, j) in decomp.zero_blocks:
-                continue
-            if i + 1 < len(decomp.row_groups) and \
-                    (i + 1, j) not in decomp.zero_blocks and \
-                    decomp.D[i + 1][j] < decomp.D[i][j]:
-                monotone_ok = False
-            if j + 1 < len(decomp.col_groups) and \
-                    (i, j + 1) not in decomp.zero_blocks and \
-                    decomp.D[i][j + 1] < decomp.D[i][j]:
-                monotone_ok = False
+    monotone_ok = degrees_monotone(
+        [[None if (i, j) in decomp.zero_blocks else D for j, D in enumerate(row)]
+         for i, row in enumerate(decomp.D)])
     ok = det_ok and monotone_ok and not violations
     return VerifyReport(ok, det_ok, monotone_ok, violations)
 
@@ -846,12 +852,14 @@ def tile_map(M, decomp: BlockDecomposition, tile: Tile, t0) -> PolyMatrix:
     matrix specialized at s = t = t0; the Taylor expansion supplies the
     1/alpha! normalization.  Exact for rational t0.
     """
-    if isinstance(M, IncidenceMatrix):
-        M = M.M
-    d = M.d
-    if len(t0) != d:
+    return _tile_block(reduced_matrix(M, decomp), decomp, tile, t0)
+
+
+def _tile_block(R: PolyMatrix, decomp: BlockDecomposition, tile: Tile, t0) -> PolyMatrix:
+    """:func:`tile_map` on the reduced matrix R of ``decomp``."""
+    d = len(t0)
+    if R.d != 2 * d:
         raise ValueError("diagonal point has wrong dimension")
-    R = reduced_matrix(M, decomp)
     iL, iR = tile.I
     jL, jR = tile.J
     ri, ci = group_offsets(decomp.row_groups), group_offsets(decomp.col_groups)
@@ -876,11 +884,6 @@ def useful_tiles(decomp: BlockDecomposition) -> list:
     qualifies."""
     nI = len(decomp.row_groups)
     nJ = len(decomp.col_groups)
-
-    def outer_deg(i, j):
-        # identically-zero blocks vanish to all orders: they dominate anything
-        return math.inf if (i, j) in decomp.zero_blocks else decomp.D[i][j]
-
     out = []
     for iL in range(nI):
         for iR in range(iL, nI):
@@ -897,10 +900,10 @@ def useful_tiles(decomp: BlockDecomposition) -> list:
                     ok = True
                     for (i, j) in after:
                         if iL <= i - 1 <= iR and jL <= j <= jR:
-                            if not outer_deg(i, j) > decomp.D[i - 1][j]:
+                            if not decomp.degree(i, j) > decomp.D[i - 1][j]:
                                 ok = False
                         if iL <= i <= iR and jL <= j - 1 <= jR:
-                            if not outer_deg(i, j) > decomp.D[i][j - 1]:
+                            if not decomp.degree(i, j) > decomp.D[i][j - 1]:
                                 ok = False
                     if ok:
                         out.append(Tile((iL, iR), (jL, jR)))

@@ -35,6 +35,7 @@ from .polycore import (
 )
 from .radon import (
     CurvatureForm,
+    NonTransverse,
     RadonProblem,
     balanced_check,
     curvature_form,
@@ -202,13 +203,14 @@ def cmd_plan(args) -> int:
         tiles = [(Tile(tuple(e["I"]), tuple(e["J"])),
                   Fraction(e["sigma"]["num"], e["sigma"]["den"]))
                  for e in obj["tiles"]]
+        pts = [tile_point(decomp, tile, sig) for tile, sig in tiles]
+        sigma = args.sigma if args.sigma is not None else obj.get("sigma")
+        if sigma is not None:
+            sigma = (Fraction(sigma["num"], sigma["den"]) if isinstance(sigma, dict)
+                     else Fraction(sigma))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{args.input}: not a tile plan problem "
                          f"({type(exc).__name__}: {exc})") from exc
-    pts = [tile_point(decomp, tile, sig) for tile, sig in tiles]
-    sigma = args.sigma if args.sigma is not None else obj.get("sigma")
-    if isinstance(sigma, dict):
-        sigma = Fraction(sigma["num"], sigma["den"])
     plan = solve_plan(pts, decomp.p, decomp.q, sigma=sigma)
     if plan is None:
         _table([["plan", "infeasible"]])
@@ -258,18 +260,24 @@ def cmd_sublevel(args) -> int:
     return 0
 
 
+def _form_from(obj: dict, path: str) -> CurvatureForm:
+    """The curvature form of a tensor file, or of a problem file with phi
+    at its ``point`` (the origin by default)."""
+    try:
+        if "tensor" in obj:
+            return CurvatureForm([[[Fraction(v["num"], v["den"]) for v in row]
+                                   for row in plane] for plane in obj["tensor"]])
+        if "phi" in obj:
+            prob = RadonProblem.from_json(obj)
+            return curvature_form(prob, obj.get("point", [0] * (prob.n + prob.nt)))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, NonTransverse) as exc:
+        raise InputError(f"{path}: not a curvature form problem "
+                         f"({type(exc).__name__}: {exc})") from exc
+    raise InputError(f"{path}: need a tensor or a problem with phi")
+
+
 def cmd_semistable(args) -> int:
-    obj = _load(args.input)
-    if "tensor" in obj:
-        tensor = [[[Fraction(v["num"], v["den"]) for v in row] for row in plane]
-                  for plane in obj["tensor"]]
-        Q = CurvatureForm(tensor)
-    elif "phi" in obj:
-        prob = RadonProblem.from_json(obj)
-        point = obj.get("point", [0] * (prob.n + prob.nt))
-        Q = curvature_form(prob, point)
-    else:
-        raise InputError(f"{args.input}: need a tensor or a problem with phi")
+    Q = _form_from(_load(args.input), args.input)
     verdict = semistability_verdict(Q)
     _table([["state", verdict.state], ["detail", verdict.detail]])
     _emit(verdict.to_json(), args.out)
@@ -284,8 +292,12 @@ def cmd_radon(args) -> int:
         return 0
     if args.balanced:
         obj = _load(args.balanced)
-        res = balanced_check([tuple(a) for a in obj["alphas"]], obj["type"],
-                             k=obj.get("k"), d=obj.get("d"))
+        try:
+            res = balanced_check([tuple(a) for a in obj["alphas"]], obj["type"],
+                                 k=obj.get("k"), d=obj.get("d"))
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"{args.balanced}: not a balanced set problem "
+                             f"({type(exc).__name__}: {exc})") from exc
         rows = [["balanced", str(res.ok)]]
         if res.ok:
             rows += [["sigma", _rat_str(res.sigma)], ["r", _rat_str(res.r)],

@@ -38,7 +38,6 @@ from .polycore import (
     act_group,
     from_dense,
     hs_norm,
-    mi_factorial,
     support_set,
     to_dense,
 )
@@ -386,7 +385,7 @@ def _derivations(basis: GradedBasis) -> np.ndarray:
     infinitesimal variable changes, and the derivative pairing of the norm
     is G3[k, l] = <Z[k, l] T, T>."""
     d, n = basis.d, len(basis.alphas)
-    Z = np.zeros((d, d, n, n))
+    Z = np.zeros((d, d, n, n), dtype=int)
     for m, a in enumerate(basis.alphas):
         for k in range(d):
             for l in range(d if a[k] else 0):
@@ -395,28 +394,30 @@ def _derivations(basis: GradedBasis) -> np.ndarray:
     return Z
 
 
-def _foc_matrices(basis: GradedBasis, T: np.ndarray, sigma: float):
+def _foc_matrices(basis: GradedBasis, T: np.ndarray, sigma):
     """Row-Gram, column-Gram and derivative-pairing residual matrices of the
     dense matrix T.
 
     These are the gradients of the squared norm along the three group
-    directions; the flow that shrinks the norm moves against them.
+    directions; the flow that shrinks the norm moves against them.  They are
+    computed in the dtype of T: the alpha! weights and Z are integers, so an
+    object array of Fractions with a rational sigma gives them exactly.
     """
     p, q, _ = T.shape
     d = basis.d
-    norm2 = float(np.sum(basis.fac * T * T))
+    norm2 = np.sum(basis.fac * T * T)
     G1 = np.einsum("ijm,kjm,m->ik", T, T, basis.fac)
     G2 = np.einsum("ijm,ikm,m->jk", T, T, basis.fac)
     X = T.reshape(p * q, -1)
     H = (X * basis.fac).T @ X
     G3 = (_derivations(basis).reshape(d * d, -1) @ H.ravel()).reshape(d, d)
-    R1 = G1 - np.eye(p) * (norm2 / p)
-    R2 = G2 - np.eye(q) * (norm2 / q)
-    R3 = G3 - np.eye(d) * (sigma * norm2)
+    R1 = G1 - np.eye(p, dtype=T.dtype) * (norm2 / p)
+    R2 = G2 - np.eye(q, dtype=T.dtype) * (norm2 / q)
+    R3 = G3 - np.eye(d, dtype=T.dtype) * (sigma * norm2)
     return R1, R2, R3, norm2
 
 
-def _residual(basis: GradedBasis, T: np.ndarray, sigma: float) -> float:
+def _residual(basis: GradedBasis, T: np.ndarray, sigma) -> float:
     R1, R2, R3, _ = _foc_matrices(basis, T, sigma)
     return math.sqrt((R1 ** 2).sum() + (R2 ** 2).sum() + (R3 ** 2).sum())
 
@@ -602,92 +603,17 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = 0, budget: int = 400,
 # -- first-order criticality ------------------------------------------------------
 
 
-def _sqrtfree(n: int):
-    """n = s^2 * r with r squarefree; returns (s, r)."""
-    s, r, k = 1, 1, 2
-    while k * k <= n:
-        while n % (k * k) == 0:
-            n //= k * k
-            s *= k
-        if n % k == 0:
-            n //= k
-            r *= k
-        k += 1
-    return s, r * n
-
-
 def criticality_residual(P: PolyMatrix, sigma) -> float:
     """Frobenius norm of the first-order-criticality residuals.
 
     Row Gram minus ||P||^2/p, column Gram minus ||P||^2/q, and the
-    derivative-pairing tensor minus sigma ||P||^2 I.  Exact rational
-    arithmetic throughout for rational input (irrational square roots are
-    tracked by squarefree radicand), rounded only at the very end.  Float
-    input uses the residual matrices that :func:`kempf_ness_polish` descends.
+    derivative-pairing tensor minus sigma ||P||^2 I: the residual matrices
+    of :func:`_foc_matrices`, which :func:`kempf_ness_polish` descends.
+    Rational input is computed in exact arithmetic, rounded only at the end.
     """
     if P.exact:
-        return _criticality_exact(P, Fraction(sigma))
+        return _residual(*to_dense(P, object), Fraction(sigma))
     return _residual(*to_dense(P), float(sigma))
-
-
-def _criticality_exact(P: PolyMatrix, sigma: Fraction) -> float:
-    p, q, d = P.p, P.q, P.d
-    tc = {}  # (i, j, alpha) -> d^alpha P_ij(0), exact
-    for i in range(p):
-        for j in range(q):
-            for a, c in P.entries[i][j].terms.items():
-                tc[(i, j, a)] = c * mi_factorial(a)
-    norm2 = Fraction(0)
-    for (i, j, a), v in tc.items():
-        norm2 += v * v / mi_factorial(a)
-
-    fro2 = Fraction(0)
-    # rows
-    for i1 in range(p):
-        for i2 in range(p):
-            s = Fraction(0)
-            for j in range(q):
-                for a in set(P.entries[i1][j].terms) & set(P.entries[i2][j].terms):
-                    s += tc[(i1, j, a)] * tc[(i2, j, a)] / mi_factorial(a)
-            if i1 == i2:
-                s -= norm2 / p
-            fro2 += s * s
-    # columns
-    for j1 in range(q):
-        for j2 in range(q):
-            s = Fraction(0)
-            for i in range(p):
-                for a in set(P.entries[i][j1].terms) & set(P.entries[i][j2].terms):
-                    s += tc[(i, j1, a)] * tc[(i, j2, a)] / mi_factorial(a)
-            if j1 == j2:
-                s -= norm2 / q
-            fro2 += s * s
-    # derivative pairings: entries are sums of coeff * sqrt(radicand)
-    extra = 0.0
-    for k1 in range(d):
-        for k2 in range(d):
-            buckets: dict[int, Fraction] = {}
-            for (i, j, a), v in tc.items():
-                if a[k1] == 0:
-                    continue
-                a2 = list(a)
-                a2[k1] -= 1
-                a2[k2] += 1
-                a2 = tuple(a2)
-                v2 = tc.get((i, j, a2))
-                if v2 is None:
-                    continue
-                rad = a[k1] * a2[k2] * mi_factorial(a) * mi_factorial(a2)
-                s, r = _sqrtfree(rad)
-                coeff = v * v2 * Fraction(s, mi_factorial(a) * mi_factorial(a2))
-                buckets[r] = buckets.get(r, Fraction(0)) + coeff
-            if k1 == k2:
-                buckets[1] = buckets.get(1, Fraction(0)) - sigma * norm2
-            if all(v == 0 for v in buckets.values()):
-                continue
-            val = sum(float(cf) * math.sqrt(r) for r, cf in buckets.items())
-            extra += val * val
-    return math.sqrt(float(fro2) + extra)
 
 
 def _diag_rescaled(T: np.ndarray, V: np.ndarray, w: LogWeights) -> np.ndarray:

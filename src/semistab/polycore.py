@@ -13,8 +13,7 @@ Coefficients live in one of two layers:
   :func:`act_dense`: A . T . B^T on the first two axes and the symmetric
   power S(C) of the variable change on the monomial axis.  After the action
   a coefficient becomes zero when it lies within the running round-off
-  bound of the sums that formed it.  Float ``Poly`` objects prune at 1e-14
-  of an entry's largest coefficient.
+  bound of the sums that formed it.
 
 Multiindices are plain tuples of nonnegative ints; the canonical term order
 is graded lexicographic.
@@ -33,7 +32,6 @@ import numpy as np
 
 from .lp import exact_det
 
-FLOAT_PRUNE_REL = 1e-14
 SINGULAR_REL = 1e-12      # float C with sigma_min <= this * sigma_max is singular
 
 Multiindex = tuple
@@ -81,14 +79,8 @@ class Poly:
         terms = dict(terms or {})
         if exact is None:
             exact = all(_is_exact_scalar(c) for c in terms.values())
-        if exact:
-            terms = {a: _as_fraction(c) for a, c in terms.items() if c != 0}
-        else:
-            terms = {a: float(c) for a, c in terms.items()}
-            if terms:
-                big = max(abs(c) for c in terms.values())
-                cut = FLOAT_PRUNE_REL * big
-                terms = {a: c for a, c in terms.items() if abs(c) > cut}
+        cast = _as_fraction if exact else float
+        terms = {a: cast(c) for a, c in terms.items() if c != 0}
         for a in terms:
             if len(a) != dim or any(k < 0 for k in a):
                 raise ValueError(f"bad multiindex {a} for dim {dim}")
@@ -475,7 +467,9 @@ class GradedBasis:
                               if sum(a) <= D), key=grlex_key)
         self.index = {a: m for m, a in enumerate(self.alphas)}
         self.exps = np.array(self.alphas, dtype=float).reshape(len(self.alphas), d)
-        self.fac = np.array([float(mi_factorial(a)) for a in self.alphas])
+        # exact integers while alpha! fits in int64 (D <= 20)
+        self.fac = np.array([mi_factorial(a) for a in self.alphas],
+                            dtype=int if D <= 20 else float)
         # degree n occupies alphas[start[n]:start[n + 1]]
         start = [sum(1 for a in self.alphas if sum(a) < n) for n in range(D + 2)]
         self.plan = []
@@ -511,14 +505,15 @@ def graded_basis(d: int, D: int) -> GradedBasis:
     return GradedBasis(d, D)
 
 
-def to_dense(P: PolyMatrix):
-    """(basis, T): the coefficients of P as a float array of shape (p, q, n_mon)."""
+def to_dense(P: PolyMatrix, dtype=float):
+    """(basis, T): the coefficients of P as an array of shape (p, q, n_mon),
+    float by default; ``dtype=object`` keeps exact coefficients exact."""
     basis = graded_basis(P.d, max(P.degree_cap, 0))
-    T = np.zeros((P.p, P.q, len(basis.alphas)))
+    T = np.zeros((P.p, P.q, len(basis.alphas)), dtype=dtype)
     for i, row in enumerate(P.entries):
         for j, e in enumerate(row):
             for a, c in e.terms.items():
-                T[i, j, basis.index[a]] = float(c)
+                T[i, j, basis.index[a]] = c
     return basis, T
 
 

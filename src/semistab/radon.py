@@ -23,6 +23,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from .blockdecomp import (
+    IncidenceMatrix,
+    degrees_monotone,
+    inflate_s,
+    inflate_z,
+    reduced_product,
+    specialize_s,
+    unimodular,
+    z_degree,
+    z_order,
+)
 from .gitnorm import (
     Destabilizer,
     find_destabilizer,
@@ -74,8 +85,6 @@ class RadonProblem:
 
     def jacobian_has_generic_rank(self, seed: int = 5) -> bool:
         """Exact rank-k check of d phi / d x at random rational points."""
-        from .blockdecomp import IncidenceMatrix
-
         return IncidenceMatrix(build_incidence(self)).has_generic_rank_p(seed)
 
     def to_json(self) -> dict:
@@ -99,6 +108,11 @@ class CurvatureForm:
 
     tensor: list
     chart: str = "exact"
+
+    def __post_init__(self):
+        k, b, c = self.shape
+        if any(len(pl) != b or any(len(row) != c for row in pl) for pl in self.tensor):
+            raise ValueError(f"tensor is ragged, not {k} x {b} x {c}")
 
     @property
     def shape(self):
@@ -224,25 +238,10 @@ def build_incidence(prob: RadonProblem) -> PolyMatrix:
 
 def specialize_incidence(prob: RadonProblem, x0) -> PolyMatrix:
     """Freeze x = x0; the result is a k x n matrix in the t variables."""
-    M = build_incidence(prob)
     if len(x0) != prob.n:
         raise ValueError("x0 must have length n")
-    rows = []
-    for i in range(prob.k):
-        row = []
-        for j in range(prob.n):
-            terms = {}
-            for a, c in M.entries[i][j].terms.items():
-                val = c
-                for m in range(prob.n):
-                    if a[m]:
-                        val = val * Fraction(x0[m]) ** a[m]
-                key = a[prob.n:]
-                if val:
-                    terms[key] = terms.get(key, 0) + val
-            row.append(Poly(prob.nt, terms))
-        rows.append(row)
-    return PolyMatrix(rows)
+    return PolyMatrix([[specialize_s(e, prob.n, x0) for e in row]
+                       for row in build_incidence(prob).entries])
 
 
 def curvature_form(prob: RadonProblem, z0) -> CurvatureForm:
@@ -602,20 +601,13 @@ def moment_family_type1(alphas, k: int):
     def mono(a, coef):
         return Poly(d, {tuple(a): coef})
 
-    def s_mono(a, coef):
-        # coefficient block of P: a polynomial in s inside the (s, z) space
-        return Poly(2 * d, {tuple(a) + (0,) * d: coef})
-
-    def z_mono(a, coef):
-        return Poly(2 * d, {(0,) * d + tuple(a): coef})
-
     zero = Poly.zero(d)
     one = Poly.constant(d, 1)
-    zero2 = Poly.zero(2 * d)
     M = [[zero for _ in range(cols)] for _ in range(rows)]
     B = [[zero for _ in range(cols)] for _ in range(cols)]
     A = [[zero for _ in range(rows)] for _ in range(rows)]
-    P = [[zero2 for _ in range(cols)] for _ in range(rows)]
+    # right block in the z variables alone, for the sparse criterion
+    right = [[zero for _ in range(k)] for _ in range(rows)]
     for r in range(rows):
         M[r][r] = one
     for c in range(cols):
@@ -624,8 +616,7 @@ def moment_family_type1(alphas, k: int):
         for m in range(k):
             r = i * k + m
             M[r][N * k + m] = mono(a, fac(a))
-            B[r][N * k + m] = mono(a, -fac(a))
-            P[r][N * k + m] = z_mono(a, -fac(a))
+            B[r][N * k + m] = right[r][m] = mono(a, -fac(a))
     for i, a in enumerate(alphas):
         for i2, a2 in enumerate(alphas):
             diff = tuple(x - y for x, y in zip(a, a2))
@@ -634,17 +625,16 @@ def moment_family_type1(alphas, k: int):
             coef = Fraction((-1) ** sum(diff), mi_factorial(diff))
             for m in range(k):
                 A[i * k + m][i2 * k + m] = mono(diff, coef)
-                P[i * k + m][i2 * k + m] = s_mono(diff, coef)
-    Pm = PolyMatrix(P)
-    # right block in the z variables alone, for the sparse criterion
-    right_rows = []
-    for i, a in enumerate(alphas):
-        for m in range(k):
-            row = [zero] * k
-            row[m] = mono(a, -fac(a))
-            right_rows.append(row)
-    right = PolyMatrix(right_rows)
-    return (PolyMatrix(M), PolyMatrix(A), PolyMatrix(B), Pm, right, chk.sigma)
+    return (PolyMatrix(M), PolyMatrix(A), PolyMatrix(B), _degree_matched(A, right, d),
+            PolyMatrix(right), chk.sigma)
+
+
+def _degree_matched(A, right, d: int) -> PolyMatrix:
+    """The full degree-matched matrix of a balanced family: the s-polynomial
+    block A beside the z-polynomial block ``right``, in the (s, z) space."""
+    return PolyMatrix([[inflate_s(e, d) for e in a_row]
+                       + [inflate_z(e, d) for e in r_row]
+                       for a_row, r_row in zip(A, right)])
 
 
 def moment_family_type2(alphas):
@@ -667,16 +657,9 @@ def moment_family_type2(alphas):
         a2[l] -= 1
         return Poly(d, {tuple(a2): coef * Fraction(1, mi_factorial(tuple(a2)))})
 
-    def to_z(e):
-        return Poly(2 * d, {(0,) * d + a: c for a, c in e.terms.items()})
-
-    def to_s(e):
-        return Poly(2 * d, {a + (0,) * d: c for a, c in e.terms.items()})
-
     M = [[zero for _ in range(cols)] for _ in range(N)]
     B = [[zero for _ in range(cols)] for _ in range(cols)]
     A = [[zero for _ in range(N)] for _ in range(N)]
-    P = [[Poly.zero(2 * d) for _ in range(cols)] for _ in range(N)]
     right = [[zero for _ in range(d)] for _ in range(N)]
     for r in range(N):
         M[r][r] = one
@@ -689,7 +672,6 @@ def moment_family_type2(alphas):
             B[i][N + l] = dmono(a, l, -sign)
             # reduced value: -q(t-s) = (-1)^{|a|} d_l z^a / a! in z = t - s
             right[i][l] = dmono(a, l, Fraction((-1) ** mi_order(a)))
-            P[i][N + l] = to_z(right[i][l])
     for i, a in enumerate(alphas):
         for i2, a2 in enumerate(alphas):
             diff = tuple(x - y for x, y in zip(a, a2))
@@ -697,9 +679,7 @@ def moment_family_type2(alphas):
                 continue
             coef = Fraction(1, mi_factorial(diff))
             A[i][i2] = Poly(d, {diff: coef})
-            P[i][i2] = to_s(Poly(d, {diff: coef}))
-    Pm = PolyMatrix(P)
-    return (PolyMatrix(M), PolyMatrix(A), PolyMatrix(B), Pm,
+    return (PolyMatrix(M), PolyMatrix(A), PolyMatrix(B), _degree_matched(A, right, d),
             PolyMatrix(right), chk.sigma)
 
 
@@ -730,16 +710,9 @@ def verify_radon_decomposition(M: PolyMatrix, A: PolyMatrix, B: PolyMatrix,
     all derivatives of total order <= deg_z P_ij.  Degrees must be constant
     per entry and nondecreasing in both indexes.
     """
-    from .blockdecomp import (inflate_s, inflate_t, pm_det, pm_mul, z_order,
-                              z_degree)
-
     d = M.d
-    det_ok = (pm_det(A) == Poly.constant(d, 1)
-              and pm_det(B) == Poly.constant(d, 1))
-    As = PolyMatrix([[inflate_s(e, d) for e in row] for row in A.entries])
-    Ms = PolyMatrix([[inflate_s(e, d) for e in row] for row in M.entries])
-    Bt = PolyMatrix([[inflate_t(e, d) for e in row] for row in B.entries])
-    R = pm_mul(pm_mul(As, Ms), Bt)
+    det_ok = unimodular(d, A, B)
+    R = reduced_product(A, M, B)
 
     # P with z in the second block and s-coefficients in the first:
     # a plain d-variable entry is all-z (degree-matched part)
@@ -749,8 +722,7 @@ def verify_radon_decomposition(M: PolyMatrix, A: PolyMatrix, B: PolyMatrix,
         for j in range(M.q):
             e = P.entries[i][j]
             if e.dim == d:
-                E = Poly(2 * d, {(0,) * d + a: c for a, c in e.terms.items()},
-                         exact=True)
+                E = inflate_z(e, d)
             elif e.dim == 2 * d:
                 E = e
             else:
@@ -765,16 +737,6 @@ def verify_radon_decomposition(M: PolyMatrix, A: PolyMatrix, B: PolyMatrix,
                 bad = min((a for a in defect.terms if sum(a[d:]) <= dij),
                           key=lambda a: sum(a[d:]))
                 viol.append(((i, j), bad[d:]))
-
-    def mono_pair(a, b):
-        return a is None or b is None or a <= b
-
-    monotone = all(
-        mono_pair(degs[i][j], degs[i + 1][j])
-        for i in range(M.p - 1) for j in range(M.q)
-    ) and all(
-        mono_pair(degs[i][j], degs[i][j + 1])
-        for i in range(M.p) for j in range(M.q - 1)
-    )
+    monotone = degrees_monotone(degs)
     ok = det_ok and monotone and not viol
     return RadonVerifyReport(ok, det_ok, monotone, viol)

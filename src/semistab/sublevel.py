@@ -28,10 +28,10 @@ from .blockdecomp import (
     BlockDecomposition,
     IncidenceMatrix,
     Tile,
+    _tile_block,
     group_offsets,
     reduced_matrix,
     specialize_s,
-    tile_map,
 )
 from .gitnorm import git_norm, haar_orthogonal
 from .polycore import PolyMatrix, act_dense, to_dense
@@ -336,35 +336,32 @@ class TilePlanWeight:
     """w(t) = prod_i git(tile_map(..., t))^(theta_i / sigma).
 
     Each tile value is :func:`git_norm`'s deterministic critical-point
-    search (at most 120 inner solves).  ``mode="auto"`` probes a few
-    rational points; if the composed value is constant to 1e-4 relative
-    the weight collapses to that constant, otherwise each requested point
-    is evaluated exactly (no interpolation).  ``restarts`` and ``seed``
-    have no effect; they are accepted so that existing callers keep working.
+    search (at most 120 inner solves) on a tile map sliced from one reduced
+    matrix, built here.  A few rational points are probed; if the composed
+    value is constant to 1e-4 relative the weight collapses to that
+    constant, otherwise each requested point is evaluated exactly (no
+    interpolation).  ``mode`` must be "auto"; it, ``restarts`` and ``seed``
+    are accepted so that existing callers keep working.
     """
 
     def __init__(self, M, decomp: BlockDecomposition, plan, mode: str = "auto",
                  restarts: int = 8, seed: int = 0):
         if isinstance(M, IncidenceMatrix):
             M = M.M
+        if mode != "auto":
+            raise ValueError(f"unknown mode {mode!r}")
         self.M = M
         self.decomp = decomp
         self.plan = plan
-        self.constant = None
-        if mode not in ("auto", "exact", "constant"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode in ("auto", "constant"):
-            const = self._probe_constancy()
-            if const is None and mode == "constant":
-                raise ValueError("tile values are not constant on probes")
-            self.constant = const
+        self.R = reduced_matrix(M, decomp)
+        self.constant = self._probe_constancy()
 
     def _value_at(self, t0) -> float:
         total = 1.0
         for pt, theta in zip(self.plan.points, self.plan.theta):
             if theta == 0:
                 continue
-            tm = tile_map(self.M, self.decomp, pt.tile, t0)
+            tm = _tile_block(self.R, self.decomp, pt.tile, t0)
             v = git_norm(tm, pt.sigma, budget=120).value
             total *= v ** (float(theta) / float(self.plan.sigma_total))
         return total

@@ -188,6 +188,54 @@ def test_plan_without_a_decomposition_is_an_input_error():
     one_error_line(run_cli("plan", "--input", fx("t2.json")))
 
 
+def test_malformed_plan_is_an_input_error(tmp_path):
+    # a tile I = [0, 7] on a decomposition with 2 row groups once printed
+    # tau 9/13; a sigma with den 0 or no rational value once ended in a
+    # traceback
+    with open(fx("plan61.json")) as fh:
+        problem = json.load(fh)
+    outside = json.loads(json.dumps(problem))
+    outside["tiles"][0]["I"] = [0, 7]
+    for bad in (outside, dict(problem, sigma={"num": 1, "den": 0}),
+                dict(problem, sigma="abc")):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(bad))
+        one_error_line(run_cli("plan", "--input", str(path)))
+
+
+def term(alpha, num=1, den=1):
+    return {"alpha": alpha, "num": num, "den": den}
+
+
+# phi = x0 + x1 t0 in (x0, x1, t0): transverse at the origin
+PHI = {"n": 2, "n1": 2, "k": 1, "phi": [[term([1, 0, 0]), term([0, 1, 1])]]}
+ONE = {"num": 1, "den": 1}
+MALFORMED = {
+    "phi-den-0": ("semistable", dict(PHI, phi=[[term([1, 0, 0], den=0)]])),
+    "phi-alpha-length": ("semistable", dict(PHI, phi=[[term([1, 0])]])),
+    "k-out-of-range": ("semistable", dict(PHI, k=2)),
+    "tensor-den-0": ("semistable", {"tensor": [[[{"num": 1, "den": 0}]]]}),
+    "ragged-tensor": ("semistable", {"tensor": [[[ONE, ONE], [ONE]]]}),
+    "non-transverse-phi": ("semistable", dict(PHI, phi=[[term([1, 0, 1])]])),
+    "balanced-without-alphas": ("radon", {"type": 1, "k": 1}),
+}
+
+
+def test_well_formed_phi_problem_is_decided(tmp_path):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(PHI))
+    assert run_cli("semistable", "--input", str(path)).returncode in (0, 2)
+
+
+@pytest.mark.parametrize("verb, problem", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_form_problem_is_an_input_error(tmp_path, verb, problem):
+    # each of these once ended in a traceback
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    flag = "--balanced" if verb == "radon" else "--input"
+    one_error_line(run_cli(verb, flag, str(path)))
+
+
 def test_gitnorm_is_scale_free(tmp_path, capsys):
     # x^2 + 10^-k y^2 at sigma 1 has infimum 2 * 10^(-k/2); it was once
     # reported as 0.0 and drift-to-zero for k >= 14

@@ -174,6 +174,36 @@ def test_criticality_positive_when_unbalanced():
     assert criticality_residual(P, 1) > 0.1
 
 
+def random_exact_matrix(rng):
+    """A seeded exact p x q matrix, p, q, d <= 3, of up to three terms of
+    degree <= 3 per entry."""
+    p, q, d = (int(rng.integers(1, 4)) for _ in range(3))
+    D = int(rng.integers(0, 4))
+
+    def entry():
+        terms = {}
+        for _ in range(int(rng.integers(0, 4))):
+            a = rng.multinomial(int(rng.integers(0, D + 1)), [1 / d] * d)
+            terms[tuple(map(int, a))] = F(int(rng.integers(-9, 10)),
+                                          int(rng.integers(1, 7)))
+        return Poly(d, terms)
+
+    return PolyMatrix([[entry() for _ in range(q)] for _ in range(p)])
+
+
+def test_exact_criticality_matches_the_float_path():
+    # exact input runs the same residual matrices as float input, on Fractions
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        P = random_exact_matrix(rng)
+        sigma = F(int(rng.integers(0, 5)), int(rng.integers(1, 4)))
+        Pf = PolyMatrix([[Poly(e.dim, e.terms, exact=False) for e in row]
+                         for row in P.entries])
+        exact = criticality_residual(P, sigma)
+        flo = criticality_residual(Pf, float(sigma))
+        assert abs(exact - flo) <= 1e-12 * flo
+
+
 # -- membership and destabilizers -----------------------------------------------------
 
 
@@ -432,20 +462,23 @@ def test_git_norm_p63_reaches_diagonal_optimum_deterministically(sigma):
 FOC_TARGET = 1e-9  # converged means residual <= this * value^2
 
 
-def scale_form(k):
+def scale_form(k, exact=True):
     """x^2 + 10^-k y^2, whose infimum at sigma = 1 is 2 * 10^(-k/2)."""
-    return PolyMatrix([[Poly(2, {(2, 0): 1, (0, 2): F(1, 10 ** k)})]])
+    small = F(1, 10 ** k) if exact else 10.0 ** -k
+    return PolyMatrix([[Poly(2, {(2, 0): 1, (0, 2): small}, exact=exact)]])
 
 
 def test_git_norm_is_scale_free():
     # z -> (e^a z0, e^-a z1) balances the two terms; neither the pruning of
-    # the action nor the stopping and drift tests may depend on 10^-k
+    # the action or of a float Poly nor the stopping and drift tests may
+    # depend on 10^-k
     for k in range(31):
-        est = git_norm(scale_form(k), 1)
-        expect = 2 * 10 ** (-k / 2)
-        assert est.status == "converged", k
-        assert abs(est.value - expect) <= 1e-6 * expect, k
-        assert est.foc_residual <= FOC_TARGET * est.value ** 2, k
+        for exact in (True, False):
+            est = git_norm(scale_form(k, exact), 1)
+            expect = 2 * 10 ** (-k / 2)
+            assert est.status == "converged", (k, exact)
+            assert abs(est.value - expect) <= 1e-6 * expect, (k, exact)
+            assert est.foc_residual <= FOC_TARGET * est.value ** 2, (k, exact)
 
 
 def float_form_523(seed):

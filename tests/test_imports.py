@@ -1,6 +1,8 @@
-"""Each module of the package uses every name it imports."""
+"""Each module of the package uses every name it imports, and every private
+module-level function or class is used somewhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,33 @@ def test_unused_imports_finds_each_kind():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_used(node) -> Counter:
+    """How often each name is read below ``node``, as a bare name or as an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_private(sources: list) -> list:
+    """Module-level ``_private`` functions and classes that no code outside
+    their own definition refers to, across all ``sources``."""
+    trees = [ast.parse(src) for src in sources]
+    used = sum((names_used(t) for t in trees), Counter())
+    return sorted(
+        node.name for t in trees for node in t.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and used[node.name] == names_used(node)[node.name])
+
+
+def test_unreferenced_private_finds_dead_helpers():
+    a = "def _dead(n):\n    return _dead(n - 1)\n\ndef _live():\n    pass\n"
+    b = "from a import _live\nclass _Unused:\n    pass\nx = a._live() if _live else 0\n"
+    assert unreferenced_private([a, b]) == ["_Unused", "_dead"]
+
+
+def test_every_private_helper_is_used():
+    paths = sorted(SRC.glob("*.py"))
+    assert unreferenced_private([p.read_text() for p in paths]) == []
