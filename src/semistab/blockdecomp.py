@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -251,10 +252,12 @@ class IncidenceMatrix:
         return self.M.d
 
     def has_generic_rank_p(self, seed: int = 5) -> bool:
-        """Exact rank at a couple of random rational points."""
-        rng = np.random.default_rng(seed)
+        """Exact rank at a couple of random rational points.  The points come
+        from the standard library's generator, so that the check does not
+        load ``numpy.random``."""
+        rng = random.Random(seed)
         for _ in range(2):
-            pt = [Fraction(int(rng.integers(-99, 100)), 101) for _ in range(self.d)]
+            pt = [Fraction(rng.randint(-99, 99), 101) for _ in range(self.d)]
             rows = [[eval_poly_exact(e, pt) for e in row] for row in self.M.entries]
             if exact_rank(rows) == self.p:
                 return True

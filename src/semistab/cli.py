@@ -17,6 +17,7 @@ import numpy as np
 
 from .blockdecomp import (
     BlockDecomposition,
+    IncidenceMatrix,
     Tile,
     eliminate,
     useful_tiles,
@@ -162,11 +163,18 @@ def cmd_destabilize(args) -> int:
     return 0
 
 
+def _incidence_from(obj: dict, path: str) -> PolyMatrix:
+    M = _matrix_from(obj, path)
+    if not IncidenceMatrix(M).has_generic_rank_p():
+        raise InputError(f"{path}: not an incidence matrix (generic rank below p = {M.p})")
+    return M
+
+
 def cmd_blockdecomp(args) -> int:
     if args.verify:
         obj = _load(args.verify)
         try:
-            M = _matrix_from(obj["matrix"], args.verify)
+            M = _incidence_from(obj["matrix"], args.verify)
             decomp = _decomposition_from(obj["decomposition"], args.verify)
         except KeyError as exc:
             raise InputError(f"{args.verify}: missing field {exc}") from exc
@@ -175,7 +183,7 @@ def cmd_blockdecomp(args) -> int:
         _table([["D"] + [" ".join(map(str, row)) for row in decomp.D]])
         _emit(rep.to_json(), args.out)
         return 0
-    M = _matrix_from(_load(args.input), args.input)
+    M = _incidence_from(_load(args.input), args.input)
     A, B, R, decomp = eliminate(M)
     rep = verify_block_decomposition(M, decomp)
     _table([["row_groups", decomp.row_groups], ["col_groups", decomp.col_groups]])

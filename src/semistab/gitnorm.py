@@ -848,20 +848,10 @@ def feasible_sigma_interval(E: SupportSet):
     n = len(E.triples)
     if n == 0:
         return None
-    pts = E.weight_points()
-    # variables: theta (n) | sigma
-    A = []
-    b = []
-    for coord in range(p + q + d):
-        row = [pts[t][coord] for t in range(n)] + [Fraction(0)]
-        if coord >= p + q:
-            row[n] = Fraction(-1)
-            b.append(Fraction(0))
-        else:
-            b.append(Fraction(1, p) if coord < p else Fraction(1, q))
-        A.append(row)
-    A.append([Fraction(1)] * n + [Fraction(0)])
-    b.append(Fraction(1))
+    # variables: theta (n) | sigma, moved to the left side of the d rows
+    A, b = _coordinate_rows(E, Fraction(0))
+    A = [row + [Fraction(-1) if p + q <= c < p + q + d else Fraction(0)]
+         for c, row in enumerate(A)]
     obj = [Fraction(0)] * n + [Fraction(1)]
     lo = solve_eq_lp(A, b, obj, maximize=False)
     if lo.status != "optimal":

@@ -4,16 +4,19 @@ Coefficients live in one of two layers:
 
 * the exact layer (``fractions.Fraction``), used for every decision that must
   be a certificate (vanishing orders, support sets, LP data).  A polynomial
-  is a mapping ``multiindex -> coefficient`` with no stored zero, and the
-  group action by rational matrices expands and recollects it term by term;
+  is a mapping ``multiindex -> coefficient`` with no stored zero;
 * a double-precision layer, used whenever P or any of the acting matrices is
-  float.  A p x q matrix is then a dense array of shape (p, q, n_mon) over
-  the graded monomial basis of degree <= ``degree_cap`` (:class:`GradedBasis`,
-  which carries the alpha! weights of the norm).  The action is one kernel,
-  :func:`act_dense`: A . T . B^T on the first two axes and the symmetric
-  power S(C) of the variable change on the monomial axis.  After the action
-  a coefficient becomes zero when it lies within the running round-off
-  bound of the sums that formed it.
+  float.
+
+The group action is one kernel for both, :func:`act_dense`.  A p x q matrix
+becomes a dense array of shape (p, q, n_mon) over the graded monomial basis
+of degree <= ``degree_cap`` (:class:`GradedBasis`, which carries the alpha!
+weights of the norm): float, or ``object`` holding Fractions when P and the
+acting matrices are all exact.  The kernel computes A . T . B^T on the first
+two axes and the symmetric power S(C) of the variable change on the monomial
+axis, in the dtype of T.  On float input a coefficient then becomes zero when
+it lies within the running round-off bound of the sums that formed it; exact
+input has no round-off, and no cut.
 
 Multiindices are plain tuples of nonnegative ints; the canonical term order
 is graded lexicographic.
@@ -279,28 +282,10 @@ def _substitute_forms(P: Poly, forms: list[Poly]) -> Poly:
 
 
 def substitute_linear(P: Poly, C) -> Poly:
-    """Return z -> P(C^T z), expanded and recollected.
-
-    Exact when P and C are (C a sequence of rows of Fraction/int); otherwise
-    the float kernel :func:`act_dense` on P as a 1 x 1 matrix.
-    """
-    C = _as_matrix(C, P.dim, P.dim)
-    d = P.dim
-    if not (P.exact and matrix_is_exact(C)):
-        basis, T = to_dense(PolyMatrix([[P]]))
-        one = np.ones((1, 1))
-        return from_dense(basis, act_dense(basis, T, one, one, C)).entries[0][0]
-    forms = []
-    for k in range(d):
-        # (C^T z)_k = sum_l C[l][k] z_l
-        terms = {}
-        for l in range(d):
-            c = C[l][k]
-            if c != 0:
-                key = tuple(1 if j == l else 0 for j in range(d))
-                terms[key] = c
-        forms.append(Poly(d, terms, exact=True))
-    return _substitute_forms(P, forms)
+    """Return z -> P(C^T z), expanded and recollected: :func:`act_dense` on
+    P as a 1 x 1 matrix, exact when P and C are."""
+    one = ((1,),)
+    return _act(PolyMatrix([[P]]), one, one, _as_matrix(C, P.dim, P.dim)).entries[0][0]
 
 
 def diagonal_shift(P: Poly, s0) -> Poly:
@@ -448,7 +433,7 @@ class PolyMatrix:
         return "PolyMatrix(%dx%d in %d vars)" % (self.p, self.q, self.d)
 
 
-# -- the dense float layer ------------------------------------------------------
+# -- the dense layer ------------------------------------------------------------
 
 
 class GradedBasis:
@@ -487,8 +472,8 @@ class GradedBasis:
     def sym_power(self, C: np.ndarray) -> np.ndarray:
         """S with S[beta, alpha] the coefficient of z^beta in (C^T z)^alpha."""
         n = len(self.alphas)
-        S = np.zeros((n, n))
-        S[0, 0] = 1.0
+        S = np.zeros((n, n), dtype=C.dtype)
+        S[0, 0] = 1
         for lo, mid, hi, parents, ks, mul in self.plan:
             prev = S[lo:mid, parents]
             for l in range(self.d):
@@ -518,9 +503,11 @@ def to_dense(P: PolyMatrix, dtype=float):
 
 
 def from_dense(basis: GradedBasis, T: np.ndarray) -> PolyMatrix:
-    """The float PolyMatrix with coefficients T over ``basis``."""
-    rows = [[Poly(basis.d, {basis.alphas[m]: float(e[m]) for m in np.flatnonzero(e)},
-                  exact=False) for e in row] for row in T]
+    """The PolyMatrix with coefficients T over ``basis``: exact for an object
+    array of exact scalars, float otherwise."""
+    exact = T.dtype == object
+    rows = [[Poly(basis.d, {basis.alphas[m]: e[m] for m in np.flatnonzero(e)},
+                  exact=exact) for e in row] for row in T]
     return PolyMatrix(rows, degree_cap=basis.D)
 
 
@@ -531,15 +518,24 @@ def _mix(T: np.ndarray, A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarr
 
 
 def act_dense(basis: GradedBasis, T: np.ndarray, A, B, C) -> np.ndarray:
-    """The action on a dense float matrix, entry (k, l) being
-    sum_{i,j} A[k][i] B[l][j] T_ij(C^T z).
+    """The action on a dense matrix, entry (k, l) being
+    sum_{i,j} A[k][i] B[l][j] T_ij(C^T z), in the dtype of T.
 
-    A coefficient is set to zero when it lies within the running round-off
-    bound of its sums: the same products on |A|, |T|, |B| and S(|C|), times
-    (n_mon + p + q + D) machine epsilons.  The bound is relative to each
-    coefficient's own sums, so an exact input in the identity frame is never
-    cut, whatever the spread of its coefficients."""
-    A, B, C = (np.asarray(M, dtype=float) for M in (A, B, C))
+    Float T: a coefficient is set to zero when it lies within the running
+    round-off bound of its sums: the same products on |A|, |T|, |B| and
+    S(|C|), times (n_mon + p + q + D) machine epsilons.  The bound is
+    relative to each coefficient's own sums, so an exact input in the
+    identity frame is never cut, whatever the spread of its coefficients.
+
+    Object T (exact coefficients): there is no round-off to cut.  Each
+    operand is written as integers over one denominator, so the sums are
+    integer sums, and a degree-n coefficient is divided once, by
+    den(T) den(A) den(B) den(C)^n."""
+    A, B, C = (np.asarray(M, dtype=T.dtype) for M in (A, B, C))
+    if T.dtype == object:
+        (T, dT), (A, dA), (B, dB), (C, dC) = map(_over_one_den, (T, A, B, C))
+        den = np.array([dT * dA * dB * dC ** sum(a) for a in basis.alphas], dtype=object)
+        return np.frompyfunc(Fraction, 2, 1)(_mix(T, A, B, basis.sym_power(C)), den)
     p, q, n = T.shape
     X = _mix(T, A, B, basis.sym_power(C))
     bound = _mix(np.abs(T), np.abs(A), np.abs(B), basis.sym_power(np.abs(C)))
@@ -547,34 +543,28 @@ def act_dense(basis: GradedBasis, T: np.ndarray, A, B, C) -> np.ndarray:
     return np.where(np.abs(X) > cut, X, 0.0)
 
 
+def _over_one_den(M: np.ndarray):
+    """(N, den): integers N (an object array) and an int den with M = N / den."""
+    den = math.lcm(1, *(x.denominator for x in M.flat))
+    N = [x.numerator * (den // x.denominator) for x in M.flat]
+    return np.array(N, dtype=object).reshape(M.shape), den
+
+
 def act_group(P: PolyMatrix, g: GroupElement) -> PolyMatrix:
     """Apply the representation: mix rows by A, columns by B, substitute C.
 
-    The result entry (k, l) is sum_{i,j} A[k][i] B[l][j] P_ij(C^T z).  Exact
-    when P and g are; otherwise the float kernel :func:`act_dense`.
+    The result entry (k, l) is sum_{i,j} A[k][i] B[l][j] P_ij(C^T z), from
+    :func:`act_dense`: exact when P and g are, float otherwise.
     """
-    A, B, C = g.A, g.B, g.C
-    if (len(A) != P.p) or (len(B) != P.q) or (len(C) != P.d):
+    if (len(g.A) != P.p) or (len(g.B) != P.q) or (len(g.C) != P.d):
         raise ValueError("group element shape does not match matrix")
-    if not (P.exact and all(matrix_is_exact(M) for M in (A, B, C))):
-        basis, T = to_dense(P)
-        return from_dense(basis, act_dense(basis, T, A, B, C))
-    sub = [[substitute_linear(P.entries[i][j], C) for j in range(P.q)]
-           for i in range(P.p)]
-    rows = []
-    for k in range(P.p):
-        row = []
-        for l in range(P.q):
-            acc = Poly.zero(P.d)
-            for i in range(P.p):
-                if A[k][i] == 0:
-                    continue
-                for j in range(P.q):
-                    if B[l][j] != 0:
-                        acc = acc + sub[i][j].scale(A[k][i] * B[l][j])
-            row.append(acc)
-        rows.append(row)
-    return PolyMatrix(rows, degree_cap=max(P.degree_cap, 0))
+    return _act(P, g.A, g.B, g.C)
+
+
+def _act(P: PolyMatrix, A, B, C) -> PolyMatrix:
+    exact = P.exact and all(matrix_is_exact(M) for M in (A, B, C))
+    basis, T = to_dense(P, object if exact else float)
+    return from_dense(basis, act_dense(basis, T, A, B, C))
 
 
 def hs_norm_sq_exact(P: PolyMatrix) -> Fraction:

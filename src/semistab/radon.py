@@ -47,6 +47,7 @@ from .polycore import (
     Poly,
     PolyMatrix,
     act_group,
+    diagonal_shift,
     mi_factorial,
     mi_order,
     partial_derivative,
@@ -111,6 +112,8 @@ class CurvatureForm:
 
     def __post_init__(self):
         k, b, c = self.shape
+        if 0 in (k, b, c):
+            raise ValueError(f"tensor has an empty axis: {k} x {b} x {c}")
         if any(len(pl) != b or any(len(row) != c for row in pl) for pl in self.tensor):
             raise ValueError(f"tensor is ragged, not {k} x {b} x {c}")
 
@@ -141,23 +144,13 @@ class CurvatureForm:
         return PolyMatrix(rows)
 
     def transformed(self, L_out, L_x, L_t) -> "CurvatureForm":
-        """Apply linear maps to the three slots (exact for rational maps)."""
-        k, b, c = self.shape
-        out = [[[Fraction(0) for _ in range(c)] for _ in range(b)]
-               for _ in range(k)]
-        for i in range(k):
-            for j in range(b):
-                for l in range(c):
-                    acc = Fraction(0)
-                    for i2 in range(k):
-                        for j2 in range(b):
-                            for l2 in range(c):
-                                acc += (Fraction(L_out[i][i2])
-                                        * Fraction(L_x[j2][j])
-                                        * Fraction(L_t[l2][l])
-                                        * Fraction(self.tensor[i2][j2][l2]))
-                    out[i][j][l] = acc
-        return CurvatureForm(out)
+        """Apply linear maps to the three slots, in Fractions:
+        out[i][j][l] = sum L_out[i][i2] L_x[j2][j] L_t[l2][l] g[i2][j2][l2]."""
+        frac = np.frompyfunc(Fraction, 1, 1)
+        g, Lo, Lx, Lt = (frac(np.array(M, dtype=object))
+                         for M in (self.tensor, L_out, L_x, L_t))
+        return CurvatureForm(
+            np.einsum("ia,bj,cl,abc->ijl", Lo, Lx, Lt, g, optimize=True).tolist())
 
 
 @dataclass
@@ -253,86 +246,41 @@ def curvature_form(prob: RadonProblem, z0) -> CurvatureForm:
     returns g[i][j][l] = d^2 phi^i / dx_j dt_l at the point, with j running
     over kernel directions.
 
-    Rational data goes through exact pivoting; anything else through the
-    double-precision orthogonal path with a 1e-8 rank threshold.  The
-    returned form records which chart ran.
+    The Jacobian J and the mixed partials are read from the shifted phi into
+    one array, of Fractions for rational phi and of floats otherwise.  The
+    exact chart splits off the kernel by rational pivoting and inverts J on
+    the pivot columns; the float chart splits it by the SVD of J with a 1e-8
+    rank threshold.  Both contract with the same einsum, and the returned
+    form records which chart ran.
     """
     nv = prob.n + prob.nt
     if len(z0) != nv:
         raise ValueError("base point must have n + (n1-k) coordinates")
-    if not all(f.exact for f in prob.phi):
-        return _curvature_form_float(prob, z0)
-    z0 = [Fraction(v) for v in z0]
-    from .polycore import diagonal_shift
-
-    shifted = [diagonal_shift(f, z0) for f in prob.phi]
-    J = [[f.terms.get(tuple(int(m == j) for m in range(nv)), Fraction(0))
-          for j in range(prob.n)] for f in shifted]
-    kernel, piv_cols = exact_nullspace(J, prob.n)
-    if len(piv_cols) < prob.k:
-        raise NonTransverse(
-            f"x-Jacobian rank {len(piv_cols)} < codimension {prob.k}")
-    # target renormalization T = (J restricted to pivot columns)^{-1}
-    sub = [[J[i][c] for c in piv_cols] for i in range(prob.k)]
-    T = exact_inverse(sub)
-    # second mixed partials d^2 phi^i / dx_a dt_l at 0
-    mixed = {}
-    for i in range(prob.k):
-        for a in range(prob.n):
-            for l in range(prob.nt):
-                key = [0] * nv
-                key[a] += 1
-                key[prob.n + l] += 1
-                mixed[(i, a, l)] = shifted[i].terms.get(tuple(key), Fraction(0))
-    tensor = []
-    for i in range(prob.k):
-        plane = []
-        for j, kv in enumerate(kernel):
-            row = []
-            for l in range(prob.nt):
-                acc = Fraction(0)
-                for i2 in range(prob.k):
-                    for a in range(prob.n):
-                        if kv[a] == 0 or T[i][i2] == 0:
-                            continue
-                        acc += T[i][i2] * kv[a] * mixed[(i2, a, l)]
-                row.append(acc)
-            plane.append(row)
-        tensor.append(plane)
-    return CurvatureForm(tensor)
-
-
-def _curvature_form_float(prob: RadonProblem, z0) -> CurvatureForm:
-    """Double-precision normalization: orthogonal kernel splitting with a
-    1e-8 rank threshold instead of exact pivoting."""
-    from .polycore import diagonal_shift
-
-    nv = prob.n + prob.nt
-    shifted = [diagonal_shift(f, [float(v) for v in z0]) for f in prob.phi]
-    J = np.zeros((prob.k, prob.n))
-    for i in range(prob.k):
-        for j in range(prob.n):
-            ej = tuple(1 if m == j else 0 for m in range(nv))
-            J[i, j] = float(shifted[i].terms.get(ej, 0.0))
-    U, s, Vt = np.linalg.svd(J)
-    rank = int(np.sum(s > 1e-8 * max(s[0], 1e-300))) if s.size else 0
+    exact = all(f.exact for f in prob.phi)
+    shifted = [diagonal_shift(f, [Fraction(v) if exact else float(v) for v in z0])
+               for f in prob.phi]
+    # H[i, a, 0] = d phi^i / dx_a and H[i, a, 1 + l] = d^2 phi^i / dx_a dt_l at 0
+    eye = [[int(m == v) for v in range(nv)] for m in range(nv)]
+    H = np.array([[[f.coeff([x + y for x, y in zip(eye[a], e)])
+                    for e in [[0] * nv] + eye[prob.n:]] for a in range(prob.n)]
+                  for f in shifted], dtype=object if exact else float)
+    # J is copied out contiguous: a product with a strided view skips BLAS
+    # and rounds differently
+    J, mixed = H[:, :, 0].copy(), H[:, :, 1:]
+    if exact:
+        kernel, piv_cols = exact_nullspace(J.tolist(), prob.n)
+        rank = len(piv_cols)
+    else:
+        _, s, Vt = np.linalg.svd(J)
+        rank = int(np.sum(s > 1e-8 * max(s[0], 1e-300))) if s.size else 0
+        kernel = Vt[prob.k:, :]          # rows span ker J, Vt[:k] the complement
     if rank < prob.k:
-        raise NonTransverse(
-            f"x-Jacobian rank {rank} < codimension {prob.k}")
-    kernel = Vt[prob.k:, :]          # rows span ker J
-    comp = Vt[:prob.k, :]            # rows span the complement
-    T = np.linalg.inv(J @ comp.T)    # target renormalization
-    mixed = np.zeros((prob.k, prob.n, prob.nt))
-    for i in range(prob.k):
-        for a in range(prob.n):
-            for l in range(prob.nt):
-                key = [0] * nv
-                key[a] += 1
-                key[prob.n + l] += 1
-                mixed[i, a, l] = float(shifted[i].terms.get(tuple(key), 0.0))
+        raise NonTransverse(f"x-Jacobian rank {rank} < codimension {prob.k}")
+    # target renormalization T = (J restricted to the complement of the kernel)^{-1}
+    T = (exact_inverse(J[:, piv_cols].tolist()) if exact
+         else np.linalg.inv(J @ Vt[:prob.k, :].T))
     tensor = np.einsum("im,ja,mal->ijl", T, kernel, mixed, optimize=True)
-    return CurvatureForm([[[float(v) for v in row] for row in plane]
-                          for plane in tensor], chart="float")
+    return CurvatureForm(tensor.tolist(), chart="exact" if exact else "float")
 
 
 # -- pencil destabilizer for z-linear matrices ----------------------------------------

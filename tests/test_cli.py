@@ -178,6 +178,30 @@ def test_short_entry_grid_is_an_input_error(tmp_path):
     one_error_line(run_cli("blockdecomp", "--input", str(path)))
 
 
+def eye_json(n):
+    one = [{"alpha": [0], "num": 1, "den": 1}]
+    return {"p": n, "q": n, "d": 1,
+            "entries": [[one if i == j else [] for j in range(n)] for i in range(n)]}
+
+
+@pytest.mark.parametrize("entries", [
+    [[[], [], []], [[], [], []]],                        # the zero matrix
+    [[[{"alpha": [1], "num": 1, "den": 1}], [], []],     # rank 1: row 2 = 2 row 1
+     [[{"alpha": [1], "num": 2, "den": 1}], [], []]],
+], ids=["zero", "rank-1"])
+def test_blockdecomp_rejects_a_matrix_below_generic_rank_p(tmp_path, entries):
+    # under --input both once exited 0 with "self-check PASS"; under --verify
+    # the zero matrix once passed with D = 1
+    matrix = {"p": 2, "q": 3, "d": 1, "entries": entries}
+    bundle = {"matrix": matrix,
+              "decomposition": {"row_groups": [2], "col_groups": [3], "D": [[1]],
+                                "A": eye_json(2), "B": eye_json(3)}}
+    for flag, obj in (("--input", matrix), ("--verify", bundle)):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        one_error_line(run_cli("blockdecomp", flag, str(path)))
+
+
 def test_tiles_on_a_bare_matrix_is_an_input_error():
     # once "KeyError: 'row_groups'"
     one_error_line(run_cli("tiles", "--input", fx("m61.json")))
@@ -216,6 +240,9 @@ MALFORMED = {
     "k-out-of-range": ("semistable", dict(PHI, k=2)),
     "tensor-den-0": ("semistable", {"tensor": [[[{"num": 1, "den": 0}]]]}),
     "ragged-tensor": ("semistable", {"tensor": [[[ONE, ONE], [ONE]]]}),
+    "empty-tensor": ("semistable", {"tensor": []}),
+    "empty-tensor-plane": ("semistable", {"tensor": [[]]}),
+    "empty-tensor-row": ("semistable", {"tensor": [[[]]]}),
     "non-transverse-phi": ("semistable", dict(PHI, phi=[[term([1, 0, 1])]])),
     "balanced-without-alphas": ("radon", {"type": 1, "k": 1}),
 }

@@ -1,9 +1,10 @@
-"""Oracle tests: the dense float kernel against the dict-of-terms action.
+"""Oracle tests: the dense kernel against the dict-of-terms action.
 
-Every float shape (p, q, d, degree) the suite uses, each acted on by seeded
-Haar frames with random log-scales: the coefficients, the moment-map
-residual matrices and the diagonal optimum must agree with
-``tests/act_reference.py``.
+Every shape (p, q, d, degree) the suite uses, each acted on by seeded Haar
+frames with random log-scales: the coefficients, the moment-map residual
+matrices and the diagonal optimum must agree with
+``tests/act_reference.py``.  Acted on by seeded nonsingular rational frames,
+the exact results must equal the reference's term for term.
 """
 
 import random
@@ -15,6 +16,7 @@ import pytest
 import act_reference as ref
 from semistab import fixtures as fx
 from semistab.gitnorm import _foc_matrices, haar_orthogonal, minimize_diagonal
+from semistab.lp import exact_det
 from semistab.polycore import (
     GroupElement,
     Poly,
@@ -119,3 +121,38 @@ def test_substitute_linear_matches_reference():
             big = max([abs(c) for c in old.values()] + [0.0])
             for a in set(new) | set(old):
                 assert abs(new.get(a, 0.0) - old.get(a, 0.0)) <= 1e-13 * big
+
+
+def _rational_frames(P, seed):
+    """Seeded nonsingular rational frames (A, B, C)."""
+    rng = random.Random(seed)
+
+    def frame(n):
+        while True:
+            M = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                 for _ in range(n)]
+            if exact_det(M) != 0:
+                return M
+
+    return [tuple(frame(n) for n in (P.p, P.q, P.d)) for _ in range(FRAMES_PER_SHAPE)]
+
+
+def _exact_cases():
+    for shape, (make, _) in SHAPES.items():
+        P = make()
+        for k, (A, B, C) in enumerate(_rational_frames(P, sum(shape))):
+            yield pytest.param(P, A, B, C, id=f"{shape}-{k}")
+
+
+@pytest.mark.parametrize("P, A, B, C", list(_exact_cases()))
+def test_exact_action_matches_reference(P, A, B, C):
+    assert P.exact
+    new = act_group(P, GroupElement(A, B, C, volume_preserving=False))
+    old = ref.act_group(P, A, B, C)
+    assert new.exact and new.degree_cap == old.degree_cap
+    assert [[e.terms for e in row] for row in new.entries] == \
+        [[e.terms for e in row] for row in old.entries]
+    for row in P.entries:
+        for e in row:
+            got = substitute_linear(e, C)
+            assert got.exact and got.terms == ref.substitute_linear(e, C).terms

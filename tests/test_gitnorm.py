@@ -325,6 +325,27 @@ def test_feasible_sigma_interval_contains_published_range():
     assert lo <= F(3, 16) and hi >= F(5, 24)
 
 
+def test_feasible_sigma_interval_lp_rows(monkeypatch):
+    # theta (n) | sigma: the coordinate rows of the support points, the
+    # variable rows with sigma moved left, then sum theta = 1
+    import semistab.gitnorm as gn
+
+    seen, solve = [], gn.solve_eq_lp
+
+    def spy(A, b, *args, **kwargs):
+        seen.append((A, b))
+        return solve(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(gn, "solve_eq_lp", spy)
+    E = support_set(fx.example63_P())
+    feasible_sigma_interval(E)
+    pts, n, pq = E.weight_points(), len(E.triples), E.p + E.q
+    rows = [[pt[c] for pt in pts] + [F(-1) if c >= pq else F(0)]
+            for c in range(pq + E.d)] + [[F(1)] * n + [F(0)]]
+    rhs = [F(1, E.p)] * E.p + [F(1, E.q)] * E.q + [F(0)] * E.d + [F(1)]
+    assert seen == [(rows, rhs)] * 2
+
+
 # -- interplay invariants ---------------------------------------------------------------
 
 

@@ -1,13 +1,16 @@
-"""Each module of the package uses every name it imports, and every private
-module-level function or class is used somewhere in the package."""
+"""Each module of the package uses every name it imports, every private
+module-level function or class is used somewhere in the package, and every
+function the benchmark traces still exists."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "semistab"
+SPANS = SRC.parent.parent / "perfbench" / "spans.py"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -62,3 +65,14 @@ def test_unreferenced_private_finds_dead_helpers():
 def test_every_private_helper_is_used():
     paths = sorted(SRC.glob("*.py"))
     assert unreferenced_private([p.read_text() for p in paths]) == []
+
+
+def test_every_traced_function_exists():
+    # read as text, so that no bytecode is written next to the benchmark
+    tree = ast.parse(SPANS.read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+    missing = [f"{mod}.{name}" for mod, names in traced.items() for name in names
+               if not callable(getattr(importlib.import_module(f"semistab.{mod}"), name, None))]
+    assert traced and missing == []

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import curvature_reference as ref
 from semistab.polycore import Poly, PolyMatrix, act_group, support_set
 from semistab.radon import (
     CurvatureForm,
@@ -201,6 +202,95 @@ def test_verdict_invariance_under_volume_one_maps():
                         [F(0), F(0), F(1)]])
     v3 = semistability_verdict(Q3, restarts=4, seed=0)
     assert v3.state == "unstable"
+
+
+# -- the one curvature-form function against the old charts -----------------------------
+
+ORACLE_PROBLEMS = 120
+
+
+def _seeded_problem(seed):
+    """A random (problem, base point): exponents <= 3, small rationals, and
+    the linear term x_i in phi^i for most seeds, so that most problems are
+    transverse and some are not."""
+    rng = random.Random(seed)
+    n, n1 = rng.randint(2, 4), rng.randint(2, 4)
+    k = rng.randint(1, min(n, n1) - 1)
+    nv = n + n1 - k
+    phi = []
+    for i in range(k):
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            alpha = [0] * nv
+            for _ in range(rng.randint(1, 3)):
+                alpha[rng.randrange(nv)] += 1
+            terms[tuple(alpha)] = F(rng.randint(-9, 9), rng.randint(1, 5))
+        if rng.random() < 0.9:
+            terms[tuple(int(m == i) for m in range(nv))] = F(rng.randint(1, 4))
+        phi.append(Poly(nv, terms))
+    z0 = [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else F(0)
+          for _ in range(nv)]
+    return RadonProblem(n, n1, k, phi), z0
+
+
+def _as_float(prob):
+    return RadonProblem(prob.n, prob.n1, prob.k,
+                        [Poly(f.dim, {a: float(c) for a, c in f.terms.items()},
+                              exact=False) for f in prob.phi])
+
+
+def _both_charts(new, old, prob, z0):
+    """(new form, old form), or None when both raise NonTransverse."""
+    try:
+        expected = old(prob, z0)
+    except NonTransverse:
+        with pytest.raises(NonTransverse):
+            new(prob, z0)
+        return None
+    return new(prob, z0), expected
+
+
+def test_exact_chart_matches_reference():
+    decided = 0
+    for seed in range(ORACLE_PROBLEMS):
+        got = _both_charts(curvature_form, ref.curvature_form, *_seeded_problem(seed))
+        if got is None:
+            continue
+        new, old = got
+        assert new.chart == old.chart == "exact"
+        assert new.tensor == old.tensor
+        assert all(type(v) is F for pl in new.tensor for row in pl for v in row)
+        decided += 1
+    assert decided >= 100
+
+
+def test_float_chart_matches_reference_bitwise():
+    decided = 0
+    for seed in range(ORACLE_PROBLEMS):
+        prob, z0 = _seeded_problem(seed)
+        got = _both_charts(curvature_form, ref._curvature_form_float,
+                           _as_float(prob), [float(v) for v in z0])
+        if got is None:
+            continue
+        new, old = got
+        assert new.chart == old.chart == "float"
+        assert np.asarray(new.tensor).tobytes() == np.asarray(old.tensor).tobytes()
+        assert all(type(v) is float for pl in new.tensor for row in pl for v in row)
+        decided += 1
+    assert decided >= 100
+
+
+def test_transformed_matches_reference():
+    rng = random.Random(9)
+    for _ in range(40):
+        k, b, c = (rng.randint(1, 3) for _ in range(3))
+        Q = CurvatureForm([[[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(c)]
+                            for _ in range(b)] for _ in range(k)])
+        L_out, L_x, L_t = ([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+                            for _ in range(m)] for m in (k, b, c))
+        new, old = Q.transformed(L_out, L_x, L_t), ref.transformed(Q, L_out, L_x, L_t)
+        assert new.tensor == old.tensor
+        assert all(type(v) is F for pl in new.tensor for row in pl for v in row)
 
 
 # -- exponents ---------------------------------------------------------------------------
