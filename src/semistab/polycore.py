@@ -308,8 +308,9 @@ def diagonal_shift(P: Poly, s0) -> Poly:
 
 
 def _as_matrix(M, rows: int | None = None, cols: int | None = None):
-    """Normalize to a tuple-of-tuples (exact) or 2d ndarray (float)."""
-    if isinstance(M, np.ndarray):
+    """Normalize to a tuple-of-tuples (exact) or 2d ndarray (float); an
+    ``object`` ndarray is read like nested sequences."""
+    if isinstance(M, np.ndarray) and M.dtype != object:
         out = M
         r, c = M.shape
     else:

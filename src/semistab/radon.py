@@ -18,6 +18,7 @@ is reported as undetermined, with the best numeric evidence attached.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +42,8 @@ from .gitnorm import (
     minimize_diagonal,
     sparse_criterion,
 )
-from .lp import CertificateError, exact_det, exact_inverse, exact_nullspace
+from .lp import (CertificateError, exact_inverse, exact_nullspace, exact_rank,
+                 exact_rref)
 from .polycore import (
     GroupElement,
     Poly,
@@ -283,79 +285,86 @@ def curvature_form(prob: RadonProblem, z0) -> CurvatureForm:
     return CurvatureForm(tensor.tolist(), chart="exact" if exact else "float")
 
 
-# -- pencil destabilizer for z-linear matrices ----------------------------------------
+# -- flattening frames for z-linear matrices ------------------------------------------
+
+
+def _flattening(T, axis):
+    """One row per index on ``axis`` and one column per cell of the other two
+    axes, the later of them major (variable-major for rows and columns)."""
+    return np.moveaxis(T, axis, 0).transpose(0, 2, 1).reshape(T.shape[axis], -1)
+
+
+def _echelon_frame(M):
+    """The invertible E with E M in reduced row echelon form, read off the
+    reduced form of [M | I]."""
+    n, m = M.shape
+    rows, _ = exact_rref(np.hstack([M, np.eye(n, dtype=object)]).tolist())
+    return [[row.get(m + c, 0) for c in range(n)] for row in rows]
+
+
+def _integral(v):
+    """The rationals v times the lcm of their denominators, as ints (object
+    arithmetic on ints is some twenty times faster than on Fractions)."""
+    s = math.lcm(*(Fraction(x).denominator for x in v))
+    return [int(x * s) for x in v]
+
+
+def _place(n, placed, rest):
+    """n integral rows: ``placed[i]`` where given, else the next of ``rest``."""
+    rest = iter(rest)
+    return np.array([_integral(placed[i] if i in placed else next(rest))
+                     for i in range(n)], dtype=object)
 
 
 def pencil_destabilizer(P: PolyMatrix, sigma):
-    """Exact destabilizing frame for z-linear two-column matrices.
+    """Exact destabilizing frame for a z-linear matrix of any shape.
 
-    For p x 2 matrices with entries linear in z in R^d and p = 2d - 1 (the
-    generic tall-pencil shape, e.g. the 5 x 2 x 3 curvature pattern), the
-    chained column relation S2 w2 = S1 w3 produces rational bases in which
-    the support separates; the diagonal destabilizer is then found by the
-    exact margin LP.  Returns (GroupElement, Destabilizer) or None.
-
-    Two-row matrices are handled through the transpose symmetry.
+    The three axes of P's (p, q, d) coefficient array are treated alike:
+    the frame of an axis brings its flattening M to reduced row echelon
+    form.  If some M is rank-deficient, those frames leave a zero slice.
+    Otherwise, on an axis of size (product of the other two) - 1, M has a
+    one-dimensional kernel K, an s x f matrix over the other axes (the
+    castling shape; Sato and Kimura, 1977).  Frames on those axes bring K
+    of rank r to sum_{k<r} (-1)^k e_{s-m+k} (x) f_{f-1-k}, m = min(s, f),
+    up to the scale of each term, and the frame of the transformed M
+    follows.  If s != f, K has a zero row or column and the support
+    separates.  The diagonal destabilizer comes from the exact margin LP.
+    Returns (GroupElement, Destabilizer) or None.
     """
     sigma = Fraction(sigma)
-    if not P.exact:
+    if not P.exact or any(mi_order(a) != 1 for row in P.entries for e in row
+                          for a in e.terms):
         return None
-    if any(e.degree() > 1 or (not e.is_zero() and e.low_order() < 1)
-           for row in P.entries for e in row):
-        return None
-    if P.p == 2 and P.q == 2 * P.d - 1:
-        got = pencil_destabilizer(P.transpose(), sigma)
-        if got is None:
+    units = [tuple(u) for u in np.eye(P.d, dtype=int).tolist()]
+    coeffs = [e.coeff(u) for row in P.entries for e in row for u in units]
+    T = np.array(_integral(coeffs), dtype=object).reshape(P.p, P.q, P.d)
+    flat = [_flattening(T, a) for a in range(3)]
+    full = [exact_rank(M.tolist()) == n for M, n in zip(flat, T.shape)]
+    frames = [np.eye(n, dtype=object) if ok else _echelon_frame(M)
+              for M, n, ok in zip(flat, T.shape, full)]
+    if all(full):
+        a = next((a for a, n in enumerate(T.shape) if n == T.size // n - 1), None)
+        if a is None:
             return None
-        g, dest = got
-        swapped = GroupElement(g.B, g.A, g.C, volume_preserving=False)
-        return swapped, Destabilizer(dest.w_q, dest.w_p, dest.w_d, dest.margin)
-    if P.q != 2 or P.p != 2 * P.d - 1:
-        return None
-    p, d = P.p, P.d
-    S = [[[P.entries[i][j].terms.get(
-        tuple(1 if m == l else 0 for m in range(d)), Fraction(0))
-        for l in range(d)] for i in range(p)] for j in range(2)]
-    S1, S2 = S
-    rows = [[S2[i][l] for l in range(d)] + [-S1[i][l] for l in range(d)]
-            for i in range(p)]
-    ker, _ = exact_nullspace(rows, 2 * d)
-    if not ker:
-        return None
-    w2, w3 = ker[0][:d], ker[0][d:]
-
-    def matvec(Sx, v):
-        return [sum(Sx[i][l] * v[l] for l in range(d)) for i in range(p)]
-
-    if d != 3:
-        # the reduction below builds the {2x1, 3x2} chain pattern; other
-        # tall-pencil families are left to the frame search
-        return None
-    candidates = [
-        [Fraction(1 if m == kk else 0) for m in range(d)] for kk in range(d)
-    ]
-    for extra in candidates:
-        cols = [extra, w2, w3]
-        Vm = [[cols[c][r] for c in range(3)] for r in range(3)]
-        if exact_det(Vm) == 0:
-            continue
-        U = [matvec(S1, extra), matvec(S2, extra),
-             matvec(S1, w2), matvec(S2, w2), matvec(S2, w3)]
-        Um = [[U[c][r] for c in range(p)] for r in range(p)]
-        dU = exact_det(Um)
-        if dU == 0:
-            continue
-        Uinv = exact_inverse(Um)
-        Uinv[0] = [v * dU for v in Uinv[0]]  # normalize det to 1
-        A = tuple(tuple(r) for r in Uinv)
-        B = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        C = tuple(tuple(Vm[j][i] for j in range(3)) for i in range(3))
-        g = GroupElement(A, B, C, volume_preserving=False)
-        Pg = act_group(P, g)
-        dest = find_destabilizer(support_set(Pg), sigma)
-        if dest is not None:
-            return g, dest
-    return None
+        s, f = (b for b in (2, 1, 0) if b != a)
+        ns, nf = T.shape[s], T.shape[f]
+        M = flat[a]
+        ker, _ = exact_nullspace(M.tolist(), ns * nf)
+        K = np.array(_integral(ker[0]), dtype=object).reshape(ns, nf)
+        R, piv = exact_rref(K.tolist())
+        m = min(ns, nf)
+        # K = sum_k K[:, piv_k] (x) R_k: row s-m+k of G_s is (-1)^k K[:, piv_k]
+        # and row f-1-k of G_f is R_k, each up to scale
+        frames[s] = _place(ns, {ns - m + k: [(-1) ** k * v for v in K[:, c]]
+                                for k, c in enumerate(piv)},
+                           exact_nullspace(K.T.tolist(), ns)[0])
+        frames[f] = _place(nf, {nf - 1 - k: [row.get(j, 0) for j in range(nf)]
+                                for k, row in enumerate(R)},
+                           np.delete(np.eye(nf, dtype=int), piv, 0))
+        frames[a] = _echelon_frame(M @ np.kron(frames[s], frames[f]).T)
+    g = GroupElement(*frames, volume_preserving=False)
+    dest = find_destabilizer(support_set(act_group(P, g)), sigma)
+    return None if dest is None else (g, dest)
 
 
 # -- the verdict ------------------------------------------------------------------------
@@ -366,15 +375,16 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
     """Decide semistability of a curvature form, with certificates.
 
     Pipeline: sparse criterion at sigma = 1/(t-kernel dimension); exact
-    identity-frame destabilizer; the exact pencil reduction for z-linear
-    shapes it covers; and finally the deterministic critical-point search of
-    ``git_norm`` (at most ``budget`` inner solves), whose converged critical
-    points count as positive.  ``restarts`` and ``seed`` have no effect: the
+    identity-frame destabilizer; the exact flattening frames of
+    :func:`pencil_destabilizer`, which decide every rank-deficient form and
+    every castling shape p = qd - 1 with q != d (and its permutations); and
+    finally the deterministic critical-point search of ``git_norm`` (at
+    most ``budget`` inner solves), whose converged critical points count as
+    positive.  ``restarts`` and ``seed`` have no effect: the
     search is deterministic, and they are accepted only so that existing
     callers keep working.
     """
-    k, b, c = Q.shape
-    sigma = Fraction(1, c)
+    sigma = Fraction(1, Q.shape[2])
     P = Q.to_polymatrix()
     if P.is_zero():
         return SemistabilityVerdict(
@@ -393,7 +403,6 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
             cert = UnstableCertificate(None, dest, exact=True, sigma=sigma)
             return SemistabilityVerdict("unstable", cert, 0.0,
                                         "identity-frame destabilizer")
-    if P.exact:
         got = pencil_destabilizer(P, sigma)
         if got is not None:
             g, dest = got
@@ -466,22 +475,21 @@ def balanced_check(alphas, type_: int, k: int | None = None,
     N = len(alphas)
     aset = set(alphas)
 
-    def sub_indices(a):
-        ranges = [range(x + 1) for x in a]
-        for combo in itertools.product(*ranges):
-            yield combo
+    def closure_fails(least):
+        """The first multiindex of order >= ``least`` below an alpha and missing."""
+        for a in alphas:
+            for b in itertools.product(*(range(x + 1) for x in a)):
+                if mi_order(b) >= least and b != a and b not in aset:
+                    return BalancedResult(False, witness=b,
+                                          reason=f"closure fails below {a}")
+        return None
 
+    total = [Fraction(sum(a[m] for a in alphas), N) for m in range(dim)]
     if type_ == 1:
         if k is None or k < 1:
             return BalancedResult(False, reason="type 1 needs k")
-        for a in alphas:
-            for b in sub_indices(a):
-                if mi_order(b) == 0 or b == a:
-                    continue
-                if b not in aset:
-                    return BalancedResult(False, witness=b,
-                                          reason=f"closure fails below {a}")
-        total = [Fraction(sum(a[m] for a in alphas), N) for m in range(dim)]
+        if (fail := closure_fails(1)) is not None:
+            return fail
         if len(set(total)) != 1 or total[0] <= 0:
             return BalancedResult(False, reason="mean is not sigma * ones")
         sigma = total[0]
@@ -492,23 +500,12 @@ def balanced_check(alphas, type_: int, k: int | None = None,
             return BalancedResult(False, reason="type 2 needs matching d")
         if any(mi_order(a) == 1 for a in alphas):
             return BalancedResult(False, reason="degree-1 multiindex present")
-        for a in alphas:
-            for b in sub_indices(a):
-                if mi_order(b) < 2 or b == a:
-                    continue
-                if b not in aset:
-                    return BalancedResult(False, witness=b,
-                                          reason=f"closure fails below {a}")
-        mean_dir = [
-            Fraction(0)] * dim
-        for a in alphas:
-            o = mi_order(a)
-            for m in range(dim):
-                mean_dir[m] += Fraction(a[m], o)
-        mean_dir = [v / N for v in mean_dir]
+        if (fail := closure_fails(2)) is not None:
+            return fail
+        mean_dir = [sum(Fraction(a[m], mi_order(a)) for a in alphas) / N
+                    for m in range(dim)]
         if len(set(mean_dir)) != 1 or mean_dir[0] != Fraction(1, d):
             return BalancedResult(False, reason="direction mean is not 1/d")
-        total = [Fraction(sum(a[m] for a in alphas), N) for m in range(dim)]
         if len(set(total)) != 1:
             return BalancedResult(False, reason="mean is not constant")
         sigma = total[0] - Fraction(1, d)

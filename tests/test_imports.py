@@ -1,6 +1,7 @@
 """Each module of the package uses every name it imports, every private
-module-level function or class is used somewhere in the package, and every
-function the benchmark traces still exists."""
+module-level function or class is used somewhere in the package, every
+function the benchmark traces still exists, and every verdict detail is a
+stage text the benchmark can parse."""
 
 import ast
 import importlib
@@ -67,12 +68,54 @@ def test_every_private_helper_is_used():
     assert unreferenced_private([p.read_text() for p in paths]) == []
 
 
+def spans_constant(name: str):
+    """A module-level literal of ``perfbench/spans.py``, read as text, so that
+    no bytecode is written next to the benchmark."""
+    return next(ast.literal_eval(node.value) for node in ast.parse(SPANS.read_text()).body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name])
+
+
 def test_every_traced_function_exists():
-    # read as text, so that no bytecode is written next to the benchmark
-    tree = ast.parse(SPANS.read_text())
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+    traced = spans_constant("TRACED")
     missing = [f"{mod}.{name}" for mod, names in traced.items() for name in names
                if not callable(getattr(importlib.import_module(f"semistab.{mod}"), name, None))]
     assert traced and missing == []
+
+
+def verdict_details(source: str) -> list:
+    """The ``detail`` argument of every ``SemistabilityVerdict(...)`` call in
+    ``source``: a string, or (prefix,) for an f-string and None for anything
+    else."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "SemistabilityVerdict"):
+            continue
+        arg = next((kw.value for kw in node.keywords if kw.arg == "detail"),
+                   node.args[3] if len(node.args) > 3 else None)
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            out.append(arg.value)
+        elif (isinstance(arg, ast.JoinedStr) and arg.values
+              and isinstance(arg.values[0], ast.Constant)):
+            out.append((arg.values[0].value,))
+        else:
+            out.append(None)
+    return out
+
+
+def test_verdict_details_finds_each_kind():
+    src = ('SemistabilityVerdict("a", None, 0.0, "zero form")\n'
+           'SemistabilityVerdict("b", detail=f"best upper bound {v}")\n'
+           'SemistabilityVerdict("c", None, 0.0, text)\n')
+    assert verdict_details(src) == ["zero form", ("best upper bound ",), None]
+
+
+def test_every_verdict_detail_is_a_known_stage():
+    # perfbench/spans.py fails an op whose verdict detail it cannot parse
+    known = {text for text, _ in spans_constant("STAGES")}
+    details = verdict_details((SRC / "radon.py").read_text())
+    unknown = [d for d in details
+               if not (d in known or isinstance(d, tuple)
+                       and d[0].startswith("best upper bound "))]
+    assert details and unknown == []

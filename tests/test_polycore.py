@@ -103,6 +103,23 @@ def test_act_group_variable_scaling():
     assert got.entries[1][0] == Poly(2, {(0, 2): 1})
 
 
+def test_group_element_accepts_exact_object_arrays():
+    # an object ndarray of Fractions and ints is exact, like nested lists
+    A = np.array([[F(1, 2), 0], [F(3), 2]], dtype=object)
+    C = np.array([[2, F(1, 3)], [0, 1]], dtype=object)
+    g = GroupElement(A, np.eye(1, dtype=object), C, volume_preserving=False)
+    h = GroupElement(A.tolist(), [[1]], C.tolist(), volume_preserving=False)
+    assert (g.A, g.B, g.C) == (h.A, h.B, h.C)
+    assert all(isinstance(v, F) for M in (g.A, g.B, g.C) for row in M for v in row)
+    P = PolyMatrix([[Poly(2, {(1, 0): 1})], [Poly(2, {(0, 2): F(2, 5)})]])
+    assert act_group(P, g) == act_group(P, h)
+    assert act_group(P, g).exact
+    # an object array holding a float takes the float path
+    f = GroupElement(np.array([[1.5]], dtype=object), [[1]], [[1]],
+                     volume_preserving=False)
+    assert isinstance(f.A, np.ndarray) and f.A.dtype == float
+
+
 def test_act_group_shape_mismatch():
     P = PolyMatrix([[Poly(2, {(2, 0): 1})], [Poly(2, {(0, 2): 1})]])
     with pytest.raises(ValueError):

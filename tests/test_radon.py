@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import curvature_reference as ref
+import pencil_reference as pencil_ref
 from semistab.polycore import Poly, PolyMatrix, act_group, support_set
 from semistab.radon import (
     CurvatureForm,
@@ -514,25 +515,91 @@ def test_radon_problem_shape_validation():
         RadonProblem(2, 2, 2, [Poly.zero(2), Poly.zero(2)])
 
 
+def certified(P, got, sigma):
+    """True when ``got`` is a (frame, destabilizer) pair that passes reverify."""
+    return got is not None and UnstableCertificate(*got, exact=True,
+                                                   sigma=sigma).reverify(P)
+
+
 def test_verdict_degenerate_pencil_inputs_do_not_crash():
-    # equal slices: the chained-kernel bases are singular; the identity-frame
-    # LP still certifies instability
+    # equal slices: the row flattening has rank 3, so its frame leaves two
+    # zero rows; the verdict stops earlier, at the identity-frame LP
     T = [[[F(1) if l == i % 3 else F(0) for l in range(3)] for _ in range(2)]
          for i in range(5)]
-    assert pencil_destabilizer(CurvatureForm(T).to_polymatrix(), F(1, 3)) is None
+    P = CurvatureForm(T).to_polymatrix()
+    assert certified(P, pencil_destabilizer(P, F(1, 3)), F(1, 3))
     v = semistability_verdict(CurvatureForm(T), restarts=4, seed=0)
     assert v.state == "unstable"
 
 
 def test_verdict_rank_one_form_reports_drift_evidence():
-    # the all-ones tensor defeats every exact stage (full support in every
-    # frame, degenerate pencil); the numeric stage slides to zero and the
-    # verdict stays honest
+    # the all-ones tensor has full support in the identity frame, and every
+    # flattening has rank one: the row frame leaves four zero rows
     T2 = [[[F(1)] * 3 for _ in range(2)] for _ in range(5)]
-    v = semistability_verdict(CurvatureForm(T2), restarts=4, seed=0)
-    assert v.state == "undetermined"
-    assert "drift" in v.detail
-    assert v.value_bound < 1e-6
+    Q = CurvatureForm(T2)
+    v = semistability_verdict(Q, restarts=4, seed=0)
+    assert v.state == "unstable"
+    assert v.detail == "pencil-reduction destabilizer"
+    assert v.certificate.exact and v.certificate.reverify(Q.to_polymatrix())
+
+
+def random_form(rng, shape):
+    p, q, d = shape
+    return [[[F(rng.randint(-9, 9)) for _ in range(d)] for _ in range(q)]
+            for _ in range(p)]
+
+
+def test_flattening_frames_match_pencil_reference():
+    # on every seeded (5,2,3) form the old pencil decides, the new frame has
+    # the same support, hence the same destabilizer, byte for byte
+    rng = random.Random(523)
+    decided = 0
+    for _ in range(60):
+        P = CurvatureForm(random_form(rng, (5, 2, 3))).to_polymatrix()
+        old = pencil_ref.pencil_destabilizer(P, F(1, 3))
+        if old is None:
+            continue
+        decided += 1
+        new = pencil_destabilizer(P, F(1, 3))
+        assert support_set(act_group(P, new[0])) == support_set(act_group(P, old[0]))
+        assert (json.dumps(new[1].to_json(), sort_keys=True)
+                == json.dumps(old[1].to_json(), sort_keys=True))
+    assert decided == 60
+
+
+@pytest.mark.parametrize("shape", [(7, 2, 4), (2, 7, 4), (2, 5, 3), (1, 2, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_castling_shapes_are_certified(shape, seed):
+    # p = qd - 1 (or a permutation of it) with q != d: always unstable
+    P = CurvatureForm(random_form(random.Random(seed), shape)).to_polymatrix()
+    sigma = F(1, shape[2])
+    assert certified(P, pencil_destabilizer(P, sigma), sigma)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 2, 2), (4, 2, 3), (3, 2, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_deficient_forms_are_certified(shape, seed):
+    # one slice on a seeded axis is a combination of the others: the
+    # flattening on that axis is rank-deficient, so the form is unstable
+    rng = random.Random(seed)
+    T = np.array(random_form(rng, shape), dtype=object)
+    axis = rng.randrange(3)
+    S = np.moveaxis(T, axis, 0)
+    S[0] = sum(F(rng.randint(-3, 3)) * S[i] for i in range(1, len(S)))
+    P = CurvatureForm(T.tolist()).to_polymatrix()
+    sigma = F(1, shape[2])
+    assert certified(P, pencil_destabilizer(P, sigma), sigma)
+    v = semistability_verdict(CurvatureForm(T.tolist()))
+    assert v.state == "unstable" and v.certificate.reverify(P)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (8, 3, 3)])
+@pytest.mark.parametrize("seed", range(2))
+def test_square_castling_shapes_get_no_certificate(shape, seed):
+    # p = qd - 1 with q = d castles to a square matrix: generic forms are
+    # semistable, and no frame may claim otherwise
+    P = CurvatureForm(random_form(random.Random(seed), shape)).to_polymatrix()
+    assert pencil_destabilizer(P, F(1, shape[2])) is None
 
 
 def test_restarts_and_seed_do_not_change_results():
