@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,11 +66,14 @@ def parse_rational(text: str) -> Fraction:
 def _load(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: the top level is not a JSON object")
+    return obj
 
 
 def _matrix_from(obj: dict, path: str) -> PolyMatrix:
@@ -240,6 +245,9 @@ def cmd_sublevel(args) -> int:
     try:
         M = _matrix_from(obj["matrix"], args.input)
         domain = [tuple(map(float, iv)) for iv in obj["domain"]]
+        if len(domain) != M.d or not all(
+                len(iv) == 2 and -math.inf < iv[0] < iv[1] < math.inf for iv in domain):
+            raise ValueError(f"domain needs {M.d} finite intervals [lo, hi], lo < hi")
         tau = float(args.tau) if args.tau is not None else float(
             Fraction(obj["tau"]["num"], obj["tau"]["den"]))
         weight = float(obj.get("weight", 1.0))
@@ -340,6 +348,7 @@ RESTARTS_HELP = ("accepted and ignored: the critical-point search of gitnorm "
                  "--seed do not change its result")
 
 
+@lru_cache(maxsize=1)  # each build leaves ~500 objects in reference cycles
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="semistab",

@@ -690,8 +690,8 @@ def find_destabilizer(E: SupportSet, sigma, sigma_uniform: bool = False):
     ``sigma_uniform`` the variable part w_d is forced traceless as well, which
     makes the certificate independent of sigma (the pairings lose their sigma
     term).  Returns a Destabilizer when the optimal margin is positive, else
-    None.  The optimal w is canonicalized by a secondary LP minimizing the
-    l1 norm at the optimal margin, so certificates are deterministic.
+    None.  The optimal w is the l1-minimal one on the margin's optimal
+    face (the LP's second cost), so certificates are deterministic.
 
     This certifies instability in the given coordinate frame only; frame
     search is the caller's job.
@@ -709,65 +709,36 @@ def find_destabilizer(E: SupportSet, sigma, sigma_uniform: bool = False):
     nvars = 2 * nw + 1 + nt + 2 * nw
     mcol = 2 * nw
 
-    def pairing_row(t):
-        i, j, alpha = triples[t]
-        row = [Fraction(0)] * nvars
+    A, b = [], []
+    for t, (i, j, alpha) in enumerate(triples):  # pairing + m + slack_t = 0
         coeffs = [Fraction(0)] * nw
         coeffs[i] += 1
         coeffs[p + j] += 1
         for k in range(d):
             coeffs[p + q + k] += Fraction(alpha[k]) - sigma
-        for c in range(nw):
-            row[c] = coeffs[c]
-            row[nw + c] = -coeffs[c]
-        row[mcol] = Fraction(1)
-        row[mcol + 1 + t] = Fraction(1)
-        return row
-
-    def build(extra_rows=(), extra_b=()):
-        A = [pairing_row(t) for t in range(nt)]
-        b = [Fraction(0)] * nt
-        for block, size in ((0, p), (p, q)) + (((p + q, d),) if sigma_uniform else ()):
+        row = coeffs + [-v for v in coeffs] + [Fraction(0)] * (nvars - 2 * nw)
+        row[mcol] = row[mcol + 1 + t] = Fraction(1)
+        A.append(row)
+        b.append(Fraction(0))
+    for block, size in ((0, p), (p, q)) + (((p + q, d),) if sigma_uniform else ()):
+        row = [Fraction(int(block <= c < block + size)) for c in range(nw)]
+        A.append(row + [-v for v in row] + [Fraction(0)] * (nvars - 2 * nw))
+        b.append(Fraction(0))
+    for c in range(nw):
+        for k in (c, nw + c):  # u_c + su_c = 1, then v_c + sv_c = 1
             row = [Fraction(0)] * nvars
-            for c in range(block, block + size):
-                row[c] = Fraction(1)
-                row[nw + c] = Fraction(-1)
-            A.append(row)
-            b.append(Fraction(0))
-        for c in range(nw):
-            row = [Fraction(0)] * nvars
-            row[c] = Fraction(1)
-            row[mcol + 1 + nt + c] = Fraction(1)
+            row[k] = row[mcol + 1 + nt + k] = Fraction(1)
             A.append(row)
             b.append(Fraction(1))
-            row = [Fraction(0)] * nvars
-            row[nw + c] = Fraction(1)
-            row[mcol + 1 + nt + nw + c] = Fraction(1)
-            A.append(row)
-            b.append(Fraction(1))
-        A.extend(extra_rows)
-        b.extend(extra_b)
-        return A, b
 
-    obj = [Fraction(0)] * nvars
-    obj[mcol] = Fraction(1)
-    A, b = build()
-    res = solve_eq_lp(A, b, obj, maximize=True)
+    # maximize m; canonical representative: l1-minimal w on the optimal face
+    obj = [Fraction(int(c == mcol)) for c in range(nvars)]
+    l1 = [Fraction(int(c < 2 * nw)) for c in range(nvars)]
+    res = solve_eq_lp(A, b, obj, maximize=True, c2=l1)
     if res.status != "optimal" or res.objective <= 0:
         return None
-    mstar = res.objective
-
-    # canonical representative: l1-minimal w on the optimal face
-    pin = [Fraction(0)] * nvars
-    pin[mcol] = Fraction(1)
-    A2, b2 = build(extra_rows=[pin], extra_b=[mstar])
-    l1 = [Fraction(0)] * nvars
-    for c in range(2 * nw):
-        l1[c] = Fraction(1)
-    res2 = solve_eq_lp(A2, b2, l1, maximize=False)
-    x = res2.x if res2.status == "optimal" else res.x
-    w = [x[c] - x[nw + c] for c in range(nw)]
-    dest = Destabilizer(w[:p], w[p:p + q], w[p + q:], mstar)
+    w = [res.x[c] - res.x[nw + c] for c in range(nw)]
+    dest = Destabilizer(w[:p], w[p:p + q], w[p + q:], res.objective)
     if not dest.verify(E, sigma):
         raise CertificateError("destabilizer fails its exact check")
     return dest

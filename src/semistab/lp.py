@@ -11,6 +11,12 @@ a Farkas certificate y with y.A <= 0 componentwise and y.b > 0, which is what
 turns "not a member" into a separating functional; it is checked exactly
 before it is returned.
 
+A second cost c2 is minimized over the optimal face of c in the same
+tableau.  At the phase-II optimum, with reduced costs r >= 0, that face is
+{x : x_j = 0 where r_j > 0}.  The r row stays in the tableau, out of the
+ratio test, under the reduced-cost row of c2, and only columns with r_j = 0
+may enter; Bland's rule and the pivots are unchanged.  No second phase I.
+
 Tableau invariant.  The tableau holds Python ints and one common denominator
 D > 0: its rational value is T / D, and D is the absolute determinant of the
 current basis in the integer start tableau [S A | I | S b], whose identity
@@ -94,16 +100,19 @@ def _pivot(T, basis, r, c, D):
     return p
 
 
-def _simplex_core(T, basis, D, n):
+def _simplex_core(T, basis, D, n, face=False):
     """Minimize over the tableau, whose last row is the reduced-cost row;
-    columns below n may enter.  Returns ('optimal' | 'unbounded', D)."""
+    columns below n may enter.  With ``face`` the row above it holds the
+    reduced costs of an earlier optimum: it takes no part in the ratio test,
+    and only its zero columns may enter.  Returns ('optimal' | 'unbounded', D)."""
     z = len(T) - 1
     while True:
-        enter = next((j for j in range(n) if T[z][j] < 0), -1)  # Bland
+        enter = next((j for j in range(n) if T[z][j] < 0
+                      and not (face and T[z - 1][j])), -1)  # Bland
         if enter < 0:
             return "optimal", D
         leave = -1
-        for i in range(z):
+        for i in range(z - face):
             a = T[i][enter]
             if a <= 0:
                 continue
@@ -125,6 +134,13 @@ def _cost_row(T, cost, basis_cost, D):
         if k:
             z = [a - k * b for a, b in zip(z, row)]
     return z
+
+
+def _objective_row(T, c, basis, D):
+    """Reduced-cost row of the rational cost ``c``, scaled to integers."""
+    K = math.lcm(*(v.denominator for v in c))
+    cost = [v.numerator * (K // v.denominator) for v in c]
+    return _cost_row(T, cost + [0], [cost[k] if k < len(c) else 0 for k in basis], D)
 
 
 def _phase_one(rows, n, art_cost, artificials):
@@ -151,8 +167,9 @@ def _farkas_vector(T, basis, n, sign, s, D):
     return y
 
 
-def solve_eq_lp(A, b, c, maximize: bool = False) -> LPResult:
-    """Solve min/max c.x subject to A x = b, x >= 0, all data rational."""
+def solve_eq_lp(A, b, c, maximize: bool = False, c2=None) -> LPResult:
+    """Solve min/max c.x subject to A x = b, x >= 0, all data rational; with
+    ``c2``, x also minimizes c2.x over the optimal face (``objective`` is c.x)."""
     m = len(A)
     n = len(A[0]) if m else 0
     A0 = [[_rational(v) for v in row] for row in A]
@@ -192,11 +209,12 @@ def solve_eq_lp(A, b, c, maximize: bool = False) -> LPResult:
             if col is not None:
                 D = _pivot(T, basis, i, col, D)
 
-    # phase II over the original columns, costs scaled to integers by K > 0
-    K = math.lcm(*(v.denominator for v in c))
-    cost = [v.numerator * (K // v.denominator) for v in c]
-    T.append(_cost_row(T, cost + [0], [cost[k] if k < n else 0 for k in basis], D))
+    # phase II over the original columns, then c2 on the optimal face
+    T.append(_objective_row(T, c, basis, D))
     status, D = _simplex_core(T, basis, D, n)
+    if status == "optimal" and c2 is not None:
+        T.append(_objective_row(T[:m], [Fraction(v) for v in c2], basis, D))
+        status, D = _simplex_core(T, basis, D, n, face=True)
     if status == "unbounded":
         return LPResult(status="unbounded")
     x = [Fraction(0)] * n

@@ -374,15 +374,15 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
                           budget: int = 200) -> SemistabilityVerdict:
     """Decide semistability of a curvature form, with certificates.
 
-    Pipeline: sparse criterion at sigma = 1/(t-kernel dimension); exact
-    identity-frame destabilizer; the exact flattening frames of
-    :func:`pencil_destabilizer`, which decide every rank-deficient form and
-    every castling shape p = qd - 1 with q != d (and its permutations); and
-    finally the deterministic critical-point search of ``git_norm`` (at
-    most ``budget`` inner solves), whose converged critical points count as
-    positive.  ``restarts`` and ``seed`` have no effect: the
-    search is deterministic, and they are accepted only so that existing
-    callers keep working.
+    Pipeline: sparse criterion at sigma = 1/(t-kernel dimension); the exact
+    flattening frames of :func:`pencil_destabilizer`, which decide every
+    rank-deficient form and every castling shape p = qd - 1 with q != d (and
+    its permutations), and cost three exact ranks when neither applies; the
+    exact identity-frame destabilizer; and finally the deterministic
+    critical-point search of ``git_norm`` (at most ``budget`` inner solves),
+    whose converged critical points count as positive.  ``restarts`` and
+    ``seed`` have no effect: the search is deterministic, and they are
+    accepted only so that existing callers keep working.
     """
     sigma = Fraction(1, Q.shape[2])
     P = Q.to_polymatrix()
@@ -398,11 +398,6 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
                 "positive",
                 PositiveCertificate("sparse", value, theta=sv.theta),
                 value, "sparse criterion")
-        dest = find_destabilizer(support_set(P), sigma)
-        if dest is not None:
-            cert = UnstableCertificate(None, dest, exact=True, sigma=sigma)
-            return SemistabilityVerdict("unstable", cert, 0.0,
-                                        "identity-frame destabilizer")
         got = pencil_destabilizer(P, sigma)
         if got is not None:
             g, dest = got
@@ -411,6 +406,11 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
                 raise CertificateError("pencil certificate fails reverify")
             return SemistabilityVerdict("unstable", cert, 0.0,
                                         "pencil-reduction destabilizer")
+        dest = find_destabilizer(support_set(P), sigma)
+        if dest is not None:
+            cert = UnstableCertificate(None, dest, exact=True, sigma=sigma)
+            return SemistabilityVerdict("unstable", cert, 0.0,
+                                        "identity-frame destabilizer")
     est = git_norm(P, sigma, budget=budget)
     if est.status == "converged":
         return SemistabilityVerdict(

@@ -91,3 +91,43 @@ def test_semistable_input_never_ends_in_a_traceback(base, data):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_one_error_line(code, err):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["blockdecomp", "--verify"], ["blockdecomp", "--input"], ["tiles", "--input"],
+    ["plan", "--input"], ["sublevel", "--input"], ["semistable", "--input"],
+    ["gitnorm", "--sigma", "1", "--input"], ["polytope", "--sigma", "1", "--input"],
+    ["destabilize", "--sigma", "1", "--input"], ["radon", "--input"],
+    ["radon", "--balanced"]])
+@pytest.mark.parametrize("top", [[1, 2], "x", 3, None])
+def test_top_level_that_is_not_an_object_is_an_input_error(tmp_path, command, top):
+    # blockdecomp --verify on a list once raised TypeError
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(top))
+    assert_one_error_line(*run_main(command + [str(path)]))
+
+
+@pytest.mark.parametrize("domain", [[], [[0.0]], [[0.0, 1.0, 2.0]], [[1.0, 0.0]],
+                                    [[0.0, 0.0]], [[-1.0, 1.0], [-1.0, 1.0]]])
+def test_sublevel_domain_is_validated(tmp_path, domain):
+    # [] once raised IndexError and [[0.0]] ValueError; the others ran
+    with open(os.path.join(FIXTURES, "sublevel_line.json")) as fh:
+        problem = json.load(fh)
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(dict(problem, domain=domain)))
+    assert_one_error_line(*run_main(["sublevel", "--input", str(path), "--samples", "10"]))

@@ -193,15 +193,27 @@ def test_integer_kernel_matches_fraction_reference():
     assert min(seen[s] for s in ("optimal", "infeasible", "unbounded")) >= 30
 
 
+def _reference_lexicographic(A, b, c, maximize, c2):
+    """The two-LP pipeline: optimize c, then minimize c2 from scratch with
+    c.x pinned to its optimum."""
+    first = lp_reference.solve_eq_lp(A, b, c, maximize=maximize)
+    if c2 is None or first.status != "optimal":
+        return first
+    second = lp_reference.solve_eq_lp(A + [list(c)], list(b) + [first.objective], c2)
+    if second.status != "optimal":
+        return second
+    return LPResult("optimal", x=second.x, objective=first.objective)
+
+
 def test_integer_kernel_matches_reference_on_support_lps(monkeypatch):
     """Membership and destabilizer LPs of random supports, both kernels."""
     seen = Counter()
 
-    def both(A, b, c, maximize=False):
-        got = solve_eq_lp(A, b, c, maximize=maximize)
+    def both(A, b, c, maximize=False, c2=None):
+        got = solve_eq_lp(A, b, c, maximize=maximize, c2=c2)
         assert _fields(got) == _fields(
-            lp_reference.solve_eq_lp(A, b, c, maximize=maximize))
-        seen[got.status] += 1
+            _reference_lexicographic(A, b, c, maximize, c2))
+        seen[got.status, c2 is not None] += 1
         return got
 
     monkeypatch.setattr(gitnorm, "solve_eq_lp", both)
@@ -217,7 +229,28 @@ def test_integer_kernel_matches_reference_on_support_lps(monkeypatch):
         sigma = F(rng.randint(0, 3), rng.randint(1, 3))
         polytope_membership(E, sigma)
         find_destabilizer(E, sigma)
-    assert seen["optimal"] > 0 and seen["infeasible"] > 0
+    assert seen["optimal", False] > 0 and seen["infeasible", False] > 0
+    assert seen["optimal", True] == 8
+
+
+def test_second_cost_picks_the_vertex_of_an_optimal_edge():
+    # max x1 + x2 on x1 + x2 + s = 2, x1 + t = 3/2: the whole edge
+    # x1 + x2 = 2, 0 <= x1 <= 3/2 is optimal, and each second cost
+    # picks one of its ends
+    A, b, c = [[1, 1, 1, 0], [1, 0, 0, 1]], [2, F(3, 2)], [1, 1, 0, 0]
+    first = solve_eq_lp(A, b, c, maximize=True)
+    assert first.objective == 2
+    left = solve_eq_lp(A, b, c, maximize=True, c2=[1, 0, 0, 0])
+    assert left.status == "optimal" and left.objective == 2
+    assert left.x == [0, 2, 0, F(3, 2)]
+    right = solve_eq_lp(A, b, c, maximize=True, c2=[0, 1, 0, 0])
+    assert right.objective == 2 and right.x == [F(3, 2), F(1, 2), 0, 0]
+    # minimizing the slack s stays on the face, where s = 0 everywhere
+    flat = solve_eq_lp(A, b, c, maximize=True, c2=[0, 0, 1, 0])
+    assert flat.x[2] == 0 and flat.objective == 2
+    for c2 in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0]):
+        got = solve_eq_lp(A, b, c, maximize=True, c2=c2)
+        assert _fields(got) == _fields(_reference_lexicographic(A, b, c, True, c2))
 
 
 def test_pivot_rejects_inexact_division():

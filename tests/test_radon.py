@@ -523,13 +523,58 @@ def certified(P, got, sigma):
 
 def test_verdict_degenerate_pencil_inputs_do_not_crash():
     # equal slices: the row flattening has rank 3, so its frame leaves two
-    # zero rows; the verdict stops earlier, at the identity-frame LP
+    # zero rows, and the flattening stage, which runs first, decides
     T = [[[F(1) if l == i % 3 else F(0) for l in range(3)] for _ in range(2)]
          for i in range(5)]
     P = CurvatureForm(T).to_polymatrix()
     assert certified(P, pencil_destabilizer(P, F(1, 3)), F(1, 3))
     v = semistability_verdict(CurvatureForm(T), restarts=4, seed=0)
     assert v.state == "unstable"
+    assert v.detail == "pencil-reduction destabilizer"
+    assert v.certificate.reverify(P)
+
+
+def _count_lps(monkeypatch):
+    import semistab.gitnorm as gn
+
+    calls, solve = [], gn.solve_eq_lp
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("c2") is not None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gn, "solve_eq_lp", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["seeded", "rank_one"])
+def test_flattening_verdicts_solve_one_lp(monkeypatch, name):
+    # the flattening stage runs before the identity frame, and its margin
+    # and l1 objectives are one lexicographic LP
+    T = (random_form(random.Random(1), (5, 2, 3)) if name == "seeded"
+         else [[[F(1)] * 3 for _ in range(2)] for _ in range(5)])
+    calls = _count_lps(monkeypatch)
+    v = semistability_verdict(CurvatureForm(T))
+    assert v.state == "unstable"
+    assert v.detail == "pencil-reduction destabilizer"
+    assert calls == [True]
+
+
+def test_full_rank_form_without_castling_axis_reaches_identity_frame(monkeypatch):
+    # 3x3x3 has no castling axis and every flattening of T has rank 3, so
+    # the flattening stage declines after three exact ranks and no LP
+    T = [[[0, 3, 1], [0, 0, 1], [5, 0, 0]], [[3, 3, 5], [5, 3, 0], [0, 0, 0]],
+         [[1, 0, 0], [1, 0, 0], [0, 0, 0]]]
+    Q = CurvatureForm([[[F(v) for v in row] for row in plane] for plane in T])
+    P = Q.to_polymatrix()
+    calls = _count_lps(monkeypatch)
+    assert pencil_destabilizer(P, F(1, 3)) is None
+    assert calls == []
+    v = semistability_verdict(Q)
+    assert v.state == "unstable"
+    assert v.detail == "identity-frame destabilizer"
+    assert v.certificate.destabilizer.margin == F(1, 2)
+    assert v.certificate.reverify(P)
 
 
 def test_verdict_rank_one_form_reports_drift_evidence():
