@@ -31,9 +31,9 @@ from .gitnorm import (
 )
 from .blockdecomp import (
     BlockDecomposition,
-    IncidenceMatrix,
     Tile,
     eliminate,
+    has_generic_rank_p,
     parametrize_kernel,
     tile_map,
     useful_tiles,

@@ -226,42 +226,22 @@ def degrees_monotone(grid) -> bool:
                     for a, b in zip(up, down)))
 
 
+def has_generic_rank_p(M: PolyMatrix) -> bool:
+    """Whether the exact incidence matrix M has rank p at one of a couple of
+    random rational points.  The points come from the standard library's
+    generator (seed 5), so that the check does not load ``numpy.random``."""
+    if not M.exact:
+        raise ValueError("incidence matrices must be exact")
+    rng = random.Random(5)
+    for _ in range(2):
+        pt = [Fraction(rng.randint(-99, 99), 101) for _ in range(M.d)]
+        rows = [[eval_poly_exact(e, pt) for e in row] for row in M.entries]
+        if exact_rank(rows) == M.p:
+            return True
+    return False
+
+
 # -- data types --------------------------------------------------------------------
-
-
-@dataclass
-class IncidenceMatrix:
-    """Rows span the moving subspace; ambient dimension is the column count."""
-
-    M: PolyMatrix
-
-    def __post_init__(self):
-        if not self.M.exact:
-            raise ValueError("incidence matrices must be exact")
-
-    @property
-    def p(self):
-        return self.M.p
-
-    @property
-    def q(self):
-        return self.M.q
-
-    @property
-    def d(self):
-        return self.M.d
-
-    def has_generic_rank_p(self, seed: int = 5) -> bool:
-        """Exact rank at a couple of random rational points.  The points come
-        from the standard library's generator, so that the check does not
-        load ``numpy.random``."""
-        rng = random.Random(seed)
-        for _ in range(2):
-            pt = [Fraction(rng.randint(-99, 99), 101) for _ in range(self.d)]
-            rows = [[eval_poly_exact(e, pt) for e in row] for row in self.M.entries]
-            if exact_rank(rows) == self.p:
-                return True
-        return False
 
 
 @dataclass
@@ -322,8 +302,8 @@ class BlockDecomposition:
 
     @staticmethod
     def from_json(obj: dict) -> "BlockDecomposition":
-        """Parse and check the shapes; KeyError names a missing field and
-        ValueError a field of the wrong shape."""
+        """Parse and check the shapes and the integer fields; KeyError names
+        a missing field and ValueError a field of the wrong shape or value."""
         dec = BlockDecomposition(
             row_groups=list(obj["row_groups"]),
             col_groups=list(obj["col_groups"]),
@@ -332,19 +312,27 @@ class BlockDecomposition:
             B=polymatrix_from_json(obj["B"]),
             zero_blocks={tuple(b) for b in obj.get("zero_blocks", [])},
         )
+        # bool is an int subclass, so the types are compared exactly
+        sizes = dec.row_groups + dec.col_groups
+        if not all(type(g) is int and g > 0 for g in sizes):
+            raise ValueError("group sizes must be positive integers")
         nI, nJ = len(dec.row_groups), len(dec.col_groups)
         if len(dec.D) != nI or any(len(r) != nJ for r in dec.D):
             raise ValueError(f"D is not {nI} x {nJ}, one degree per block")
+        if not all(type(x) is int and x >= 0 for row in dec.D for x in row):
+            raise ValueError("D entries must be nonnegative integers")
         if (dec.A.p, dec.A.q, dec.B.p, dec.B.q) != (dec.p, dec.p, dec.q, dec.q):
             raise ValueError(f"A and B are not {dec.p} x {dec.p} and "
                              f"{dec.q} x {dec.q}, the sizes of the groups")
+        if dec.A.d != dec.B.d:
+            raise ValueError(f"A is in {dec.A.d} variables and B in {dec.B.d}")
         return dec
 
 
 # -- kernel parametrization ---------------------------------------------------------
 
 
-def parametrize_kernel(M, basis=None, rank: int | None = None):
+def parametrize_kernel(M, rank: int | None = None):
     """Kernel basis by Cramer's rule on the largest well-conditioned minor.
 
     Selects the r x r minor maximizing |det| (lexicographic tie-break on the
@@ -355,15 +343,7 @@ def parametrize_kernel(M, basis=None, rank: int | None = None):
     """
     M = np.asarray(M, dtype=float)
     p, q = M.shape
-    if basis is None:
-        basis = np.eye(q)
-    else:
-        basis = np.asarray(basis, dtype=float).T if np.asarray(basis).shape == (q, q) \
-            else np.asarray(basis, dtype=float)
-        if basis.shape != (q, q):
-            raise ValueError("need q basis vectors of length q")
-    Me = M @ basis
-    sv = np.linalg.svd(Me, compute_uv=False)
+    sv = np.linalg.svd(M, compute_uv=False)
     sv = np.concatenate([sv, np.zeros(max(0, q - len(sv)))])
     if rank is None:
         rank = int(np.sum(sv > max(1e-12 * sv[0], 1e-300)))
@@ -375,18 +355,18 @@ def parametrize_kernel(M, basis=None, rank: int | None = None):
     best = None
     for rows in itertools.combinations(range(p), r):
         for cols in itertools.combinations(range(q), r):
-            det = float(np.linalg.det(Me[np.ix_(rows, cols)]))
+            det = float(np.linalg.det(M[np.ix_(rows, cols)]))
             key = (-abs(det), rows, cols)
             if best is None or key < best[0]:
                 best = (key, rows, cols, det)
     _, rows, cols, det = best
     if det == 0.0:
         raise AmbiguousRank(0.0)
-    minor = Me[np.ix_(rows, cols)]
+    minor = M[np.ix_(rows, cols)]
     others = [j for j in range(q) if j not in cols]
     kernel = []
     for k, sig in enumerate(others):
-        coeffs = np.linalg.solve(minor, Me[np.ix_(rows, [sig])]).ravel()
+        coeffs = np.linalg.solve(minor, M[np.ix_(rows, [sig])]).ravel()
         x = np.zeros(q)
         x[sig] = 1.0
         for kk, jc in enumerate(cols):
@@ -397,7 +377,6 @@ def parametrize_kernel(M, basis=None, rank: int | None = None):
     perm = list(cols) + others
     if _perm_sign(perm) < 0 and kernel:
         kernel[0] = -kernel[0]
-    kernel = [basis @ x for x in kernel]
     return kernel, (rows, cols)
 
 
@@ -674,7 +653,7 @@ def _greedy_rows(R: PolyMatrix, A: PolyMatrix, d: int, degbound: int):
     return changed_any
 
 
-def eliminate(M, degbound: int | None = None):
+def eliminate(M: PolyMatrix):
     """Joint row/column reduction of an incidence matrix.
 
     Returns (A, B, R, decomp): determinant-one A(s), B(t), the reduced
@@ -686,13 +665,10 @@ def eliminate(M, degbound: int | None = None):
     greedy strategy needs no closure hypothesis, so in practice the check is
     soft: flow is preferred when the closure system solves.
     """
-    if isinstance(M, IncidenceMatrix):
-        M = M.M
     if not M.exact:
         raise ValueError("eliminate needs exact coefficients")
     p, q, d = M.p, M.q, M.d
-    if degbound is None:
-        degbound = max(M.degree(), 1)
+    degbound = max(M.degree(), 1)
 
     A = PolyMatrix([[Poly.constant(d, 1 if i == j else 0) for j in range(p)]
                     for i in range(p)])
@@ -810,8 +786,6 @@ class VerifyReport:
 
 def reduced_matrix(M, decomp: BlockDecomposition) -> PolyMatrix:
     """A(s) M(s) B(s+z) as a bivariate matrix."""
-    if isinstance(M, IncidenceMatrix):
-        M = M.M
     return reduced_product(decomp.A, M, decomp.B)
 
 
@@ -823,8 +797,6 @@ def verify_block_decomposition(M, decomp: BlockDecomposition) -> VerifyReport:
     absent), and separate monotonicity of D.  All violations are listed,
     none raise.
     """
-    if isinstance(M, IncidenceMatrix):
-        M = M.M
     d = M.d
     det_ok = unimodular(d, decomp.A, decomp.B)
     R = reduced_matrix(M, decomp)

@@ -19,9 +19,9 @@ import numpy as np
 
 from .blockdecomp import (
     BlockDecomposition,
-    IncidenceMatrix,
     Tile,
     eliminate,
+    has_generic_rank_p,
     useful_tiles,
     verify_block_decomposition,
 )
@@ -170,7 +170,7 @@ def cmd_destabilize(args) -> int:
 
 def _incidence_from(obj: dict, path: str) -> PolyMatrix:
     M = _matrix_from(obj, path)
-    if not IncidenceMatrix(M).has_generic_rank_p():
+    if not has_generic_rank_p(M):
         raise InputError(f"{path}: not an incidence matrix (generic rank below p = {M.p})")
     return M
 
@@ -183,6 +183,11 @@ def cmd_blockdecomp(args) -> int:
             decomp = _decomposition_from(obj["decomposition"], args.verify)
         except KeyError as exc:
             raise InputError(f"{args.verify}: missing field {exc}") from exc
+        if (decomp.p, decomp.q, decomp.d) != (M.p, M.q, M.d):
+            raise InputError(
+                f"{args.verify}: the decomposition is for {decomp.p} x {decomp.q} "
+                f"matrices in {decomp.d} variables, the matrix is {M.p} x {M.q} "
+                f"in {M.d}")
         rep = verify_block_decomposition(M, decomp)
         _table([["verification", "PASS" if rep.ok else "FAIL"]])
         _table([["D"] + [" ".join(map(str, row)) for row in decomp.D]])
@@ -250,8 +255,10 @@ def cmd_sublevel(args) -> int:
             raise ValueError(f"domain needs {M.d} finite intervals [lo, hi], lo < hi")
         tau = float(args.tau) if args.tau is not None else float(
             Fraction(obj["tau"]["num"], obj["tau"]["den"]))
+        if not tau > 0:
+            raise ValueError("tau must be positive")
         weight = float(obj.get("weight", 1.0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"{args.input}: not a sublevel problem "
                          f"({type(exc).__name__}: {exc})") from exc
     n_omegas = args.omegas

@@ -44,8 +44,8 @@ from .polycore import (
 
 DRIFT_WALL = 50.0          # log-scale past which a search counts as running off
 FOC_TARGET_REL = 1e-9      # converged: criticality residual <= this * value^2
-DEFAULT_GRAD_TOL = 1e-10   # on the gradient of the log of the diagonal objective
-DEFAULT_MAX_ITER = 200
+GRAD_TOL = 1e-10           # on the gradient of the log of the diagonal objective
+MAX_ITER = 200
 POLISH_STEPS = 30
 POLISH_REACH = 4.0         # largest log-scale of one polish step
 
@@ -257,8 +257,7 @@ class DiagonalResult:
     objective: float  # normalized squared objective at the final point
 
 
-def minimize_diagonal(P: PolyMatrix, sigma, tol: float = DEFAULT_GRAD_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> DiagonalResult:
+def minimize_diagonal(P: PolyMatrix, sigma) -> DiagonalResult:
     """Damped Newton descent of the convex function w -> scaled_norm^2.
 
     The stopping test is on the gradient of the logarithm of the objective,
@@ -272,11 +271,10 @@ def minimize_diagonal(P: PolyMatrix, sigma, tol: float = DEFAULT_GRAD_TOL,
     p, q, d = P.p, P.q, P.d
     basis, T = to_dense(P)
     V, m = _cells(basis, T, _weight_matrix(basis, p, q, sigma))
-    return _minimize(V, m, _traceless_basis(p, q, d), (p, q, d), tol, max_iter)
+    return _minimize(V, m, _traceless_basis(p, q, d), (p, q, d))
 
 
-def _minimize(V: np.ndarray, m: np.ndarray, U: np.ndarray, dims, tol: float,
-              max_iter: int) -> DiagonalResult:
+def _minimize(V: np.ndarray, m: np.ndarray, U: np.ndarray, dims) -> DiagonalResult:
     """:func:`minimize_diagonal` on the support (V, m), with U the
     traceless basis of the weights."""
     p, q, d = dims
@@ -299,7 +297,7 @@ def _minimize(V: np.ndarray, m: np.ndarray, U: np.ndarray, dims, tol: float,
     f = fval(y)
     status = "budget-exhausted"
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         s = VU @ y
         if f == 0.0 or s.max() <= -DRIFT_WALL:
             # every term has shrunk by e^-DRIFT_WALL or more: the weights run
@@ -308,7 +306,7 @@ def _minimize(V: np.ndarray, m: np.ndarray, U: np.ndarray, dims, tol: float,
             break
         e = mh * np.exp(2.0 * s)
         g = 2.0 * (VU.T @ e)
-        if np.abs(g).max() <= tol * f:  # the gradient of log f
+        if np.abs(g).max() <= GRAD_TOL * f:  # the gradient of log f
             status = "converged"
             break
         if np.abs(U @ y).max() > 10 * DRIFT_WALL:
@@ -527,8 +525,7 @@ def _log_scales(M: np.ndarray) -> np.ndarray:
 
 
 def git_norm(P: PolyMatrix, sigma, restarts: int = 0, budget: int = 400,
-             seed: int = 0, tol: float = DEFAULT_GRAD_TOL,
-             max_iter: int = DEFAULT_MAX_ITER) -> GitEstimate:
+             seed: int = 0) -> GitEstimate:
     """Deterministic critical-point search for the group-invariant norm.
 
     Each round is one inner solve, the diagonal Newton problem, in the
@@ -563,7 +560,7 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = 0, budget: int = 400,
     g, evals = None, 0
     while True:
         evals += 1
-        inner = _minimize(*_cells(basis, Tc, V), U, (p, q, d), tol, max_iter)
+        inner = _minimize(*_cells(basis, Tc, V), U, (p, q, d))
         value, weights = inner.value, inner.weights
         Tn = _diag_rescaled(Tc, V, weights)
         foc = _residual(basis, Tn, sigma)
@@ -634,23 +631,20 @@ def rescale_by_weights(P: PolyMatrix, w: LogWeights, sigma) -> PolyMatrix:
 # -- exact certificates ------------------------------------------------------------
 
 
-def _coordinate_rows(E: SupportSet, sigma: Fraction):
-    """Equality rows sum_t theta_t (e^i; e^j; alpha) = (1/p; 1/q; sigma)."""
-    p, q, d = E.p, E.q, E.d
-    n = len(E.triples)
-    A = []
-    b = []
-    pts = E.weight_points()
-    for coord in range(p + q + d):
-        A.append([pts[t][coord] for t in range(n)])
-        if coord < p:
-            b.append(Fraction(1, p))
-        elif coord < p + q:
-            b.append(Fraction(1, q))
-        else:
-            b.append(sigma)
-    A.append([Fraction(1)] * n)
-    b.append(Fraction(1))
+def _coordinate_rows(points: list, sizes, p: int, q: int, sigma=None):
+    """Equality rows sum_t theta_t x_t = (1/p, ..; 1/q, ..; sigma, ..), then
+    sum_t theta_t = 1, for points x_t made of a row part, a column part and
+    a sigma part of the given ``sizes``.  With ``sigma`` None, sigma is a
+    free last variable, moved to the left side of the sigma-part rows."""
+    nr, nc, ns = sizes
+    free = sigma is None  # variables: theta | sigma
+    A = [[pt[c] for pt in points] for c in range(nr + nc + ns)]
+    A.append([Fraction(1)] * len(points))
+    b = ([Fraction(1, p)] * nr + [Fraction(1, q)] * nc
+         + [Fraction(0) if free else sigma] * ns + [Fraction(1)])
+    if free:
+        for c, row in enumerate(A):
+            row.append(Fraction(-1) if nr + nc <= c < nr + nc + ns else Fraction(0))
     return A, b
 
 
@@ -666,7 +660,7 @@ def polytope_membership(E: SupportSet, sigma) -> MembershipResult:
     if len(E.triples) == 0:
         w = [Fraction(0)] * (p + q + d)
         return MembershipResult(member=False, separator=(w, Fraction(1)))
-    A, b = _coordinate_rows(E, sigma)
+    A, b = _coordinate_rows(E.weight_points(), (p, q, d), p, q, sigma)
     res = feasible_point(A, b)
     if res.status == "optimal":
         return MembershipResult(member=True, theta=res.x)
@@ -787,7 +781,7 @@ def sparse_criterion(P: PolyMatrix, sigma) -> SparseVerdict:
     theta = dict(zip(E.triples, member.theta))
 
     # strictly positive theta: maximize the floor of the weights
-    A, b = _coordinate_rows(E, sigma)
+    A, b = _coordinate_rows(E.weight_points(), (p, q, d), p, q, sigma)
     n = len(E.triples)
     # variables: theta (n) | eps | slack_t (theta_t - eps - s_t = 0)
     nvars = n + 1 + n
@@ -819,10 +813,7 @@ def feasible_sigma_interval(E: SupportSet):
     n = len(E.triples)
     if n == 0:
         return None
-    # variables: theta (n) | sigma, moved to the left side of the d rows
-    A, b = _coordinate_rows(E, Fraction(0))
-    A = [row + [Fraction(-1) if p + q <= c < p + q + d else Fraction(0)]
-         for c, row in enumerate(A)]
+    A, b = _coordinate_rows(E.weight_points(), (p, q, d), p, q)
     obj = [Fraction(0)] * n + [Fraction(1)]
     lo = solve_eq_lp(A, b, obj, maximize=False)
     if lo.status != "optimal":

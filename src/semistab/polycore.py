@@ -101,10 +101,6 @@ class Poly:
         return Poly(dim, {(0,) * dim: c})
 
     @staticmethod
-    def monomial(dim: int, alpha, c=1) -> "Poly":
-        return Poly(dim, {tuple(alpha): c})
-
-    @staticmethod
     def variable(dim: int, k: int) -> "Poly":
         alpha = [0] * dim
         alpha[k] = 1

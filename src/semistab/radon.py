@@ -25,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .blockdecomp import (
-    IncidenceMatrix,
     degrees_monotone,
+    has_generic_rank_p,
     inflate_s,
     inflate_z,
     reduced_product,
@@ -86,9 +86,9 @@ class RadonProblem:
     def nt(self) -> int:
         return self.n1 - self.k
 
-    def jacobian_has_generic_rank(self, seed: int = 5) -> bool:
+    def jacobian_has_generic_rank(self) -> bool:
         """Exact rank-k check of d phi / d x at random rational points."""
-        return IncidenceMatrix(build_incidence(self)).has_generic_rank_p(seed)
+        return has_generic_rank_p(build_incidence(self))
 
     def to_json(self) -> dict:
         return {"n": self.n, "n1": self.n1, "k": self.k,
@@ -370,8 +370,8 @@ def pencil_destabilizer(P: PolyMatrix, sigma):
 # -- the verdict ------------------------------------------------------------------------
 
 
-def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
-                          budget: int = 200) -> SemistabilityVerdict:
+def semistability_verdict(Q: CurvatureForm, restarts: int = 64,
+                          seed: int = 0) -> SemistabilityVerdict:
     """Decide semistability of a curvature form, with certificates.
 
     Pipeline: sparse criterion at sigma = 1/(t-kernel dimension); the exact
@@ -379,7 +379,7 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
     rank-deficient form and every castling shape p = qd - 1 with q != d (and
     its permutations), and cost three exact ranks when neither applies; the
     exact identity-frame destabilizer; and finally the deterministic
-    critical-point search of ``git_norm`` (at most ``budget`` inner solves),
+    critical-point search of ``git_norm`` (at most 200 inner solves),
     whose converged critical points count as positive.  ``restarts`` and
     ``seed`` have no effect: the search is deterministic, and they are
     accepted only so that existing callers keep working.
@@ -411,7 +411,7 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64, seed: int = 0,
             cert = UnstableCertificate(None, dest, exact=True, sigma=sigma)
             return SemistabilityVerdict("unstable", cert, 0.0,
                                         "identity-frame destabilizer")
-    est = git_norm(P, sigma, budget=budget)
+    est = git_norm(P, sigma, budget=200)
     if est.status == "converged":
         return SemistabilityVerdict(
             "positive",

@@ -26,7 +26,6 @@ import numpy as np
 
 from .blockdecomp import (
     BlockDecomposition,
-    IncidenceMatrix,
     Tile,
     _tile_block,
     group_offsets,
@@ -151,6 +150,9 @@ def _philox_stream(seed: int, counter: int) -> np.random.Generator:
 # the temporaries of a large stratified pass stay small
 CHUNK = 1 << 14
 
+# relative standard error at which the stratified estimator may stop
+TARGET_REL_ERROR = 0.05
+
 
 def _integrand_factory(u_of_t, weight, tau: float):
     def f_chunk(pts, omega):
@@ -174,13 +176,12 @@ def _integrand_factory(u_of_t, weight, tau: float):
 
 def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
                       n_samples: int = 100_000, stratified: bool = False,
-                      target_rel_error: float = 0.05,
                       budget_factor: int = 32) -> IntegralEstimate:
     """Monte-Carlo estimate of int w(t) ||u(t)||_omega^(-tau) dt over a box.
 
     Parameters
     ----------
-    M : PolyMatrix | IncidenceMatrix | callable
+    M : PolyMatrix | callable
         Row family; a callable must map (n, d) points to (n, p, q) rows.
     weight : callable | float
         Nonnegative weight w(t); a scalar means a constant weight.
@@ -189,8 +190,8 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
     stratified : bool
         Adaptive stratification: strata are split (doubling the count) in
         decreasing order of estimated variance until the relative standard
-        error target is met or the sample budget (budget_factor * n_samples)
-        is exhausted.
+        error is at most TARGET_REL_ERROR or the sample budget
+        (budget_factor * n_samples) is exhausted.
 
     Samples where the norm vanishes under positive weight are excluded and
     counted in ``flagged``.
@@ -200,8 +201,6 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
     if n_samples < 1 or budget_factor < 1:
         raise ValueError("n_samples and budget_factor must be at least 1")
     tau = float(tau)
-    if isinstance(M, IncidenceMatrix):
-        M = M.M
     u_of_t = matrix_evaluator(M) if isinstance(M, PolyMatrix) else M
     if not callable(weight):
         wconst = float(weight)
@@ -211,8 +210,7 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
 
     if not stratified:
         return _plain_mc(f, dom, omega, seed, n_samples)
-    return _stratified_mc(f, dom, omega, seed, n_samples,
-                          target_rel_error, budget_factor)
+    return _stratified_mc(f, dom, omega, seed, n_samples, budget_factor)
 
 
 def _sample_box(rng, box, n):
@@ -251,7 +249,7 @@ def _plain_mc(f, dom, omega, seed, n_samples) -> IntegralEstimate:
     )
 
 
-def _stratified_mc(f, dom, omega, seed, n_samples, target, budget_factor):
+def _stratified_mc(f, dom, omega, seed, n_samples, budget_factor):
     """Stratified passes with doubling stratum counts.
 
     Each pass lays an equal grid of strata over the box (the split axis
@@ -312,7 +310,8 @@ def _stratified_mc(f, dom, omega, seed, n_samples, target, budget_factor):
         flagged += bad
         prev, value, err = (value, est, e) if value is not None else (None, est, e)
         stable = prev is None or abs(value - prev) <= 3.0 * err + 1e-3 * abs(value)
-        good = value > 0 and err <= target * value and stable and prev is not None
+        good = (value > 0 and err <= TARGET_REL_ERROR * value and stable
+                and prev is not None)
         if good or used + m * n_per > budget:
             break
         if 2 * m * 2 <= 8 * n_samples:
@@ -346,8 +345,6 @@ class TilePlanWeight:
 
     def __init__(self, M, decomp: BlockDecomposition, plan, mode: str = "auto",
                  restarts: int = 8, seed: int = 0):
-        if isinstance(M, IncidenceMatrix):
-            M = M.M
         if mode != "auto":
             raise ValueError(f"unknown mode {mode!r}")
         self.M = M
@@ -428,8 +425,6 @@ def probe_nondegeneracy(M, decomp: BlockDecomposition, t0, sigma, w_value,
     exp(k w_p), exp(k w_q) applied to the adapted factorization, indexed
     within the tile) for k = 1 .. flow_steps.
     """
-    if isinstance(M, IncidenceMatrix):
-        M = M.M
     d = M.d
     sigma = float(sigma)
     R = reduced_matrix(M, decomp)

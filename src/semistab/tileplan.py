@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blockdecomp import BlockDecomposition, Tile
+from .gitnorm import _coordinate_rows
 from .lp import solve_eq_lp
 
 
@@ -79,40 +80,26 @@ def tile_point(decomp: BlockDecomposition, tile: Tile, sigma) -> TilePoint:
     return TilePoint(row, col, sigma, Tile(tile.I, tile.J, sigma))
 
 
-def solve_plan(points: list, p: int, q: int, sigma=None,
-               prefer: str = "max") -> TilePlan | None:
+def solve_plan(points: list, p: int, q: int, sigma=None) -> TilePlan | None:
     """Exact LP for plan weights hitting the balanced target.
 
-    ``sigma`` pins the total; otherwise the extreme feasible value is taken
-    (``prefer`` picks which end).  Returns None when infeasible.  Among
-    optimal vertices the simplex's Bland ordering makes the answer
-    deterministic; when the solution is unique (the generic case for the
-    worked fixtures) the choice doesn't matter.
+    ``sigma`` pins the total; otherwise the largest feasible value is taken.
+    Returns None when infeasible.  Among optimal vertices the simplex's
+    Bland ordering makes the answer deterministic; when the solution is
+    unique (the generic case for the worked fixtures) the choice doesn't
+    matter.
     """
     if not points:
         return None
-    nr = len(points[0].row_part)
-    nc = len(points[0].col_part)
     n = len(points)
+    sizes = (len(points[0].row_part), len(points[0].col_part), 1)
     # variables: theta (n) | sigma_total
-    A = []
-    b = []
-    for r in range(nr):
-        A.append([pt.row_part[r] for pt in points] + [Fraction(0)])
-        b.append(Fraction(1, p))
-    for c in range(nc):
-        A.append([pt.col_part[c] for pt in points] + [Fraction(0)])
-        b.append(Fraction(1, q))
-    A.append([pt.sigma for pt in points] + [Fraction(-1)])
-    b.append(Fraction(0))
-    A.append([Fraction(1)] * n + [Fraction(0)])
-    b.append(Fraction(1))
+    A, b = _coordinate_rows([pt.coords() for pt in points], sizes, p, q)
     if sigma is not None:
-        row = [Fraction(0)] * n + [Fraction(1)]
-        A.append(row)
+        A.append([Fraction(0)] * n + [Fraction(1)])
         b.append(Fraction(sigma))
     obj = [Fraction(0)] * n + [Fraction(1)]
-    res = solve_eq_lp(A, b, obj, maximize=(prefer == "max"))
+    res = solve_eq_lp(A, b, obj, maximize=True)
     if res.status != "optimal":
         return None
     theta = res.x[:n]
@@ -121,12 +108,3 @@ def solve_plan(points: list, p: int, q: int, sigma=None,
         return None
     tau = Fraction(1, 1) / (p * sig)
     return TilePlan(points, theta, sig, tau)
-
-
-def feasible_sigma_range(points: list, p: int, q: int):
-    """(min, max) of the feasible plan sigma, or None."""
-    lo = solve_plan(points, p, q, prefer="min")
-    hi = solve_plan(points, p, q, prefer="max")
-    if lo is None or hi is None:
-        return None
-    return (lo.sigma_total, hi.sigma_total)

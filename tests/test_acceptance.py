@@ -156,7 +156,7 @@ def test_criterion_4_optimizer_soundness():
         (fx.two_cubes(), F(1, 2)),                          # D/d = 3/2
     ]
     for P, sigma in homogeneous:
-        res = minimize_diagonal(P, sigma, max_iter=200)
+        res = minimize_diagonal(P, sigma)
         assert res.status == "drift-to-zero"
         assert res.value < 1e-6 * hs_norm(P)
         assert res.iterations <= 200

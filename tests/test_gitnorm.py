@@ -90,7 +90,7 @@ def test_minimize_diagonal_critical_at_origin():
 def test_minimize_diagonal_drift():
     # homogeneous degree 2, d = 1, away from the balance point sigma = 2
     P = PolyMatrix([[Poly(1, {(2,): 1})]])
-    res = minimize_diagonal(P, 1, max_iter=200)
+    res = minimize_diagonal(P, 1)
     assert res.status == "drift-to-zero"
     assert res.value < 1e-6 * hs_norm(P)
     # at the balance point the value is stationary

@@ -1,7 +1,8 @@
 """Each module of the package uses every name it imports, every private
 module-level function or class is used somewhere in the package, every
-function the benchmark traces still exists, and every verdict detail is a
-stage text the benchmark can parse."""
+option of the public interface is set by some caller, every function the
+benchmark traces still exists, and every verdict detail is a stage text the
+benchmark can parse."""
 
 import ast
 import importlib
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "semistab"
-SPANS = SRC.parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "semistab"
+SPANS = ROOT / "perfbench" / "spans.py"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -66,6 +68,87 @@ def test_unreferenced_private_finds_dead_helpers():
 def test_every_private_helper_is_used():
     paths = sorted(SRC.glob("*.py"))
     assert unreferenced_private([p.read_text() for p in paths]) == []
+
+
+def defaulted_parameters(source: str) -> list:
+    """(name, called as, parameter, position) for each defaulted parameter of
+    a public function, a public method or an ``__init__`` in ``source``.  A
+    class is called by its own name; the position counts the arguments a
+    call passes (so not ``self``) and is None for a keyword-only parameter."""
+    def params(fn, skip):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        first = len(pos) - len(a.defaults)
+        return ([(p.arg, i - skip) for i, p in enumerate(pos) if i >= first]
+                + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if d is not None])
+
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out += [(f"{node.name}.{p}", node.name, p, i) for p, i in params(node, 0)]
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name == "__init__":
+                out += [(f"{node.name}.{p}", node.name, p, i) for p, i in params(fn, 1)]
+            elif not fn.name.startswith("_"):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                out += [(f"{node.name}.{fn.name}.{p}", fn.name, p, i)
+                        for p, i in params(fn, 0 if static else 1)]
+    return out
+
+
+def calls_made(source: str) -> list:
+    """(called name, positional count, keywords) for each call in ``source``.
+    Positional arguments from a ``*`` unpacking on are not counted, and a
+    ``**`` unpacking sets no keyword."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        npos = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                    len(node.args))
+        out.append((name, npos, {kw.arg for kw in node.keywords}))
+    return out
+
+
+def unset_options(modules: dict, callers: list) -> list:
+    """``module.name`` of each defaulted parameter in the ``modules`` (name
+    to source) that no call in the ``callers`` (sources) passes, by keyword
+    or by position, to a function of that name."""
+    calls = [c for src in callers for c in calls_made(src)]
+    return sorted(
+        f"{mod}.{name}" for mod, src in modules.items()
+        for name, called, param, pos in defaulted_parameters(src)
+        if not any(c == called and (param in kws or pos is not None and npos > pos)
+                   for c, npos, kws in calls))
+
+
+def test_unset_options_finds_each_kind():
+    lib = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+           "def _g(a=1):\n    pass\n"
+           "class K:\n"
+           "    def __init__(self, a=1, b=2):\n        pass\n"
+           "    def m(self, a=1):\n        pass\n"
+           "    @staticmethod\n"
+           "    def s(a=1, b=2):\n        pass\n")
+    use = "f(0, 5)\nf(0, *xs, d=4)\nK(b=3)\nk.m(1)\nK.s(1, **kw)\n"
+    assert unset_options({"lib": lib}, [use]) == ["lib.K.a", "lib.K.s.b", "lib.f.c"]
+
+
+def test_every_option_is_set_by_a_caller():
+    # TilePlanWeight's seed is a no-op kept with its restarts, which the
+    # benchmark passes; both go in ROADMAP item 5's benchmark change
+    allowed = {"sublevel.TilePlanWeight.seed"}
+    callers = [p.read_text() for d in ("src", "perfbench", "tools", "tests")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    unset = unset_options({p.stem: p.read_text() for p in MODULES}, callers)
+    assert [u for u in unset if u not in allowed] == []
 
 
 def spans_constant(name: str):

@@ -7,7 +7,6 @@ from semistab.blockdecomp import BlockDecomposition, PolyMatrix, Tile, eliminate
 from semistab.polycore import Poly
 from semistab.tileplan import (
     TilePoint,
-    feasible_sigma_range,
     solve_plan,
     tile_point,
 )
@@ -58,6 +57,31 @@ def test_solve_plan_61():
     assert plan.theta == [F(4, 9), F(4, 9), F(1, 18), F(1, 18)]
     assert plan.sigma_total == F(13, 36)
     assert plan.tau == F(9, 13)
+
+
+def test_solve_plan_lp_rows(monkeypatch):
+    # theta (n) | sigma: row-part rows = 1/p, column-part rows = 1/q, the
+    # sigma row with sigma moved left, sum theta = 1, then the pin row
+    import semistab.tileplan as tp
+
+    seen, solve = [], tp.solve_eq_lp
+
+    def spy(A, b, *args, **kwargs):
+        seen.append((A, b))
+        return solve(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(tp, "solve_eq_lp", spy)
+    dec = _dec61()
+    pts = [tile_point(dec, t, F(i, 2))
+           for i, t in enumerate(fx.example61_tiles())]
+    solve_plan(pts, 4, 9)
+    solve_plan(pts, 4, 9, sigma=F(13, 36))
+    rows = ([[pt.row_part[r] for pt in pts] + [F(0)] for r in range(2)]
+            + [[pt.col_part[c] for pt in pts] + [F(0)] for c in range(3)]
+            + [[pt.sigma for pt in pts] + [F(-1)], [F(1)] * 4 + [F(0)]])
+    rhs = [F(1, 4)] * 2 + [F(1, 9)] * 3 + [F(0), F(1)]
+    pinned = (rows + [[F(0)] * 4 + [F(1)]], rhs + [F(13, 36)])
+    assert repr(seen) == repr([(rows, rhs), pinned])
 
 
 def test_solve_plan_exact_reconstruction():
