@@ -83,6 +83,23 @@ def _matrix_from(obj: dict, path: str) -> PolyMatrix:
         raise InputError(f"{path}: not a polynomial matrix: {exc}") from exc
 
 
+def _float_matrix_from(obj: dict, path: str) -> PolyMatrix:
+    """A matrix for the float commands: every coefficient must fit a float."""
+    M = _matrix_from(obj, path)
+    try:
+        for row in M.entries:
+            for e in row:
+                for c in e.terms.values():
+                    float(c)
+    except OverflowError as exc:
+        raise _past_float_range(path, exc) from exc
+    return M
+
+
+def _past_float_range(path: str, exc: OverflowError) -> InputError:
+    return InputError(f"{path}: a coefficient is past the float range ({exc})")
+
+
 def _decomposition_from(obj: dict, path: str) -> BlockDecomposition:
     try:
         return BlockDecomposition.from_json(obj)
@@ -123,7 +140,7 @@ def _rat_str(x: Fraction) -> str:
 
 
 def cmd_hsnorm(args) -> int:
-    M = _matrix_from(_load(args.input), args.input)
+    M = _float_matrix_from(_load(args.input), args.input)
     value = hs_norm(M)
     _table([["hsnorm", f"{value:.9f}"]])
     _emit({"value": value}, args.out)
@@ -131,7 +148,7 @@ def cmd_hsnorm(args) -> int:
 
 
 def cmd_gitnorm(args) -> int:
-    M = _matrix_from(_load(args.input), args.input)
+    M = _float_matrix_from(_load(args.input), args.input)
     est = git_norm(M, args.sigma)
     _table([
         ["value", f"{est.value:.6f}"],
@@ -301,7 +318,11 @@ def _form_from(obj: dict, path: str) -> CurvatureForm:
 
 def cmd_semistable(args) -> int:
     Q = _form_from(_load(args.input), args.input)
-    verdict = semistability_verdict(Q)
+    try:
+        verdict = semistability_verdict(Q)
+    except OverflowError as exc:
+        # the exact stages take any coefficient; the float ones may not
+        raise _past_float_range(args.input, exc) from exc
     _table([["state", verdict.state], ["detail", verdict.detail]])
     _emit(verdict.to_json(), args.out)
     return 0 if verdict.state in ("positive", "unstable") else 2

@@ -135,17 +135,30 @@ class Destabilizer:
     def flat(self):
         return list(self.w_p) + list(self.w_q) + list(self.w_d)
 
+    def _pairings(self, triples, sigma):
+        """Numerators of the pairings of ``triples`` and of the margin over
+        one common positive denominator, and that denominator."""
+        sigma = Fraction(sigma)
+        w = [Fraction(v) for v in self.flat()] + [Fraction(self.margin)]
+        L = math.lcm(*(v.denominator for v in w))
+        W = [v.numerator * (L // v.denominator) for v in w]
+        p, q = len(self.w_p), len(self.w_q)
+        Wd = W[p + q:-1]
+        # L sd w.(e^i; e^j; alpha - sigma 1_d) for sigma = sn / sd
+        sn, sd = sigma.numerator, sigma.denominator
+        shift = sn * sum(Wd)
+        nums = [sd * (W[i] + W[p + j] + sum(v * a for v, a in zip(Wd, alpha))) - shift
+                for i, j, alpha in triples]
+        return nums, sd * W[-1], L * sd
+
     def pairing(self, triple, sigma: Fraction) -> Fraction:
         """Exact value of w.(e^i; e^j; alpha - sigma 1_d) for one triple."""
-        i, j, alpha = triple
-        out = Fraction(self.w_p[i]) + Fraction(self.w_q[j])
-        for k, a in enumerate(alpha):
-            out += Fraction(self.w_d[k]) * (Fraction(a) - Fraction(sigma))
-        return out
+        (num,), _, den = self._pairings([triple], sigma)
+        return Fraction(num, den)
 
     def verify(self, E: SupportSet, sigma) -> bool:
-        sigma = Fraction(sigma)
-        return all(self.pairing(t, sigma) <= -self.margin for t in E.triples)
+        nums, margin, _ = self._pairings(E.triples, sigma)
+        return all(v <= -margin for v in nums)
 
     def to_json(self) -> dict:
         enc = lambda xs: [{"num": Fraction(x).numerator,
@@ -639,12 +652,12 @@ def _coordinate_rows(points: list, sizes, p: int, q: int, sigma=None):
     nr, nc, ns = sizes
     free = sigma is None  # variables: theta | sigma
     A = [[pt[c] for pt in points] for c in range(nr + nc + ns)]
-    A.append([Fraction(1)] * len(points))
+    A.append([1] * len(points))
     b = ([Fraction(1, p)] * nr + [Fraction(1, q)] * nc
-         + [Fraction(0) if free else sigma] * ns + [Fraction(1)])
+         + [0 if free else sigma] * ns + [1])
     if free:
         for c, row in enumerate(A):
-            row.append(Fraction(-1) if nr + nc <= c < nr + nc + ns else Fraction(0))
+            row.append(-1 if nr + nc <= c < nr + nc + ns else 0)
     return A, b
 
 
@@ -687,6 +700,12 @@ def find_destabilizer(E: SupportSet, sigma, sigma_uniform: bool = False):
     None.  The optimal w is the l1-minimal one on the margin's optimal
     face (the LP's second cost), so certificates are deterministic.
 
+    One exact LP in w = u - v with u, v in [0, 1]: one row per support triple,
+    one per traceless block, and the box rows with their slacks.  Its rows
+    and both costs are ints, except the alpha - sigma columns of the triple
+    rows, where sigma enters as a Fraction.  The certificate is checked over
+    one common denominator (``Destabilizer.verify``) before it is returned.
+
     This certifies instability in the given coordinate frame only; frame
     search is the caller's job.
     """
@@ -705,29 +724,27 @@ def find_destabilizer(E: SupportSet, sigma, sigma_uniform: bool = False):
 
     A, b = [], []
     for t, (i, j, alpha) in enumerate(triples):  # pairing + m + slack_t = 0
-        coeffs = [Fraction(0)] * nw
+        coeffs = [0] * (p + q) + [a - sigma for a in alpha]
         coeffs[i] += 1
         coeffs[p + j] += 1
-        for k in range(d):
-            coeffs[p + q + k] += Fraction(alpha[k]) - sigma
-        row = coeffs + [-v for v in coeffs] + [Fraction(0)] * (nvars - 2 * nw)
-        row[mcol] = row[mcol + 1 + t] = Fraction(1)
+        row = coeffs + [-v for v in coeffs] + [0] * (nvars - 2 * nw)
+        row[mcol] = row[mcol + 1 + t] = 1
         A.append(row)
-        b.append(Fraction(0))
+        b.append(0)
     for block, size in ((0, p), (p, q)) + (((p + q, d),) if sigma_uniform else ()):
-        row = [Fraction(int(block <= c < block + size)) for c in range(nw)]
-        A.append(row + [-v for v in row] + [Fraction(0)] * (nvars - 2 * nw))
-        b.append(Fraction(0))
+        row = [int(block <= c < block + size) for c in range(nw)]
+        A.append(row + [-v for v in row] + [0] * (nvars - 2 * nw))
+        b.append(0)
     for c in range(nw):
         for k in (c, nw + c):  # u_c + su_c = 1, then v_c + sv_c = 1
-            row = [Fraction(0)] * nvars
-            row[k] = row[mcol + 1 + nt + k] = Fraction(1)
+            row = [0] * nvars
+            row[k] = row[mcol + 1 + nt + k] = 1
             A.append(row)
-            b.append(Fraction(1))
+            b.append(1)
 
     # maximize m; canonical representative: l1-minimal w on the optimal face
-    obj = [Fraction(int(c == mcol)) for c in range(nvars)]
-    l1 = [Fraction(int(c < 2 * nw)) for c in range(nvars)]
+    obj = [int(c == mcol) for c in range(nvars)]
+    l1 = [int(c < 2 * nw) for c in range(nvars)]
     res = solve_eq_lp(A, b, obj, maximize=True, c2=l1)
     if res.status != "optimal" or res.objective <= 0:
         return None
@@ -785,17 +802,16 @@ def sparse_criterion(P: PolyMatrix, sigma) -> SparseVerdict:
     n = len(E.triples)
     # variables: theta (n) | eps | slack_t (theta_t - eps - s_t = 0)
     nvars = n + 1 + n
-    A2 = [row + [Fraction(0)] * (1 + n) for row in A]
+    A2 = [row + [0] * (1 + n) for row in A]
     b2 = list(b)
     for t in range(n):
-        row = [Fraction(0)] * nvars
-        row[t] = Fraction(1)
-        row[n] = Fraction(-1)
-        row[n + 1 + t] = Fraction(-1)
+        row = [0] * nvars
+        row[t] = 1
+        row[n] = row[n + 1 + t] = -1
         A2.append(row)
-        b2.append(Fraction(0))
-    obj = [Fraction(0)] * nvars
-    obj[n] = Fraction(1)
+        b2.append(0)
+    obj = [0] * nvars
+    obj[n] = 1
     res = solve_eq_lp(A2, b2, obj, maximize=True)
     strict = res.status == "optimal" and res.objective > 0
     if strict:
@@ -814,7 +830,7 @@ def feasible_sigma_interval(E: SupportSet):
     if n == 0:
         return None
     A, b = _coordinate_rows(E.weight_points(), (p, q, d), p, q)
-    obj = [Fraction(0)] * n + [Fraction(1)]
+    obj = [0] * n + [1]
     lo = solve_eq_lp(A, b, obj, maximize=False)
     if lo.status != "optimal":
         return None

@@ -5,11 +5,11 @@ Problems are solved in equality standard form
 
     minimize c.x   subject to   A x = b,  x >= 0
 
-with rational data.  Instances here are small (tens of rows), so a dense
-tableau with Bland's anti-cycling rule is plenty.  Infeasible problems return
-a Farkas certificate y with y.A <= 0 componentwise and y.b > 0, which is what
-turns "not a member" into a separating functional; it is checked exactly
-before it is returned.
+with rational data.  Instances here are small (tens of rows and columns), so
+Bland's anti-cycling rule is plenty.  Infeasible problems return a Farkas
+certificate y with y.A <= 0 componentwise and y.b > 0, which is what turns
+"not a member" into a separating functional; it is checked exactly before it
+is returned.
 
 A second cost c2 is minimized over the optimal face of c in the same
 tableau.  At the phase-II optimum, with reduced costs r >= 0, that face is
@@ -17,16 +17,27 @@ tableau.  At the phase-II optimum, with reduced costs r >= 0, that face is
 ratio test, under the reduced-cost row of c2, and only columns with r_j = 0
 may enter; Bland's rule and the pivots are unchanged.  No second phase I.
 
-Tableau invariant.  The tableau holds Python ints and one common denominator
-D > 0: its rational value is T / D, and D is the absolute determinant of the
-current basis in the integer start tableau [S A | I | S b], whose identity
-basis has D = 1.  The last row is the reduced-cost row, also over D.  A pivot
-on p = T[r][c] is an Edmonds-Bareiss step: every row i != r becomes
-(p T_i - T_ic T_r) / D, row r stays, and D becomes p; when p < 0 (a
-degenerate artificial pivoted out after phase I) the tableau and D are
-negated together.  Every entry is then a minor of the start tableau, so each
-division is exact.  It is checked anyway, since floor division would round an
-inexact one silently.
+Tableau invariant.  Each tableau row is a {column: int} dict of its nonzero
+entries (the right-hand side under the key ``RHS``) over its own denominator
+d[i] > 0: its rational value is T_i / d[i].  D > 0 is the absolute
+determinant of the current basis in the integer start tableau
+[S A | I | S b], whose identity basis has D = 1, and T_i D / d[i] is row i of
+the dense Edmonds-Bareiss tableau over D, so every entry of it is a minor of
+the start tableau and an integer.  The reduced-cost rows are rows like any
+other.  A pivot on p = T[r][c] first brings row r, and each row with a
+nonzero in column c, to D by the rescale T_i D / d[i]; then every such row
+i != r becomes (p T_i - T_ic T_r) / D over p, row r stays over p, and D
+becomes p.  When p < 0 (a degenerate artificial pivoted out after phase I)
+the rewritten rows are negated and sit over -p.  Every other row keeps its
+integers and its d[i], since its rational value does not change; it is
+brought to D only when it is next rewritten, read for x, used for the
+Farkas vector or used in a cost row.  Bland's rule and the ratio test read
+stale rows as they are: a sign, a zero or a ratio within one row does not
+depend on its scale.  Each division, in a pivot or a rescale, is exact; it
+is checked anyway through the row sums, since floor division would round an
+inexact one silently.  In the destabilizer LPs most rows have a zero in
+the entering column of a pivot (about 70% on (5,2,3) forms), so most rows
+are left alone by it.
 
 Why the scales.  Row i, signed so that b_i >= 0, is scaled to integers by its
 own s_i > 0 (the lcm of its denominators), and its artificial keeps a unit
@@ -36,9 +47,13 @@ signs, ratios and ties, hence Bland's pivot path, are unchanged as long as
 the phase-I objective sum_i a_i is kept.  Scaled by L = lcm(s), it gives
 artificial k the cost L / s_k.  Phase-II costs are scaled to integers by one
 positive factor, ratios are compared by cross-multiplying, and the Farkas
-vector is un-scaled as y_k = sign_k s_k y'_k / (D L).  Two shortcuts change
-results: one global scale with artificial columns L e_k makes the divisions
-inexact, and unit artificial costs with per-row scales change the pivot path.
+vector is un-scaled as y_k = sign_k s_k y'_k / (D L).  The per-row
+denominators d[i] are a second positive row scale of the same kind, so they
+too leave the pivot path alone.  Two shortcuts change results: one global
+scale with artificial columns L e_k makes the divisions inexact, and unit
+artificial costs with per-row scales change the pivot path.  Callers may
+pass ints where their data are integers; ints and Fractions of equal value
+give the same scales and the same results.
 
 The elimination kernel.  ``_gauss_jordan`` keeps each row as {column: int},
 its nonzero entries only, scaled to integers and divided by their gcd.  The
@@ -77,92 +92,122 @@ def _rational(v):
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
-def _pivot(T, basis, r, c, D):
-    """Edmonds-Bareiss pivot on T[r][c]; returns the new denominator."""
-    p = T[r][c]
-    prow = T[r]
-    psum = sum(prow)
+RHS = -1  # key of the right-hand side in a tableau row
+
+
+def _rescale(T, d, i, D):
+    """Bring row i from its denominator d[i] to D, in place; returns it."""
+    row, di = T[i], d[i]
+    if di == D:
+        return row
+    new = {k: v * D // di for k, v in row.items()}
+    # floor remainders are >= 0 for d[i] > 0, so the sums agree only if every
+    # division is exact
+    if di * sum(new.values()) != D * sum(row.values()):
+        raise ArithmeticError("inexact row rescale")
+    T[i], d[i] = new, D
+    return new
+
+
+def _pivot(T, d, basis, r, c, D):
+    """Edmonds-Bareiss pivot on T[r][c]; returns the new denominator.  Only
+    the pivot row and the rows with a nonzero in column c are rewritten."""
+    prow = _rescale(T, d, r, D)
+    p = prow[c]
+    psum = sum(prow.values())
     for i, row in enumerate(T):
-        f = row[c]
-        if i == r or (not f and p == D):
+        if i == r or c not in row:
             continue
-        new = [(p * a - f * b) // D for a, b in zip(row, prow)]
-        # floor remainders are >= 0 for D > 0, so the row sums agree only if
-        # every division is exact
-        if D * sum(new) != p * sum(row) - f * psum:
+        row = _rescale(T, d, i, D)
+        f = row[c]
+        new = {k: p * v for k, v in row.items()}
+        for k, v in prow.items():
+            new[k] = new.get(k, 0) - f * v
+        new = {k: v // D for k, v in new.items() if v}
+        if D * sum(new.values()) != p * sum(row.values()) - f * psum:
             raise ArithmeticError("inexact fraction-free pivot")
-        T[i] = new
+        T[i], d[i] = ({k: -v for k, v in new.items()} if p < 0 else new), abs(p)
     basis[r] = c
     if p < 0:
-        for i, row in enumerate(T):
-            T[i] = [-v for v in row]
-        p = -p
-    return p
+        T[r] = {k: -v for k, v in prow.items()}
+    d[r] = abs(p)
+    return abs(p)
 
 
-def _simplex_core(T, basis, D, n, face=False):
+def _simplex_core(T, d, basis, D, n, face=False):
     """Minimize over the tableau, whose last row is the reduced-cost row;
     columns below n may enter.  With ``face`` the row above it holds the
     reduced costs of an earlier optimum: it takes no part in the ratio test,
     and only its zero columns may enter.  Returns ('optimal' | 'unbounded', D)."""
     z = len(T) - 1
     while True:
-        enter = next((j for j in range(n) if T[z][j] < 0
-                      and not (face and T[z - 1][j])), -1)  # Bland
+        zrow, frow = T[z], T[z - 1] if face else {}
+        enter = min((j for j, v in zrow.items()
+                     if v < 0 and 0 <= j < n and not frow.get(j)), default=-1)  # Bland
         if enter < 0:
             return "optimal", D
         leave = -1
         for i in range(z - face):
-            a = T[i][enter]
+            row = T[i]
+            a = row.get(enter, 0)
             if a <= 0:
                 continue
+            b = row.get(RHS, 0)
             if leave >= 0:
-                # ratios T[i][-1] / a against best_b / best_a, both a > 0
-                lhs, rhs = T[i][-1] * best_a, best_b * a
+                # ratios b / a against best_b / best_a, both a > 0; each
+                # ratio is one row's, so it does not depend on d[i]
+                lhs, rhs = b * best_a, best_b * a
                 if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
                     continue
-            leave, best_b, best_a = i, T[i][-1], a
+            leave, best_b, best_a = i, b, a
         if leave < 0:
             return "unbounded", D
-        D = _pivot(T, basis, leave, enter, D)
+        D = _pivot(T, d, basis, leave, enter, D)
 
 
-def _cost_row(T, cost, basis_cost, D):
-    """D times the reduced costs of the integer ``cost`` (one per column)."""
-    z = [D * v for v in cost]
-    for row, k in zip(T, basis_cost):
+def _cost_row(T, d, cost, basis_cost, D):
+    """D times the reduced costs of the integer ``cost`` ({column: int}),
+    with ``basis_cost`` the cost of the basic variable of each row of T."""
+    z = {j: D * v for j, v in cost.items()}
+    for i, k in enumerate(basis_cost):
         if k:
-            z = [a - k * b for a, b in zip(z, row)]
-    return z
+            for j, v in _rescale(T, d, i, D).items():
+                z[j] = z.get(j, 0) - k * v
+    return {j: v for j, v in z.items() if v}
 
 
-def _objective_row(T, c, basis, D):
+def _objective_row(T, d, c, basis, D):
     """Reduced-cost row of the rational cost ``c``, scaled to integers."""
     K = math.lcm(*(v.denominator for v in c))
     cost = [v.numerator * (K // v.denominator) for v in c]
-    return _cost_row(T, cost + [0], [cost[k] if k < len(c) else 0 for k in basis], D)
+    return _cost_row(T, d, {j: v for j, v in enumerate(cost) if v},
+                     [cost[k] if k < len(c) else 0 for k in basis], D)
 
 
 def _phase_one(rows, n, art_cost, artificials):
-    """Phase-I tableau from the scaled rows, basis and D at its optimum; the
-    unit artificial columns are carried only when ``artificials``."""
+    """Phase-I tableau from the scaled sparse rows, with denominators, basis
+    and D at its optimum; the unit artificial columns are carried only when
+    ``artificials``."""
     m = len(rows)
-    T = [row[:n] + [int(k == i) for k in range(m) if artificials] + row[n:]
-         for i, row in enumerate(rows)]
+    T = [{**row, n + i: 1} if artificials else dict(row) for i, row in enumerate(rows)]
+    d = [1] * m
     basis = [n + i for i in range(m)]
-    cost = [0] * n + (art_cost if artificials else []) + [0]
-    T.append(_cost_row(T, cost, art_cost, 1))
-    _, D = _simplex_core(T, basis, 1, n)
+    cost = {n + i: k for i, k in enumerate(art_cost)} if artificials else {}
+    T.append(_cost_row(T, d, cost, art_cost, 1))
+    d.append(1)
+    _, D = _simplex_core(T, d, basis, 1, n)
     T.pop()
-    return T, basis, D
+    d.pop()
+    return T, d, basis, D
 
 
-def _farkas_vector(T, basis, n, sign, s, D):
+def _farkas_vector(T, d, basis, n, sign, s, D):
     """Phase-I dual y = c_B B^-1, un-scaled and in the caller's row signs."""
     L = math.lcm(*s)
+    rows = [(_rescale(T, d, i, D), j) for i, j in enumerate(basis) if j >= n]
     y = []
     for k, sk in enumerate(s):
-        yk = sum(L // s[j - n] * row[n + k] for row, j in zip(T, basis) if j >= n)
+        yk = sum(L // s[j - n] * row.get(n + k, 0) for row, j in rows)
         y.append(Fraction(sign[k] * sk * yk, D * L))
     return y
 
@@ -174,28 +219,31 @@ def solve_eq_lp(A, b, c, maximize: bool = False, c2=None) -> LPResult:
     n = len(A[0]) if m else 0
     A0 = [[_rational(v) for v in row] for row in A]
     b0 = [_rational(v) for v in b]
-    c = [Fraction(v) for v in c]
+    c = [_rational(v) for v in c]
     if maximize:
         c = [-v for v in c]
 
-    # rows signed to b >= 0 and scaled to integers
+    # rows signed to b >= 0, scaled to integers and kept sparse
     sign = [-1 if v < 0 else 1 for v in b0]
     s, rows = [], []
     for i in range(m):
-        vals = A0[i] + [b0[i]]
-        si = math.lcm(*(v.denominator for v in vals))
-        rows.append([sign[i] * v.numerator * (si // v.denominator) for v in vals])
+        si = math.lcm(*(v.denominator for v in A0[i]), b0[i].denominator)
+        row = {j: sign[i] * v.numerator * (si // v.denominator)
+               for j, v in enumerate(A0[i]) if v}
+        if b0[i]:
+            row[RHS] = abs(b0[i].numerator) * (si // b0[i].denominator)
+        rows.append(row)
         s.append(si)
 
     # phase I: drive artificials to zero; artificial k costs lcm(s) / s_k
     L = math.lcm(*s)
     art_cost = [L // si for si in s]
-    T, basis, D = _phase_one(rows, n, art_cost, False)
-    if any(row[-1] > 0 for row, j in zip(T, basis) if j >= n):
+    T, d, basis, D = _phase_one(rows, n, art_cost, False)
+    if any(T[i].get(RHS, 0) > 0 for i, j in enumerate(basis) if j >= n):
         # artificial columns never steer a pivot, so a replay that carries
         # them ends in the same basis, with D B^-1 in those columns
-        T, basis, D = _phase_one(rows, n, art_cost, True)
-        y = _farkas_vector(T, basis, n, sign, s, D)
+        T, d, basis, D = _phase_one(rows, n, art_cost, True)
+        y = _farkas_vector(T, d, basis, n, sign, s, D)
         yA = [sum(y[i] * A0[i][j] for i in range(m)) for j in range(n)]
         yb = sum(y[i] * b0[i] for i in range(m))
         if not (yb > 0 and all(v <= 0 for v in yA)):
@@ -205,22 +253,24 @@ def solve_eq_lp(A, b, c, maximize: bool = False, c2=None) -> LPResult:
     # pivot lingering artificials out of the basis (degenerate rows)
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j] != 0), None)
+            col = min((j for j in T[i] if 0 <= j < n), default=None)
             if col is not None:
-                D = _pivot(T, basis, i, col, D)
+                D = _pivot(T, d, basis, i, col, D)
 
     # phase II over the original columns, then c2 on the optimal face
-    T.append(_objective_row(T, c, basis, D))
-    status, D = _simplex_core(T, basis, D, n)
+    T.append(_objective_row(T, d, c, basis, D))
+    d.append(D)
+    status, D = _simplex_core(T, d, basis, D, n)
     if status == "optimal" and c2 is not None:
-        T.append(_objective_row(T[:m], [Fraction(v) for v in c2], basis, D))
-        status, D = _simplex_core(T, basis, D, n, face=True)
+        T.append(_objective_row(T, d, [_rational(v) for v in c2], basis, D))
+        d.append(D)
+        status, D = _simplex_core(T, d, basis, D, n, face=True)
     if status == "unbounded":
         return LPResult(status="unbounded")
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(T[i][-1], D)
+            x[basis[i]] = Fraction(_rescale(T, d, i, D).get(RHS, 0), D)
     obj = sum(ci * xi for ci, xi in zip(c, x))
     if maximize:
         obj = -obj

@@ -595,14 +595,12 @@ class SupportSet:
     triples: list
 
     def weight_points(self):
-        """Points (e^i; e^j; alpha) in R^p x R^q x R^d, as Fraction tuples."""
+        """Points (e^i; e^j; alpha) in Z^p x Z^q x Z^d, as int tuples."""
         pts = []
         for (i, j, alpha) in self.triples:
-            v = [Fraction(0)] * (self.p + self.q + self.d)
-            v[i] = Fraction(1)
-            v[self.p + j] = Fraction(1)
-            for k, a in enumerate(alpha):
-                v[self.p + self.q + k] = Fraction(a)
+            v = [0] * (self.p + self.q) + list(alpha)
+            v[i] = 1
+            v[self.p + j] = 1
             pts.append(tuple(v))
         return pts
 
@@ -636,6 +634,9 @@ def poly_from_json(dim: int, terms: Iterable[dict]) -> Poly:
     terms = list(terms)
     if any(t["den"] == 0 for t in terms):
         raise ValueError("a term has the denominator 0")
+    for t in terms:
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in t["alpha"]):
+            raise ValueError(f"exponents {t['alpha']!r} are not all integers")
     return Poly(dim, {tuple(t["alpha"]): Fraction(t["num"], t["den"]) for t in terms})
 
 

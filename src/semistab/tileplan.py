@@ -96,9 +96,9 @@ def solve_plan(points: list, p: int, q: int, sigma=None) -> TilePlan | None:
     # variables: theta (n) | sigma_total
     A, b = _coordinate_rows([pt.coords() for pt in points], sizes, p, q)
     if sigma is not None:
-        A.append([Fraction(0)] * n + [Fraction(1)])
+        A.append([0] * n + [1])
         b.append(Fraction(sigma))
-    obj = [Fraction(0)] * n + [Fraction(1)]
+    obj = [0] * n + [1]
     res = solve_eq_lp(A, b, obj, maximize=True)
     if res.status != "optimal":
         return None

@@ -4,8 +4,11 @@ Starting from well-formed tensor and phi problems for ``semistable`` and from
 the README fixture of every other command, random edits drop keys, put
 values of the wrong type, empty, shorten or lengthen lists and change
 integers to -1..3 (so denominators hit 0 and exponents go negative, but stay
-at most 3).  Whatever the file, the CLI must exit 0, 1 or 2 without a
-traceback, and an exit 1 must be one error line.
+at most 3).  Each edit is made at a node on the path to a leaf drawn
+uniformly from all leaves, at a depth drawn uniformly along that path, so
+deep fields and whole subtrees are both reached.  Whatever the file, the CLI
+must exit 0, 1 or 2 without a traceback, and an exit 1 must be one error
+line.
 """
 
 import contextlib
@@ -46,27 +49,60 @@ JUNK = st.one_of(st.none(), st.booleans(), st.integers(-1, 3), st.just(0.5),
                  st.just("x"), st.just([]), st.just({}))
 
 
-def edit(draw, obj):
-    """One random edit somewhere inside ``obj``."""
+def leaves(obj, path=()):
+    """Paths to the leaves of ``obj``: scalars and empty lists and objects."""
     if isinstance(obj, dict) and obj:
-        key = draw(st.sampled_from(sorted(obj)))
-        action = draw(st.sampled_from(["drop", "junk", "descend"]))
-        if action == "drop":
-            return {k: v for k, v in obj.items() if k != key}
-        return dict(obj, **{key: draw(JUNK) if action == "junk" else edit(draw, obj[key])})
+        return [p for k in sorted(obj) for p in leaves(obj[k], path + (k,))]
     if isinstance(obj, list) and obj:
-        i = draw(st.integers(0, len(obj) - 1))
-        action = draw(st.sampled_from(["empty", "shorten", "lengthen", "junk", "descend"]))
+        return [p for i, v in enumerate(obj) for p in leaves(v, path + (i,))]
+    return [path]
+
+
+def edit(draw, obj):
+    """One random edit of ``obj``.  A leaf is drawn uniformly from all leaves
+    and then a node uniformly from the objects and lists on its path; the
+    child of that node on the path is dropped or replaced by junk (an int
+    leaf by -1..3 too), or the list holding it is emptied, shortened or
+    lengthened there."""
+    path = draw(st.sampled_from(leaves(obj)))
+    if not path:
+        return draw(JUNK)
+    depth = draw(st.integers(0, len(path) - 1))
+    up, key = path[:depth], path[depth]
+    node = obj
+    for k in up:
+        node = node[k]
+    child = node[key]
+    if isinstance(child, int) and not isinstance(child, bool):
+        junk = st.one_of(st.integers(-1, 3), JUNK)
+    else:
+        junk = JUNK
+    if isinstance(node, dict):
+        if draw(st.sampled_from(["drop", "junk"])) == "drop":
+            new = {k: v for k, v in node.items() if k != key}
+        else:
+            new = dict(node, **{key: draw(junk)})
+    else:
+        action = draw(st.sampled_from(["empty", "shorten", "lengthen", "junk"]))
         if action == "empty":
-            return []
-        if action == "shorten":
-            return obj[:i] + obj[i + 1:]
-        if action == "lengthen":
-            return obj[:i + 1] + obj[i:]
-        return obj[:i] + [draw(JUNK) if action == "junk" else edit(draw, obj[i])] + obj[i + 1:]
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return draw(st.integers(-1, 3))
-    return draw(JUNK)
+            new = []
+        elif action == "shorten":
+            new = node[:key] + node[key + 1:]
+        elif action == "lengthen":
+            new = node[:key + 1] + node[key:]
+        else:
+            new = node[:key] + [draw(junk)] + node[key + 1:]
+    return replace(obj, up, new)
+
+
+def replace(obj, path, value):
+    """A copy of ``obj`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    head, *rest = path
+    if isinstance(obj, dict):
+        return dict(obj, **{head: replace(obj[head], rest, value)})
+    return obj[:head] + [replace(obj[head], rest, value)] + obj[head + 1:]
 
 
 @st.composite
@@ -208,6 +244,49 @@ def test_sublevel_tau_is_validated(tmp_path, tau, flag):
     path.write_text(json.dumps(dict(load_fixture("sublevel_line.json"), tau=tau)))
     argv = ["sublevel", "--input", str(path), "--samples", "10"] + flag
     assert_one_error_line(*run_main(argv))
+
+
+def test_coefficient_past_the_float_range_is_an_input_error(tmp_path):
+    # gitnorm, hsnorm and semistable (when its exact stages leave the form to
+    # the float flow) once ended in OverflowError; the exact polytope LP and a
+    # form the exact stages decide take the coefficient as it is
+    matrix, tensor, phi = load_fixture("t2.json"), json.loads(json.dumps(BASES[0])), \
+        json.loads(json.dumps(BASES[1]))
+    matrix["entries"][0][0][0]["num"] = 10 ** 400
+    tensor["tensor"][0][0][0]["num"] = 10 ** 400
+    phi["phi"][0][0]["num"] = 10 ** 400
+    paths = {}
+    for name, problem in [("matrix", matrix), ("tensor", tensor), ("phi", phi)]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(problem, fh)
+    assert_one_error_line(*run_main(["gitnorm", "--sigma", "1", "--input", paths["matrix"]]))
+    assert_one_error_line(*run_main(["hsnorm", "--input", paths["matrix"]]))
+    assert run_main(["polytope", "--sigma", "1", "--input", paths["matrix"]])[0] == 0
+    assert_one_error_line(*run_main(["semistable", "--input", paths["tensor"]]))
+    assert run_main(["semistable", "--input", paths["phi"]])[0] == 0
+
+
+@pytest.mark.parametrize("command,fixture,matrix", [
+    (["blockdecomp", "--input"], "m61.json", lambda problem: problem),
+    (["blockdecomp", "--verify"], "intro.json", lambda problem: problem["decomposition"]["B"]),
+    (["sublevel", "--samples", "10", "--input"], "sublevel_line.json",
+     lambda problem: problem["matrix"])], ids=["blockdecomp-input", "blockdecomp-verify",
+                                               "sublevel"])
+@pytest.mark.parametrize("exponent", [0.5, True])
+def test_exponent_that_is_not_an_int_is_an_input_error(tmp_path, command, fixture, matrix,
+                                                       exponent):
+    # 0.5 once ended in a traceback in each command (AttributeError or
+    # TypeError, and KeyError when only some exponents were 0.5); True ran
+    # as a 1
+    problem = load_fixture(fixture)
+    for row in matrix(problem)["entries"]:
+        for entry in row:
+            for term in entry:
+                term["alpha"][-1] = exponent
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(problem))
+    assert_one_error_line(*run_main(command + [str(path)]))
 
 
 def in_one_more_variable(matrix, exponent):

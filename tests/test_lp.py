@@ -233,6 +233,41 @@ def test_integer_kernel_matches_reference_on_support_lps(monkeypatch):
     assert seen["optimal", True] == 8
 
 
+def test_integer_kernel_matches_reference_at_certify_size(monkeypatch):
+    """Destabilizer LPs on castling-frame supports of seeded (5,2,3) forms:
+    28 x 47 tableaux and 56 pivots each, where most rows have a zero
+    in the entering column and are brought up to date only when next read."""
+    shapes, pivots, rescales = [], Counter(), Counter()
+
+    def both(A, b, c, maximize=False, c2=None):
+        got = solve_eq_lp(A, b, c, maximize=maximize, c2=c2)
+        assert _fields(got) == _fields(
+            _reference_lexicographic(A, b, c, maximize, c2))
+        shapes.append((len(A), len(A[0])))
+        return got
+
+    def pivot(T, d, *args, orig=lp._pivot):
+        pivots[len(shapes)] += 1
+        return orig(T, d, *args)
+
+    def rescale(T, d, i, D, orig=lp._rescale):
+        rescales[d[i] != D] += 1  # True: a stale row
+        return orig(T, d, i, D)
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    monkeypatch.setattr(lp, "_rescale", rescale)
+    monkeypatch.setattr(gitnorm, "solve_eq_lp", both)
+    rng = random.Random(523)
+    for _ in range(3):
+        T = [[[F(rng.randint(-9, 9)) for _ in range(3)] for _ in range(2)]
+             for _ in range(5)]
+        P = radon.CurvatureForm(T).to_polymatrix()
+        assert radon.pencil_destabilizer(P, F(1, 3)) is not None
+    assert shapes == [(28, 47)] * 3
+    assert pivots == Counter({0: 56, 1: 56, 2: 56})
+    assert rescales[True] > 0, rescales
+
+
 def test_second_cost_picks_the_vertex_of_an_optimal_edge():
     # max x1 + x2 on x1 + x2 + s = 2, x1 + t = 3/2: the whole edge
     # x1 + x2 = 2, 0 <= x1 <= 3/2 is optimal, and each second cost
@@ -254,9 +289,20 @@ def test_second_cost_picks_the_vertex_of_an_optimal_edge():
 
 
 def test_pivot_rejects_inexact_division():
-    T = [[2, 3, 1], [4, 1, 1]]
-    with pytest.raises(ArithmeticError):
-        lp._pivot(T, [0, 1], 0, 0, 3)
+    # rows {column: int} over their own denominators d, here both at D = 3
+    T = [{0: 2, 1: 3, lp.RHS: 1}, {0: 4, 1: 1, lp.RHS: 1}]
+    with pytest.raises(ArithmeticError, match="pivot"):
+        lp._pivot(T, [3, 3], [0, 1], 0, 0, 3)
+
+
+def test_stale_row_rescale_rejects_inexact_division():
+    # row 1 sits over 2 and would need 3/2 of its entries at D = 3
+    T = [{0: 2, 1: 3, lp.RHS: 1}, {0: 1, lp.RHS: 1}]
+    with pytest.raises(ArithmeticError, match="rescale"):
+        lp._rescale(T, [3, 2], 1, 3)
+    # the pivot brings the stale row up to date before it updates it
+    with pytest.raises(ArithmeticError, match="rescale"):
+        lp._pivot(T, [3, 2], [0, 1], 0, 0, 3)
 
 
 # -- certificate checks raise CertificateError, also under python -O ---------------

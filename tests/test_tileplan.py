@@ -76,11 +76,12 @@ def test_solve_plan_lp_rows(monkeypatch):
            for i, t in enumerate(fx.example61_tiles())]
     solve_plan(pts, 4, 9)
     solve_plan(pts, 4, 9, sigma=F(13, 36))
-    rows = ([[pt.row_part[r] for pt in pts] + [F(0)] for r in range(2)]
-            + [[pt.col_part[c] for pt in pts] + [F(0)] for c in range(3)]
-            + [[pt.sigma for pt in pts] + [F(-1)], [F(1)] * 4 + [F(0)]])
-    rhs = [F(1, 4)] * 2 + [F(1, 9)] * 3 + [F(0), F(1)]
-    pinned = (rows + [[F(0)] * 4 + [F(1)]], rhs + [F(13, 36)])
+    # the LPs are built in ints wherever no point coordinate or 1/p enters
+    rows = ([[pt.row_part[r] for pt in pts] + [0] for r in range(2)]
+            + [[pt.col_part[c] for pt in pts] + [0] for c in range(3)]
+            + [[pt.sigma for pt in pts] + [-1], [1] * 4 + [0]])
+    rhs = [F(1, 4)] * 2 + [F(1, 9)] * 3 + [0, 1]
+    pinned = (rows + [[0] * 4 + [1]], rhs + [F(13, 36)])
     assert repr(seen) == repr([(rows, rhs), pinned])
 
 
