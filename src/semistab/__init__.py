@@ -7,7 +7,6 @@ from .polycore import (
     PolyMatrix,
     SupportSet,
     act_group,
-    diagonal_shift,
     eval_poly,
     hs_norm,
     partial_derivative,
@@ -32,6 +31,7 @@ from .gitnorm import (
 from .blockdecomp import (
     BlockDecomposition,
     Tile,
+    diagonal_shift,
     eliminate,
     has_generic_rank_p,
     parametrize_kernel,

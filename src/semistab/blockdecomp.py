@@ -10,7 +10,9 @@ matrix D.
 
 Internally bivariate objects live as polynomials in 2d variables: the first
 d are s, the last d are z.  This module owns that layout: the embeddings
-:func:`inflate_s`, :func:`inflate_z` and :func:`inflate_t`, the product
+:func:`inflate_s`, :func:`inflate_z` and :func:`inflate_t`, the
+specialisation :func:`specialize_s` at a point s = t0, the translation
+:func:`diagonal_shift` built from the two, the product
 :func:`reduced_product`, the determinant-one check :func:`unimodular`, the
 degree-grid check :func:`degrees_monotone` and the block order
 :func:`least_z_order`; :mod:`semistab.radon` verifies its moment families
@@ -42,7 +44,7 @@ from .lp import exact_rank, exact_solve
 from .polycore import (
     Poly,
     PolyMatrix,
-    eval_poly_exact,
+    _is_exact_scalar,
     grlex_key,
     polymatrix_from_json,
     polymatrix_to_json,
@@ -80,7 +82,7 @@ def inflate_z(P: Poly, d: int) -> Poly:
 
 def inflate_t(P: Poly, d: int) -> Poly:
     """Poly in t (d vars) -> poly in (s, z) via t = s + z."""
-    out = Poly.zero(2 * d)
+    out = Poly(2 * d, {}, exact=P.exact)
     for a, c in P.terms.items():
         mono = Poly.constant(2 * d, c)
         for k, e in enumerate(a):
@@ -121,19 +123,29 @@ def z_homogeneous_part(P: Poly, d: int, deg: int) -> Poly:
                 exact=P.exact)
 
 
-def specialize_s(P: Poly, d: int, t0) -> Poly:
-    """Substitute t0 for the first d variables (s in a bivariate poly); the
-    result is a polynomial in the other P.dim - d variables (the z block)."""
+def specialize_s(P: Poly, t0) -> Poly:
+    """Substitute t0 for the first d = len(t0) variables (s in a bivariate
+    poly); the result is a polynomial in the other P.dim - d variables (the
+    z block), exact when P and t0 are."""
+    d = len(t0)
     out: dict = {}
     for a, c in P.terms.items():
         val = c
         for k in range(d):
             if a[k]:
-                val = val * Fraction(t0[k]) ** a[k]
+                val = val * t0[k] ** a[k]
         if val:
             key = a[d:]
             out[key] = out.get(key, 0) + val
-    return Poly(P.dim - d, out)
+    exact = P.exact and all(_is_exact_scalar(x) for x in t0)
+    return Poly(P.dim - d, out, exact=exact)
+
+
+def diagonal_shift(P: Poly, s0) -> Poly:
+    """Return z -> P(s0 + z): t = s + z, then s = s0; exact when P and s0 are."""
+    if len(s0) != P.dim:
+        raise ValueError("dimension mismatch")
+    return specialize_s(inflate_t(P, P.dim), s0)
 
 
 def pm_mul(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
@@ -235,7 +247,7 @@ def has_generic_rank_p(M: PolyMatrix) -> bool:
     rng = random.Random(5)
     for _ in range(2):
         pt = [Fraction(rng.randint(-99, 99), 101) for _ in range(M.d)]
-        rows = [[eval_poly_exact(e, pt) for e in row] for row in M.entries]
+        rows = [[specialize_s(e, pt).coeff(()) for e in row] for row in M.entries]
         if exact_rank(rows) == M.p:
             return True
     return False
@@ -477,13 +489,11 @@ def _mat_mul_frac(X, Y):
 
 def _exp_flow(generators, d: int, q: int) -> PolyMatrix:
     """B(t) = prod_k exp(-t_k G_k); polynomial because each G_k is nilpotent."""
-    B = PolyMatrix([[Poly.constant(d, 1 if i == j else 0) for j in range(q)]
-                    for i in range(q)])
+    B = PolyMatrix.identity(q, d)
     for k, G in enumerate(generators):
         ek = tuple(1 if j == k else 0 for j in range(d))
         term = [[Fraction(1 if i == j else 0) for j in range(q)] for i in range(q)]
-        entries = [[Poly.constant(d, 1 if i == j else 0) for j in range(q)]
-                   for i in range(q)]
+        entries = PolyMatrix.identity(q, d).entries
         power = term
         fact = 1
         for n in range(1, q + 1):
@@ -670,8 +680,7 @@ def eliminate(M: PolyMatrix):
     p, q, d = M.p, M.q, M.d
     degbound = max(M.degree(), 1)
 
-    A = PolyMatrix([[Poly.constant(d, 1 if i == j else 0) for j in range(p)]
-                    for i in range(p)])
+    A = PolyMatrix.identity(p, d)
     try:
         generators = _solve_constant_closure(M)
     except NotDerivativeClosed:
@@ -679,8 +688,7 @@ def eliminate(M: PolyMatrix):
     if generators is not None:
         B = _exp_flow(generators, d, q)
     else:
-        B = PolyMatrix([[Poly.constant(d, 1 if i == j else 0) for j in range(q)]
-                        for i in range(q)])
+        B = PolyMatrix.identity(q, d)
     R = reduced_product(A, M, B)
 
     for _ in range(8):
@@ -847,7 +855,7 @@ def _tile_block(R: PolyMatrix, decomp: BlockDecomposition, tile: Tile, t0) -> Po
                     if (i, j) in decomp.zero_blocks:
                         row.append(Poly.zero(d))
                         continue
-                    e = specialize_s(R.entries[r][c], d, t0)
+                    e = specialize_s(R.entries[r][c], t0)
                     row.append(e.homogeneous_part(decomp.D[i][j]))
             rows.append(row)
     return PolyMatrix(rows)

@@ -82,14 +82,11 @@ def intro_V() -> PolyMatrix:
 def intro_decomposition() -> tuple:
     """(M, decomp) for the introductory product, groups (2,1) x (3,1,1)."""
     M = intro_U()
-    p = M.p
-    A = PolyMatrix([[_const(1, 1 if i == j else 0) for j in range(p)]
-                    for i in range(p)])
     decomp = BlockDecomposition(
         row_groups=[2, 1],
         col_groups=[3, 1, 1],
         D=[[0, 1, 1], [0, 2, 3]],
-        A=A,
+        A=PolyMatrix.identity(M.p, 1),
         B=intro_V(),
     )
     return M, decomp
@@ -173,9 +170,6 @@ def example63_decomposition() -> tuple:
 
     M = example63_matrix()
     _, B, _, _ = eliminate(M)
-    d = 3
-    A = PolyMatrix([[_const(d, 1 if i == j else 0) for j in range(4)]
-                    for i in range(4)])
     D = [
         [0, 0, 0, 0, 1, 1, 1, 1],
         [0, 0, 0, 0, 1, 1, 1, 2],
@@ -186,7 +180,7 @@ def example63_decomposition() -> tuple:
         row_groups=[1, 1, 1, 1],
         col_groups=[1] * 8,
         D=D,
-        A=A,
+        A=PolyMatrix.identity(M.p, M.d),
         B=B,
     )
     return M, decomp

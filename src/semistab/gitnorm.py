@@ -562,10 +562,11 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = 0, budget: int = 400,
     """
     p, q, d = P.p, P.q, P.d
     frames = (np.eye(p), np.eye(q), np.eye(d))
-    if hs_norm(P) == 0.0:
-        return GitEstimate(0.0, "converged", LogWeights.zeros(p, q, d), frames, 0.0, 0)
-    sigma = float(sigma)
     basis, Tc = to_dense(P)
+    with np.errstate(over="ignore"):  # P is zero, or every mass alpha! c^2 underflows
+        if not np.any(basis.fac * Tc * Tc):
+            return GitEstimate(0.0, "converged", LogWeights.zeros(p, q, d), frames, 0.0, 0)
+    sigma = float(sigma)
     V = _weight_matrix(basis, p, q, sigma)
     U = _traceless_basis(p, q, d)
     parts = lambda w: (w.w_p, w.w_q, w.w_d)
@@ -791,13 +792,9 @@ def sparse_criterion(P: PolyMatrix, sigma) -> SparseVerdict:
                             reason=f"entry ({i},{j}) has adjacent multiindices "
                                    f"{a1} and {a2}")
 
+    # barycentric weights theta with the largest floor eps >= 0; the LP is
+    # infeasible exactly when the barycenter is outside the support hull
     E = support_set(P)
-    member = polytope_membership(E, sigma)
-    if not member.member:
-        return SparseVerdict(True, False, reason="barycenter outside support hull")
-    theta = dict(zip(E.triples, member.theta))
-
-    # strictly positive theta: maximize the floor of the weights
     A, b = _coordinate_rows(E.weight_points(), (p, q, d), p, q, sigma)
     n = len(E.triples)
     # variables: theta (n) | eps | slack_t (theta_t - eps - s_t = 0)
@@ -813,10 +810,10 @@ def sparse_criterion(P: PolyMatrix, sigma) -> SparseVerdict:
     obj = [0] * nvars
     obj[n] = 1
     res = solve_eq_lp(A2, b2, obj, maximize=True)
-    strict = res.status == "optimal" and res.objective > 0
-    if strict:
-        theta = dict(zip(E.triples, res.x[:n]))
-    return SparseVerdict(True, True, theta=theta, strictly_positive_theta=strict)
+    if res.status != "optimal":
+        return SparseVerdict(True, False, reason="barycenter outside support hull")
+    return SparseVerdict(True, True, theta=dict(zip(E.triples, res.x[:n])),
+                         strictly_positive_theta=res.objective > 0)
 
 
 def feasible_sigma_interval(E: SupportSet):

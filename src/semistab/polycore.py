@@ -215,19 +215,6 @@ def eval_poly(P: Poly, point: Sequence[float]) -> float:
     return total
 
 
-def eval_poly_exact(P: Poly, point: Sequence[Fraction]) -> Fraction:
-    if len(point) != P.dim:
-        raise ValueError("dimension mismatch")
-    total = Fraction(0)
-    for a, c in P.terms.items():
-        m = Fraction(1)
-        for x, e in zip(point, a):
-            if e:
-                m *= Fraction(x) ** e
-        total += c * m
-    return total
-
-
 def partial_derivative(P: Poly, alpha) -> Poly:
     """Iterated partial derivative d^alpha P, exact on exact input."""
     alpha = tuple(alpha)
@@ -253,51 +240,11 @@ def taylor_coeff(P: Poly, alpha):
     return P.terms.get(alpha, Fraction(0) if P.exact else 0.0) * mi_factorial(alpha)
 
 
-def _substitute_forms(P: Poly, forms: list[Poly]) -> Poly:
-    """Substitute variable k by forms[k]; shared power cache per call."""
-    if len(forms) != P.dim:
-        raise ValueError("need one form per variable")
-    dim_out = forms[0].dim if forms else P.dim
-    cache: list[dict[int, Poly]] = [dict() for _ in forms]
-
-    def power(k: int, e: int) -> Poly:
-        got = cache[k].get(e)
-        if got is None:
-            got = forms[k].pow(e)
-            cache[k][e] = got
-        return got
-
-    total = Poly.zero(dim_out)
-    for a, c in P.terms.items():
-        mono = Poly.constant(dim_out, 1)
-        for k, e in enumerate(a):
-            if e:
-                mono = mono * power(k, e)
-        total = total + mono.scale(c)
-    return total
-
-
 def substitute_linear(P: Poly, C) -> Poly:
     """Return z -> P(C^T z), expanded and recollected: :func:`act_dense` on
     P as a 1 x 1 matrix, exact when P and C are."""
     one = ((1,),)
     return _act(PolyMatrix([[P]]), one, one, _as_matrix(C, P.dim, P.dim)).entries[0][0]
-
-
-def diagonal_shift(P: Poly, s0) -> Poly:
-    """Return z -> P(s0 + z), exact for rational shifts."""
-    if len(s0) != P.dim:
-        raise ValueError("dimension mismatch")
-    d = P.dim
-    exact = P.exact and all(_is_exact_scalar(x) or isinstance(x, Fraction) for x in s0)
-    forms = []
-    for k in range(d):
-        key = tuple(1 if j == k else 0 for j in range(d))
-        terms = {key: 1}
-        if s0[k] != 0:
-            terms[(0,) * d] = s0[k]
-        forms.append(Poly(d, terms, exact=exact))
-    return _substitute_forms(P, forms)
 
 
 # -- matrices ------------------------------------------------------------------
@@ -401,6 +348,11 @@ class PolyMatrix:
     @staticmethod
     def zero(p: int, q: int, d: int) -> "PolyMatrix":
         return PolyMatrix([[Poly.zero(d) for _ in range(q)] for _ in range(p)])
+
+    @staticmethod
+    def identity(n: int, d: int) -> "PolyMatrix":
+        return PolyMatrix([[Poly.constant(d, int(i == j)) for j in range(n)]
+                           for i in range(n)])
 
     def degree(self) -> int:
         return max((e.degree() for row in self.entries for e in row), default=-1)
@@ -576,13 +528,14 @@ def hs_norm_sq_exact(P: PolyMatrix) -> Fraction:
 
 
 def hs_norm(P: PolyMatrix) -> float:
-    """Hilbert-Schmidt norm: sqrt of sum over entries/terms of alpha! c^2."""
+    """Hilbert-Schmidt norm sqrt(sum alpha! c^2), summed over (c / s)^2 for the
+    power of two s <= max |c| < 2s: no square overflows, the largest never underflows."""
+    terms = [(a, float(c)) for row in P.entries for e in row for a, c in e.terms.items()]
+    s = math.ldexp(0.5, math.frexp(max((abs(c) for _, c in terms), default=0.0))[1])
     total = 0.0
-    for row in P.entries:
-        for e in row:
-            for a, c in e.terms.items():
-                total += mi_factorial(a) * float(c) * float(c)
-    return math.sqrt(total)
+    for a, c in terms:
+        total += mi_factorial(a) * (c / s) * (c / s)
+    return s * math.sqrt(total)
 
 
 @dataclass

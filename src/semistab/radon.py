@@ -26,6 +26,7 @@ import numpy as np
 
 from .blockdecomp import (
     degrees_monotone,
+    diagonal_shift,
     has_generic_rank_p,
     inflate_s,
     inflate_z,
@@ -49,7 +50,6 @@ from .polycore import (
     Poly,
     PolyMatrix,
     act_group,
-    diagonal_shift,
     mi_factorial,
     mi_order,
     partial_derivative,
@@ -235,7 +235,7 @@ def specialize_incidence(prob: RadonProblem, x0) -> PolyMatrix:
     """Freeze x = x0; the result is a k x n matrix in the t variables."""
     if len(x0) != prob.n:
         raise ValueError("x0 must have length n")
-    return PolyMatrix([[specialize_s(e, prob.n, x0) for e in row]
+    return PolyMatrix([[specialize_s(e, x0) for e in row]
                        for row in build_incidence(prob).entries])
 
 

@@ -426,10 +426,12 @@ def probe_nondegeneracy(M, decomp: BlockDecomposition, t0, sigma, w_value,
     within the tile) for k = 1 .. flow_steps.
     """
     d = M.d
+    if len(t0) != d:
+        raise ValueError("diagonal point has wrong dimension")
     sigma = float(sigma)
     R = reduced_matrix(M, decomp)
     basis, T = to_dense(PolyMatrix(
-        [[specialize_s(R.entries[r][c], d, t0) for c in range(R.q)]
+        [[specialize_s(R.entries[r][c], t0) for c in range(R.q)]
          for r in range(R.p)]))
     ri, ci = group_offsets(decomp.row_groups), group_offsets(decomp.col_groups)
     if tile is None:

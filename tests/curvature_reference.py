@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from semistab.blockdecomp import diagonal_shift
 from semistab.lp import exact_inverse, exact_nullspace
 from semistab.radon import CurvatureForm, NonTransverse, RadonProblem
 
@@ -39,8 +40,6 @@ def curvature_form(prob: RadonProblem, z0) -> CurvatureForm:
     if not all(f.exact for f in prob.phi):
         return _curvature_form_float(prob, z0)
     z0 = [Fraction(v) for v in z0]
-    from semistab.polycore import diagonal_shift
-
     shifted = [diagonal_shift(f, z0) for f in prob.phi]
     J = [[f.terms.get(tuple(int(m == j) for m in range(nv)), Fraction(0))
           for j in range(prob.n)] for f in shifted]
@@ -81,8 +80,6 @@ def curvature_form(prob: RadonProblem, z0) -> CurvatureForm:
 def _curvature_form_float(prob: RadonProblem, z0) -> CurvatureForm:
     """Double-precision normalization: orthogonal kernel splitting with a
     1e-8 rank threshold instead of exact pivoting."""
-    from semistab.polycore import diagonal_shift
-
     nv = prob.n + prob.nt
     shifted = [diagonal_shift(f, [float(v) for v in z0]) for f in prob.phi]
     J = np.zeros((prob.k, prob.n))

@@ -31,7 +31,6 @@ from semistab.gitnorm import (
     git_norm,
     group_value,
     minimize_diagonal,
-    polytope_membership,
     rescale_by_weights,
     sparse_criterion,
     criticality_residual,

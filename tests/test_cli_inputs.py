@@ -267,6 +267,18 @@ def test_coefficient_past_the_float_range_is_an_input_error(tmp_path):
     assert run_main(["semistable", "--input", paths["phi"]])[0] == 0
 
 
+@pytest.mark.parametrize("exponent", [160, 308])
+def test_hsnorm_of_a_coefficient_near_the_float_range_is_finite(tmp_path, exponent):
+    # squaring 10^160 once overflowed: the report held "value": Infinity
+    matrix = load_fixture("t2.json")
+    matrix["entries"][0][0][0]["num"] = 10 ** exponent
+    path, out = tmp_path / "big.json", tmp_path / "r.json"
+    path.write_text(json.dumps(matrix))
+    assert run_main(["hsnorm", "--input", str(path), "--out", str(out)]) == (0, "")
+    expect = 2 ** 0.5 * 10.0 ** exponent
+    assert abs(json.loads(out.read_text())["value"] - expect) <= 1e-15 * expect
+
+
 @pytest.mark.parametrize("command,fixture,matrix", [
     (["blockdecomp", "--input"], "m61.json", lambda problem: problem),
     (["blockdecomp", "--verify"], "intro.json", lambda problem: problem["decomposition"]["B"]),

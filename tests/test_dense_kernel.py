@@ -19,7 +19,6 @@ from semistab.gitnorm import _foc_matrices, haar_orthogonal, minimize_diagonal
 from semistab.lp import exact_det
 from semistab.polycore import (
     GroupElement,
-    Poly,
     PolyMatrix,
     act_group,
     substitute_linear,
@@ -28,11 +27,6 @@ from semistab.polycore import (
 from semistab.radon import CurvatureForm
 
 FRAMES_PER_SHAPE = 5
-
-
-def _constant_eye(n, d):
-    return PolyMatrix([[Poly.constant(d, 1 if i == j else 0) for j in range(n)]
-                       for i in range(n)])
 
 
 def _form523():
@@ -46,7 +40,7 @@ def _form523():
 SHAPES = {
     (2, 1, 2, 2): (fx.two_squares, F(1)),
     (2, 1, 2, 3): (fx.two_cubes, F(3, 2)),
-    (4, 4, 2, 0): (lambda: _constant_eye(4, 2), F(0)),
+    (4, 4, 2, 0): (lambda: PolyMatrix.identity(4, 2), F(0)),
     (4, 4, 2, 1): (fx.diag_linear_4, F(1, 2)),
     (5, 2, 3, 1): (_form523, F(1, 3)),
     (4, 8, 3, 2): (fx.example63_P, F(1, 5)),

@@ -8,7 +8,6 @@ import pytest
 import search_reference as ref
 from semistab import fixtures as fx
 from semistab.gitnorm import (
-    Destabilizer,
     LogWeights,
     criticality_residual,
     feasible_sigma_interval,

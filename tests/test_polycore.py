@@ -4,13 +4,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from semistab.blockdecomp import diagonal_shift
 from semistab.polycore import (
     GroupElement,
     Poly,
     PolyMatrix,
     act_dense,
     act_group,
-    diagonal_shift,
     eval_poly,
     hs_norm,
     hs_norm_sq_exact,
@@ -133,6 +133,18 @@ def test_hs_norm_examples():
     eye = PolyMatrix([[Poly.constant(1, 1), Poly.zero(1)],
                       [Poly.zero(1), Poly.constant(1, 1)]])
     assert hs_norm(eye) == pytest.approx(math.sqrt(2))
+
+
+def test_hs_norm_at_the_ends_of_the_float_range():
+    top = np.finfo(float).max
+    one = lambda c: PolyMatrix([[Poly(1, {(0,): c}, exact=False)]])
+    two = lambda c: PolyMatrix([[Poly(1, {(0,): c, (1,): c}, exact=False)]])
+    # the largest coefficients square past the float range; the norm does not
+    assert hs_norm(one(top)) == top and hs_norm(one(-2.0 ** 1023)) == 2.0 ** 1023
+    assert hs_norm(two(top)) == math.inf
+    # squares below the smallest float no longer round the norm to zero
+    assert hs_norm(two(1e-200)) == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+    assert hs_norm(PolyMatrix.zero(2, 2, 2)) == 0.0
 
 
 def test_diagonal_shift_taylor():

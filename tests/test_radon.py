@@ -1,5 +1,4 @@
 import json
-import math
 import random
 from fractions import Fraction as F
 
@@ -338,9 +337,8 @@ def test_exponent_chain_matches_tile_plan():
         if not k < min(n, n1):
             continue
         p, q, d = k, n, n1 - k
-        eye = lambda m: PolyMatrix([[Poly.constant(1, 1 if i == j else 0)
-                                     for j in range(m)] for i in range(m)])
-        dec = BlockDecomposition([p], [p, q - p], [[0, 1]], eye(p), eye(q))
+        dec = BlockDecomposition([p], [p, q - p], [[0, 1]], PolyMatrix.identity(p, 1),
+                                 PolyMatrix.identity(q, 1))
         pts = [tile_point(dec, Tile((0, 0), (0, 0)), 0),
                tile_point(dec, Tile((0, 0), (1, 1)), F(1, d))]
         plan = solve_plan(pts, p, q)

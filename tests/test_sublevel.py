@@ -10,14 +10,11 @@ from semistab.blockdecomp import Tile, eliminate
 from semistab.gitnorm import find_destabilizer
 from semistab.polycore import Poly, PolyMatrix, support_set
 from semistab.sublevel import (
-    OmegaBasis,
     TilePlanWeight,
     estimate_integral,
-    matrix_evaluator,
     probe_nondegeneracy,
     sample_omega,
     wedge_norm,
-    wedge_norm_batch,
 )
 from semistab.tileplan import solve_plan, tile_point
 
@@ -225,6 +222,13 @@ def test_probe_zero_weight_is_trivially_satisfied():
     rep = probe_nondegeneracy(M, dec, [F(0), F(0)], F(13, 36), 0.0,
                               M_samples=1)
     assert rep.min_ratio == math.inf
+
+
+@pytest.mark.parametrize("t0", [[F(0)], [F(0)] * 3])
+def test_probe_rejects_a_point_of_the_wrong_dimension(t0):
+    M, dec, _ = _plan61()
+    with pytest.raises(ValueError, match="wrong dimension"):
+        probe_nondegeneracy(M, dec, t0, F(13, 36), 0.0, M_samples=1)
 
 
 def test_probe_destabilizer_flow_drives_ratio_to_zero():

@@ -1,25 +1,15 @@
 from fractions import Fraction as F
 
-import pytest
-
 from semistab import fixtures as fx
 from semistab.blockdecomp import BlockDecomposition, PolyMatrix, Tile, eliminate
-from semistab.polycore import Poly
-from semistab.tileplan import (
-    TilePoint,
-    solve_plan,
-    tile_point,
-)
+from semistab.tileplan import solve_plan, tile_point
 
 
 def _formal_decomp(row_groups, col_groups):
-    d = 1
-    p = sum(row_groups)
-    q = sum(col_groups)
-    eye = lambda n: PolyMatrix([[Poly.constant(d, 1 if i == j else 0)
-                                 for j in range(n)] for i in range(n)])
     D = [[0] * len(col_groups) for _ in row_groups]
-    return BlockDecomposition(row_groups, col_groups, D, eye(p), eye(q))
+    return BlockDecomposition(row_groups, col_groups, D,
+                              PolyMatrix.identity(sum(row_groups), 1),
+                              PolyMatrix.identity(sum(col_groups), 1))
 
 
 def _dec61():
