@@ -46,6 +46,7 @@ from .polycore import (
     PolyMatrix,
     _is_exact_scalar,
     grlex_key,
+    is_int,
     polymatrix_from_json,
     polymatrix_to_json,
 )
@@ -324,14 +325,13 @@ class BlockDecomposition:
             B=polymatrix_from_json(obj["B"]),
             zero_blocks={tuple(b) for b in obj.get("zero_blocks", [])},
         )
-        # bool is an int subclass, so the types are compared exactly
         sizes = dec.row_groups + dec.col_groups
-        if not all(type(g) is int and g > 0 for g in sizes):
+        if not all(is_int(g) and g > 0 for g in sizes):
             raise ValueError("group sizes must be positive integers")
         nI, nJ = len(dec.row_groups), len(dec.col_groups)
         if len(dec.D) != nI or any(len(r) != nJ for r in dec.D):
             raise ValueError(f"D is not {nI} x {nJ}, one degree per block")
-        if not all(type(x) is int and x >= 0 for row in dec.D for x in row):
+        if not all(is_int(x) and x >= 0 for row in dec.D for x in row):
             raise ValueError("D entries must be nonnegative integers")
         if (dec.A.p, dec.A.q, dec.B.p, dec.B.q) != (dec.p, dec.p, dec.q, dec.q):
             raise ValueError(f"A and B are not {dec.p} x {dec.p} and "

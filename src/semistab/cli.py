@@ -32,7 +32,10 @@ from .gitnorm import (
 )
 from .polycore import (
     PolyMatrix,
+    fraction_from_json,
     hs_norm,
+    is_int,
+    mi_factorial,
     polymatrix_from_json,
     support_set,
 )
@@ -148,7 +151,14 @@ def cmd_hsnorm(args) -> int:
 
 
 def cmd_gitnorm(args) -> int:
-    M = _float_matrix_from(_load(args.input), args.input)
+    M = _matrix_from(_load(args.input), args.input)
+    # the search works in floats with the masses alpha! c^2 of the coefficients:
+    # one that overflows or underflows makes its answer wrong
+    lo, hi = sys.float_info.min, sys.float_info.max
+    if not all(lo <= mi_factorial(a) * c * c <= hi
+               for row in M.entries for e in row for a, c in e.terms.items()):
+        raise InputError(f"{args.input}: a coefficient c of z^alpha has a mass "
+                         "alpha! c^2 that is not a normal float")
     est = git_norm(M, args.sigma)
     _table([
         ["value", f"{est.value:.6f}"],
@@ -235,14 +245,16 @@ def cmd_plan(args) -> int:
     obj = _load(args.input)
     try:
         decomp = _decomposition_from(obj["decomposition"], args.input)
-        tiles = [(Tile(tuple(e["I"]), tuple(e["J"])),
-                  Fraction(e["sigma"]["num"], e["sigma"]["den"]))
+        tiles = [(Tile(tuple(e["I"]), tuple(e["J"])), fraction_from_json(e["sigma"]))
                  for e in obj["tiles"]]
         pts = [tile_point(decomp, tile, sig) for tile, sig in tiles]
         sigma = args.sigma if args.sigma is not None else obj.get("sigma")
-        if sigma is not None:
-            sigma = (Fraction(sigma["num"], sigma["den"]) if isinstance(sigma, dict)
-                     else Fraction(sigma))
+        if isinstance(sigma, dict):
+            sigma = fraction_from_json(sigma)
+        elif isinstance(sigma, bool):
+            raise TypeError("sigma is a bool")
+        elif sigma is not None:
+            sigma = Fraction(sigma)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{args.input}: not a tile plan problem "
                          f"({type(exc).__name__}: {exc})") from exc
@@ -270,8 +282,7 @@ def cmd_sublevel(args) -> int:
         if len(domain) != M.d or not all(
                 len(iv) == 2 and -math.inf < iv[0] < iv[1] < math.inf for iv in domain):
             raise ValueError(f"domain needs {M.d} finite intervals [lo, hi], lo < hi")
-        tau = float(args.tau) if args.tau is not None else float(
-            Fraction(obj["tau"]["num"], obj["tau"]["den"]))
+        tau = float(args.tau if args.tau is not None else fraction_from_json(obj["tau"]))
         if not tau > 0:
             raise ValueError("tau must be positive")
         weight = float(obj.get("weight", 1.0))
@@ -305,7 +316,7 @@ def _form_from(obj: dict, path: str) -> CurvatureForm:
     at its ``point`` (the origin by default)."""
     try:
         if "tensor" in obj:
-            return CurvatureForm([[[Fraction(v["num"], v["den"]) for v in row]
+            return CurvatureForm([[[fraction_from_json(v) for v in row]
                                    for row in plane] for plane in obj["tensor"]])
         if "phi" in obj:
             prob = RadonProblem.from_json(obj)
@@ -337,8 +348,12 @@ def cmd_radon(args) -> int:
     if args.balanced:
         obj = _load(args.balanced)
         try:
-            res = balanced_check([tuple(a) for a in obj["alphas"]], obj["type"],
-                                 k=obj.get("k"), d=obj.get("d"))
+            alphas = [tuple(a) for a in obj["alphas"]]
+            k, d = obj.get("k"), obj.get("d")
+            if not all(map(is_int, [obj["type"], *(x for a in alphas for x in a),
+                                    *(v for v in (k, d) if v is not None)])):
+                raise TypeError("type, k, d and the exponents must be integers")
+            res = balanced_check(alphas, obj["type"], k=k, d=d)
         except (KeyError, TypeError) as exc:
             raise InputError(f"{args.balanced}: not a balanced set problem "
                              f"({type(exc).__name__}: {exc})") from exc

@@ -109,20 +109,19 @@ class SparseVerdict:
     reason: str = ""
 
     def to_json(self) -> dict:
-        theta = None
-        if self.theta is not None:
-            theta = [
-                {"i": i, "j": j, "alpha": list(a),
-                 "num": t.numerator, "den": t.denominator}
-                for (i, j, a), t in sorted(self.theta.items())
-            ]
         return {
             "applicable": self.applicable,
             "positive": self.positive,
             "strictly_positive_theta": self.strictly_positive_theta,
-            "theta": theta,
+            "theta": None if self.theta is None else theta_to_json(self.theta),
             "reason": self.reason,
         }
+
+
+def theta_to_json(theta: dict) -> list:
+    """Convex weights {(i, j, alpha): Fraction} as a list sorted by cell."""
+    return [{"i": i, "j": j, "alpha": list(a), "num": t.numerator, "den": t.denominator}
+            for (i, j, a), t in sorted(theta.items())]
 
 
 @dataclass

@@ -583,14 +583,26 @@ def poly_to_json(P: Poly) -> list:
     ]
 
 
+def is_int(v) -> bool:
+    """Whether a JSON value is an int and not a bool (an int subclass)."""
+    return type(v) is int
+
+
+def fraction_from_json(obj: dict) -> Fraction:
+    """The rational {"num": n, "den": d}: two integers, d nonzero."""
+    num, den = obj["num"], obj["den"]
+    if not (is_int(num) and is_int(den) and den):
+        raise ValueError(f"{num!r}/{den!r} is not an integer over a nonzero integer")
+    return Fraction(num, den)
+
+
 def poly_from_json(dim: int, terms: Iterable[dict]) -> Poly:
-    terms = list(terms)
-    if any(t["den"] == 0 for t in terms):
-        raise ValueError("a term has the denominator 0")
+    out = {}
     for t in terms:
-        if not all(isinstance(k, int) and not isinstance(k, bool) for k in t["alpha"]):
+        if not all(map(is_int, t["alpha"])):
             raise ValueError(f"exponents {t['alpha']!r} are not all integers")
-    return Poly(dim, {tuple(t["alpha"]): Fraction(t["num"], t["den"]) for t in terms})
+        out[tuple(t["alpha"])] = fraction_from_json(t)
+    return Poly(dim, out)
 
 
 def polymatrix_to_json(P: PolyMatrix) -> dict:
@@ -604,6 +616,8 @@ def polymatrix_to_json(P: PolyMatrix) -> dict:
 
 def polymatrix_from_json(obj: dict) -> PolyMatrix:
     p, q, d = obj["p"], obj["q"], obj["d"]
+    if not all(is_int(n) and n >= 0 for n in (p, q, d)):
+        raise ValueError(f"p, q and d must be nonnegative integers: {p!r}, {q!r}, {d!r}")
     grid = obj["entries"]
     if len(grid) != p or any(len(row) != q for row in grid) or (q and not p):
         raise ValueError(f"entry grid does not match the declared {p} x {q}")

@@ -34,7 +34,6 @@ from .blockdecomp import (
     specialize_s,
     unimodular,
     z_degree,
-    z_order,
 )
 from .gitnorm import (
     Destabilizer,
@@ -42,6 +41,7 @@ from .gitnorm import (
     git_norm,
     minimize_diagonal,
     sparse_criterion,
+    theta_to_json,
 )
 from .lp import (CertificateError, exact_inverse, exact_nullspace, exact_rank,
                  exact_rref)
@@ -50,6 +50,8 @@ from .polycore import (
     Poly,
     PolyMatrix,
     act_group,
+    grlex_key,
+    is_int,
     mi_factorial,
     mi_order,
     partial_derivative,
@@ -96,6 +98,8 @@ class RadonProblem:
 
     @staticmethod
     def from_json(obj: dict) -> "RadonProblem":
+        if not all(is_int(obj[f]) for f in ("n", "n1", "k")):
+            raise ValueError("n, n1 and k must be integers")
         nv = obj["n"] + obj["n1"] - obj["k"]
         return RadonProblem(obj["n"], obj["n1"], obj["k"],
                             [poly_from_json(nv, f) for f in obj["phi"]])
@@ -131,19 +135,10 @@ class CurvatureForm:
 
     def to_polymatrix(self) -> PolyMatrix:
         """Rows = output index, columns = x-kernel index, z = t-kernel."""
-        k, b, c = self.shape
-        rows = []
-        for i in range(k):
-            row = []
-            for j in range(b):
-                terms = {}
-                for l in range(c):
-                    v = self.tensor[i][j][l]
-                    if v != 0:
-                        terms[tuple(1 if m == l else 0 for m in range(c))] = v
-                row.append(Poly(c, terms))
-            rows.append(row)
-        return PolyMatrix(rows)
+        c = self.shape[2]
+        units = [tuple(u) for u in np.eye(c, dtype=int).tolist()]
+        return PolyMatrix([[Poly(c, {u: v for u, v in zip(units, cell) if v != 0})
+                            for cell in plane] for plane in self.tensor])
 
     def transformed(self, L_out, L_x, L_t) -> "CurvatureForm":
         """Apply linear maps to the three slots, in Fractions:
@@ -203,11 +198,7 @@ class PositiveCertificate:
         out = {"kind": self.kind, "value": self.value,
                "foc_residual": self.foc_residual}
         if self.theta is not None:
-            out["theta"] = [
-                {"i": i, "j": j, "alpha": list(a),
-                 "num": t.numerator, "den": t.denominator}
-                for (i, j, a), t in sorted(self.theta.items())
-            ]
+            out["theta"] = theta_to_json(self.theta)
         return out
 
 
@@ -220,15 +211,8 @@ def build_incidence(prob: RadonProblem) -> PolyMatrix:
     x is a frozen parameter block; specialize with
     :func:`specialize_incidence` to obtain a matrix in the active variables.
     """
-    rows = []
-    nv = prob.n + prob.nt
-    for i in range(prob.k):
-        row = []
-        for j in range(prob.n):
-            ej = tuple(1 if m == j else 0 for m in range(nv))
-            row.append(partial_derivative(prob.phi[i], ej))
-        rows.append(row)
-    return PolyMatrix(rows)
+    x_units = np.eye(prob.n + prob.nt, dtype=int).tolist()[:prob.n]
+    return PolyMatrix([[partial_derivative(f, e) for e in x_units] for f in prob.phi])
 
 
 def specialize_incidence(prob: RadonProblem, x0) -> PolyMatrix:
@@ -519,113 +503,76 @@ def balanced_check(alphas, type_: int, k: int | None = None,
 # -- balanced incidence families -------------------------------------------------------
 
 
-def _sorted_alphas(alphas):
-    from .polycore import grlex_key
+def _taylor_monomial(a) -> Poly:
+    """s^a / a!, exact."""
+    return Poly(len(a), {a: Fraction(1, mi_factorial(a))})
 
-    return sorted((tuple(a) for a in alphas), key=grlex_key)
+
+def _moment_family(alphas, k: int, sign: int, F, chk: BalancedResult):
+    """The 6-tuple (M, A, B, P, right, sigma) of a balanced family.
+
+    ``alphas`` are in grlex order and each one owns ``k`` consecutive rows;
+    F is the N k x c block of extra columns, polynomials in s.  Then
+    M = [I | F] in s, B = [[I, -F], [0, I]] in t, ``right`` is -F read in z,
+    and A is the block-diagonal Taylor shift
+    A[a][a2] = sign^|a - a2| s^(a - a2) / (a - a2)! (zero unless a >= a2).
+    P = [A | right] in the (s, z) variables is the degree-matched matrix.
+    """
+    d = len(alphas[0])
+    n, c = len(F), len(F[0])
+    zero, one = Poly.zero(d), Poly.constant(d, 1)
+    unit = lambda r, size: [one if col == r else zero for col in range(size)]
+    right = [[-f for f in row] for row in F]
+    M = [unit(r, n) + F[r] for r in range(n)]
+    B = ([unit(r, n) + right[r] for r in range(n)]
+         + [[zero] * n + unit(r, c) for r in range(c)])
+    A = [[zero] * n for _ in range(n)]
+    for i, a in enumerate(alphas):
+        for i2, a2 in enumerate(alphas):
+            diff = tuple(x - y for x, y in zip(a, a2))
+            if min(diff) >= 0:
+                shift = _taylor_monomial(diff).scale(sign ** sum(diff))
+                for m in range(k):
+                    A[i * k + m][i2 * k + m] = shift
+    P = PolyMatrix([[inflate_s(e, d) for e in a_row] + [inflate_z(e, d) for e in r_row]
+                    for a_row, r_row in zip(A, right)])
+    return PolyMatrix(M), PolyMatrix(A), PolyMatrix(B), P, PolyMatrix(right), chk.sigma
 
 
 def moment_family_type1(alphas, k: int):
     """Incidence data for the non-translation-invariant balanced family.
 
-    Returns (M, A, B, P, P_right, sigma): the (Nk) x (Nk + k) incidence
-    matrix in s, the unimodular witnesses, the full degree-matched matrix P
-    (z understood as t - s), and the z-homogeneous right block to which the
-    sparse criterion applies at the balance parameter sigma.
+    Returns (M, A, B, P, right, sigma): the (Nk) x (Nk + k) incidence matrix
+    M = [I | F] in s, with F[(a, m)][c] = delta_mc s^a / a!, the unimodular
+    witnesses A (the Taylor shift with sign -1) and B, the full
+    degree-matched matrix P (z understood as t - s), and the z-homogeneous
+    right block -F to which the sparse criterion applies at the balance
+    parameter sigma.  :func:`_moment_family` builds both families.
     """
     chk = balanced_check(alphas, 1, k=k)
     if not chk.ok:
         raise ValueError(f"not balanced of type 1: {chk.reason}")
-    alphas = _sorted_alphas(alphas)
-    N = len(alphas)
-    d = len(alphas[0])
-    rows = N * k
-    cols = N * k + k
-    fac = lambda a: Fraction(1, mi_factorial(a))
-
-    def mono(a, coef):
-        return Poly(d, {tuple(a): coef})
-
-    zero = Poly.zero(d)
-    one = Poly.constant(d, 1)
-    M = [[zero for _ in range(cols)] for _ in range(rows)]
-    B = [[zero for _ in range(cols)] for _ in range(cols)]
-    A = [[zero for _ in range(rows)] for _ in range(rows)]
-    # right block in the z variables alone, for the sparse criterion
-    right = [[zero for _ in range(k)] for _ in range(rows)]
-    for r in range(rows):
-        M[r][r] = one
-    for c in range(cols):
-        B[c][c] = one
-    for i, a in enumerate(alphas):
-        for m in range(k):
-            r = i * k + m
-            M[r][N * k + m] = mono(a, fac(a))
-            B[r][N * k + m] = right[r][m] = mono(a, -fac(a))
-    for i, a in enumerate(alphas):
-        for i2, a2 in enumerate(alphas):
-            diff = tuple(x - y for x, y in zip(a, a2))
-            if any(v < 0 for v in diff):
-                continue
-            coef = Fraction((-1) ** sum(diff), mi_factorial(diff))
-            for m in range(k):
-                A[i * k + m][i2 * k + m] = mono(diff, coef)
-    return (PolyMatrix(M), PolyMatrix(A), PolyMatrix(B), _degree_matched(A, right, d),
-            PolyMatrix(right), chk.sigma)
-
-
-def _degree_matched(A, right, d: int) -> PolyMatrix:
-    """The full degree-matched matrix of a balanced family: the s-polynomial
-    block A beside the z-polynomial block ``right``, in the (s, z) space."""
-    return PolyMatrix([[inflate_s(e, d) for e in a_row]
-                       + [inflate_z(e, d) for e in r_row]
-                       for a_row, r_row in zip(A, right)])
+    alphas = sorted((tuple(a) for a in alphas), key=grlex_key)
+    zero = Poly.zero(len(alphas[0]))
+    F = [[_taylor_monomial(a) if c == m else zero for c in range(k)]
+         for a in alphas for m in range(k)]
+    return _moment_family(alphas, k, -1, F, chk)
 
 
 def moment_family_type2(alphas):
-    """Translation-invariant balanced family (gradient rows)."""
-    d = len(next(iter(alphas)))
+    """Translation-invariant balanced family (gradient rows): the 6-tuple of
+    :func:`moment_family_type1` with one row per multiindex,
+    F[a][l] = (-1)^(|a| - 1) d/ds_l (s^a / a!) and the Taylor shift with
+    sign +1."""
+    d = len(next(iter(alphas), ()))
     chk = balanced_check(alphas, 2, d=d)
     if not chk.ok:
         raise ValueError(f"not balanced of type 2: {chk.reason}")
-    alphas = _sorted_alphas(alphas)
-    N = len(alphas)
-    cols = N + d
-    zero = Poly.zero(d)
-    one = Poly.constant(d, 1)
-
-    def dmono(a, l, coef):
-        # coef * d/ds_l of s^a / a!
-        if a[l] == 0:
-            return Poly.zero(d)
-        a2 = list(a)
-        a2[l] -= 1
-        return Poly(d, {tuple(a2): coef * Fraction(1, mi_factorial(tuple(a2)))})
-
-    M = [[zero for _ in range(cols)] for _ in range(N)]
-    B = [[zero for _ in range(cols)] for _ in range(cols)]
-    A = [[zero for _ in range(N)] for _ in range(N)]
-    right = [[zero for _ in range(d)] for _ in range(N)]
-    for r in range(N):
-        M[r][r] = one
-    for c in range(cols):
-        B[c][c] = one
-    for i, a in enumerate(alphas):
-        sign = Fraction((-1) ** (mi_order(a) - 1))
-        for l in range(d):
-            M[i][N + l] = dmono(a, l, sign)
-            B[i][N + l] = dmono(a, l, -sign)
-            # reduced value: -q(t-s) = (-1)^{|a|} d_l z^a / a! in z = t - s
-            right[i][l] = dmono(a, l, Fraction((-1) ** mi_order(a)))
-    for i, a in enumerate(alphas):
-        for i2, a2 in enumerate(alphas):
-            diff = tuple(x - y for x, y in zip(a, a2))
-            if any(v < 0 for v in diff):
-                continue
-            coef = Fraction(1, mi_factorial(diff))
-            A[i][i2] = Poly(d, {diff: coef})
-    return (PolyMatrix(M), PolyMatrix(A), PolyMatrix(B), _degree_matched(A, right, d),
-            PolyMatrix(right), chk.sigma)
+    alphas = sorted((tuple(a) for a in alphas), key=grlex_key)
+    units = np.eye(d, dtype=int).tolist()
+    F = [[partial_derivative(_taylor_monomial(a), e).scale((-1) ** (mi_order(a) - 1))
+          for e in units] for a in alphas]
+    return _moment_family(alphas, 1, 1, F, chk)
 
 
 # -- decomposition verification ---------------------------------------------------------
@@ -650,38 +597,27 @@ def verify_radon_decomposition(M: PolyMatrix, A: PolyMatrix, B: PolyMatrix,
                                P: PolyMatrix) -> RadonVerifyReport:
     """Exact check that A(s) M(s) B(t) agrees with P through order deg P_ij.
 
-    P entries mix s-dependent coefficients with z-monomials (z = t - s);
-    the defect A M B - P|_{z=t-s} must vanish on the diagonal together with
-    all derivatives of total order <= deg_z P_ij.  Degrees must be constant
-    per entry and nondecreasing in both indexes.
+    P is in the (s, z) variables, s first and z = t - s second (a ValueError
+    otherwise).  The defect A M B - P must vanish on the diagonal z = 0
+    together with all derivatives of total order <= deg_z P_ij; a violation
+    names the first term of least z-order below that bound.  Degrees must be
+    constant per entry and nondecreasing in both indexes.
     """
     d = M.d
+    if P.d != 2 * d:
+        raise ValueError("P entries must be in the (s, z) variables")
     det_ok = unimodular(d, A, B)
     R = reduced_product(A, M, B)
-
-    # P with z in the second block and s-coefficients in the first:
-    # a plain d-variable entry is all-z (degree-matched part)
     degs = [[None] * M.q for _ in range(M.p)]  # None: zero entry, no constraint
     viol = []
     for i in range(M.p):
         for j in range(M.q):
-            e = P.entries[i][j]
-            if e.dim == d:
-                E = inflate_z(e, d)
-            elif e.dim == 2 * d:
-                E = e
-            else:
-                raise ValueError("P entries must be in z or (s, z) variables")
-            if not E.is_zero():
-                degs[i][j] = max(z_degree(E, d), 0)
-            defect = R.entries[i][j] - E
-            if defect.is_zero():
-                continue
-            dij = degs[i][j] if degs[i][j] is not None else 0
-            if z_order(defect, d) <= dij:
-                bad = min((a for a in defect.terms if sum(a[d:]) <= dij),
-                          key=lambda a: sum(a[d:]))
-                viol.append(((i, j), bad[d:]))
+            E = P.entries[i][j]
+            dij = max(z_degree(E, d), 0)
+            degs[i][j] = None if E.is_zero() else dij
+            low = [a for a in (R.entries[i][j] - E).terms if sum(a[d:]) <= dij]
+            if low:
+                viol.append(((i, j), min(low, key=lambda a: sum(a[d:]))[d:]))
     monotone = degrees_monotone(degs)
     ok = det_ok and monotone and not viol
     return RadonVerifyReport(ok, det_ok, monotone, viol)

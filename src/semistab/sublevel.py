@@ -268,13 +268,12 @@ def _stratified_mc(f, dom, omega, seed, n_samples, budget_factor):
     pass_id = 0
     splits = [0] * dim  # number of binary splits per axis
     value = err = None
-    prev = None
     lo = np.array([iv[0] for iv in dom])
     widths0 = np.array([iv[1] - iv[0] for iv in dom])
     vol = float(np.prod(widths0))
 
     def run_pass(n_per):
-        nonlocal used, flagged, pass_id
+        nonlocal pass_id
         pass_id += 1
         counts = [1 << s for s in splits]
         m = int(np.prod(counts))
@@ -291,15 +290,13 @@ def _stratified_mc(f, dom, omega, seed, n_samples, budget_factor):
         cell_w = widths0 / np.array(counts, dtype=float)
         pts = cell_lo[:, None, :] + u * cell_w
         vals, bad = f(pts.reshape(-1, dim), omega)
-        flagged_local = bad
         vals = vals.reshape(m, n_per)
-        used_local = m * n_per
         cvol = vol / m
         means = vals.mean(axis=1)
         variances = vals.var(axis=1)
         est = float(means.sum()) * cvol
         var_est = float(variances.sum()) * cvol * cvol / n_per
-        return est, math.sqrt(var_est), used_local, flagged_local
+        return est, math.sqrt(var_est), m * n_per, bad
 
     mult = 1
     while True:
@@ -308,13 +305,12 @@ def _stratified_mc(f, dom, omega, seed, n_samples, budget_factor):
         est, e, took, bad = run_pass(n_per)
         used += took
         flagged += bad
-        prev, value, err = (value, est, e) if value is not None else (None, est, e)
-        stable = prev is None or abs(value - prev) <= 3.0 * err + 1e-3 * abs(value)
-        good = (value > 0 and err <= TARGET_REL_ERROR * value and stable
-                and prev is not None)
+        prev, value, err = value, est, e
+        good = (prev is not None and value > 0 and err <= TARGET_REL_ERROR * value
+                and abs(value - prev) <= 3.0 * err + 1e-3 * abs(value))
         if good or used + m * n_per > budget:
             break
-        if 2 * m * 2 <= 8 * n_samples:
+        if m <= 2 * n_samples:
             splits[int(np.argmin(splits))] += 1  # double along the coarsest axis
         else:
             mult *= 2  # grid is as fine as the pass affords; deepen the passes

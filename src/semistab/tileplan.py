@@ -16,6 +16,7 @@ from fractions import Fraction
 from .blockdecomp import BlockDecomposition, Tile
 from .gitnorm import _coordinate_rows
 from .lp import solve_eq_lp
+from .polycore import is_int
 
 
 @dataclass
@@ -59,14 +60,16 @@ class TilePlan:
 def tile_point(decomp: BlockDecomposition, tile: Tile, sigma) -> TilePoint:
     """Marker point of a tile: 1/p_I on the row groups in I, 1/q_J on the
     column groups in J, sigma in the last coordinate.  ValueError when the
-    tile's intervals are not inside the decomposition's groups."""
+    tile's intervals are not integer intervals inside the decomposition's
+    groups."""
     sigma = Fraction(sigma)
     iL, iR = tile.I
     jL, jR = tile.J
     nI, nJ = len(decomp.row_groups), len(decomp.col_groups)
-    if not (0 <= iL <= iR < nI and 0 <= jL <= jR < nJ):
-        raise ValueError(f"tile {tile.I} x {tile.J} is not inside the "
-                         f"{nI} x {nJ} groups")
+    if not (all(map(is_int, (iL, iR, jL, jR)))
+            and 0 <= iL <= iR < nI and 0 <= jL <= jR < nJ):
+        raise ValueError(f"tile {tile.I} x {tile.J} is not a pair of integer "
+                         f"intervals inside the {nI} x {nJ} groups")
     p_I = sum(decomp.row_groups[iL:iR + 1])
     q_J = sum(decomp.col_groups[jL:jR + 1])
     row = tuple(

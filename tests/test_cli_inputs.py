@@ -4,7 +4,7 @@ Starting from well-formed tensor and phi problems for ``semistable`` and from
 the README fixture of every other command, random edits drop keys, put
 values of the wrong type, empty, shorten or lengthen lists and change
 integers to -1..3 (so denominators hit 0 and exponents go negative, but stay
-at most 3).  Each edit is made at a node on the path to a leaf drawn
+at most 3) or to true or false.  Each edit is made at a node on the path to a leaf drawn
 uniformly from all leaves, at a depth drawn uniformly along that path, so
 deep fields and whole subtrees are both reached.  Whatever the file, the CLI
 must exit 0, 1 or 2 without a traceback, and an exit 1 must be one error
@@ -62,7 +62,7 @@ def edit(draw, obj):
     """One random edit of ``obj``.  A leaf is drawn uniformly from all leaves
     and then a node uniformly from the objects and lists on its path; the
     child of that node on the path is dropped or replaced by junk (an int
-    leaf by -1..3 too), or the list holding it is emptied, shortened or
+    leaf by -1..3, true or false too), or the list holding it is emptied, shortened or
     lengthened there."""
     path = draw(st.sampled_from(leaves(obj)))
     if not path:
@@ -74,7 +74,7 @@ def edit(draw, obj):
         node = node[k]
     child = node[key]
     if isinstance(child, int) and not isinstance(child, bool):
-        junk = st.one_of(st.integers(-1, 3), JUNK)
+        junk = st.one_of(st.integers(-1, 3), st.booleans(), JUNK)
     else:
         junk = JUNK
     if isinstance(node, dict):
@@ -326,3 +326,73 @@ def test_verified_decomposition_must_fit_the_matrix(tmp_path, mismatch):
     path = tmp_path / "verify.json"
     path.write_text(json.dumps(problem))
     assert_one_error_line(*run_main(["blockdecomp", "--verify", str(path)]))
+
+
+def set_at(problem, path, value):
+    """``problem`` with the value at ``path`` (keys and list indexes) set."""
+    node = problem
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return problem
+
+
+@pytest.mark.parametrize("edits", [
+    [(("entries", 0, 0, 0, "num"), 10 ** 308)],
+    [(("entries", 0, 0, 0, "num"), 10 ** 200)],
+    [(("entries", 0, 0, 0, "den"), 10 ** 200), (("entries", 1, 0, 0, "den"), 10 ** 200)]],
+    ids=["num-1e308", "num-1e200", "both-den-1e200"])
+def test_gitnorm_mass_past_the_normal_float_range_is_an_input_error(tmp_path, edits):
+    # 10^308 once ended in a LinAlgError traceback, 10^200 exited 0 with
+    # drift-to-zero though the infimum is 2e100, and two coefficients
+    # 10^-200 reported 0.0 converged, below the infimum 2e-200
+    problem = load_fixture("t2.json")
+    for path, value in edits:
+        set_at(problem, path, value)
+    path = tmp_path / "mass.json"
+    path.write_text(json.dumps(problem))
+    assert_one_error_line(*run_main(["gitnorm", "--sigma", "1", "--input", str(path)]))
+
+
+PLAN_TILE = ("tiles", 0)
+BOOL_FIELDS = {
+    # (command, fixture or base, path of the field set to true)
+    "coefficient-num": (["polytope", "--sigma", "1", "--input"], "t2.json",
+                        ("entries", 0, 0, 0, "num")),
+    "coefficient-den": (["polytope", "--sigma", "1", "--input"], "t2.json",
+                        ("entries", 0, 0, 0, "den")),
+    "tensor-num": (["semistable", "--input"], 0, ("tensor", 0, 0, 0, "num")),
+    "tensor-den": (["semistable", "--input"], 0, ("tensor", 0, 0, 0, "den")),
+    "tile-sigma-num": (["plan", "--input"], "plan61.json", PLAN_TILE + ("sigma", "num")),
+    "tile-sigma-den": (["plan", "--input"], "plan61.json", PLAN_TILE + ("sigma", "den")),
+    "plan-sigma": (["plan", "--input"], "plan61.json", ("sigma",)),
+    "tile-interval": (["plan", "--input"], "plan61.json", PLAN_TILE + ("I", 1)),
+    "tau-num": (["sublevel", "--samples", "10", "--input"], "sublevel_line.json",
+                ("tau", "num")),
+    "tau-den": (["sublevel", "--samples", "10", "--input"], "sublevel_line.json",
+                ("tau", "den")),
+    "p": (["sublevel", "--samples", "10", "--input"], "sublevel_line.json",
+          ("matrix", "p")),
+    "q": (["polytope", "--sigma", "1", "--input"], "t2.json", ("q",)),
+    "d": (["sublevel", "--samples", "10", "--input"], "sublevel_line.json",
+          ("matrix", "d")),
+    "phi-k": (["semistable", "--input"], 1, ("k",)),
+    "balanced-type": (["radon", "--balanced"], "balanced_parabola.json", ("type",)),
+    "balanced-exponent": (["radon", "--balanced"], "balanced_parabola.json",
+                          ("alphas", 0, 0)),
+    "balanced-d": (["radon", "--balanced"], "balanced_parabola.json", ("d",)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOL_FIELDS))
+def test_integer_field_true_is_an_input_error(tmp_path, field):
+    # each once ran with true read as the integer 1: a coefficient, a
+    # tensor entry, a tile sigma or tau of 1, a plan pinned at sigma 1, the
+    # tile [0, 1], a 1 x 2 matrix, a type-1 set, the exponent 1 ...
+    command, base, path = BOOL_FIELDS[field]
+    problem = (load_fixture(base) if isinstance(base, str)
+               else json.loads(json.dumps(BASES[base])))
+    problem = set_at(problem, path, True)
+    target = tmp_path / "bool.json"
+    target.write_text(json.dumps(problem))
+    assert_one_error_line(*run_main(command + [str(target)]))

@@ -1,8 +1,9 @@
 """Each module of the package, each test module and each tool uses every
 name it imports, every private module-level function or class is used
 somewhere in the package, every option of the public interface is set by
-some caller, every function the benchmark traces still exists, and every
-verdict detail is a stage text the benchmark can parse."""
+some caller, every function the benchmark traces still exists, every
+verdict detail is a stage text the benchmark can parse, the package has no
+``assert`` statement and only the CLI prints."""
 
 import ast
 import importlib
@@ -208,3 +209,27 @@ def test_every_verdict_detail_is_a_known_stage():
                if not (d in known or isinstance(d, tuple)
                        and d[0].startswith("best upper bound "))]
     assert details and unknown == []
+
+
+def asserts_and_prints(source: str) -> tuple:
+    """Line numbers of the ``assert`` statements and of the calls to
+    ``print`` in ``source``."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ([n.lineno for n in nodes if isinstance(n, ast.Assert)],
+            [n.lineno for n in nodes if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "print"])
+
+
+def test_asserts_and_prints_finds_each_kind():
+    src = ("assert x\nprint(1)\ndef f():\n    assert y, 'm'\n"
+           "    out.print(2)\n    return print\n")
+    assert asserts_and_prints(src) == ([1, 4], [2])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_has_no_assert_and_only_the_cli_prints(path):
+    # python -O strips assert statements, so checks raise real exceptions;
+    # library code reports through return values, not stdout
+    asserts, prints = asserts_and_prints(path.read_text())
+    assert asserts == []
+    assert prints == [] or path.name == "cli.py"
