@@ -7,12 +7,9 @@ from .polycore import (
     PolyMatrix,
     SupportSet,
     act_group,
-    eval_poly,
     hs_norm,
     partial_derivative,
-    substitute_linear,
     support_set,
-    taylor_coeff,
 )
 from .gitnorm import (
     Destabilizer,
@@ -25,7 +22,6 @@ from .gitnorm import (
     git_norm,
     minimize_diagonal,
     polytope_membership,
-    scaled_norm,
     sparse_criterion,
 )
 from .blockdecomp import (
@@ -34,7 +30,6 @@ from .blockdecomp import (
     diagonal_shift,
     eliminate,
     has_generic_rank_p,
-    parametrize_kernel,
     tile_map,
     useful_tiles,
     vanishing_degrees,

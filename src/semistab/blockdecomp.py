@@ -38,15 +38,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .lp import exact_rank, exact_solve
 from .polycore import (
     Poly,
     PolyMatrix,
     _is_exact_scalar,
+    fraction_to_json,
     grlex_key,
     is_int,
+    partial_derivative,
     polymatrix_from_json,
     polymatrix_to_json,
 )
@@ -60,12 +60,6 @@ class NotDerivativeClosed(Exception):
             f"column {column}: s_{direction}-partial is not a constant "
             f"combination of columns"
         )
-
-
-class AmbiguousRank(Exception):
-    def __init__(self, gap: float):
-        self.gap = gap
-        super().__init__(f"singular value gap {gap:.3e} below 1e6")
 
 
 # -- bivariate helpers ------------------------------------------------------------
@@ -266,8 +260,7 @@ class Tile:
     sigma: Fraction = Fraction(0)
 
     def to_json(self):
-        return {"I": list(self.I), "J": list(self.J),
-                "sigma": {"num": self.sigma.numerator, "den": self.sigma.denominator}}
+        return {"I": list(self.I), "J": list(self.J), "sigma": fraction_to_json(self.sigma)}
 
 
 def group_offsets(sizes) -> list:
@@ -341,74 +334,6 @@ class BlockDecomposition:
         return dec
 
 
-# -- kernel parametrization ---------------------------------------------------------
-
-
-def parametrize_kernel(M, rank: int | None = None):
-    """Kernel basis by Cramer's rule on the largest well-conditioned minor.
-
-    Selects the r x r minor maximizing |det| (lexicographic tie-break on the
-    index sets), expresses the kernel through it, and sign-normalizes so the
-    wedge of the selected basis columns with the kernel vectors equals the
-    wedge of the full basis.  Coefficients relative to the chosen minor are
-    bounded by 2 in magnitude by construction of the maximizer.
-    """
-    M = np.asarray(M, dtype=float)
-    p, q = M.shape
-    sv = np.linalg.svd(M, compute_uv=False)
-    sv = np.concatenate([sv, np.zeros(max(0, q - len(sv)))])
-    if rank is None:
-        rank = int(np.sum(sv > max(1e-12 * sv[0], 1e-300)))
-    if rank < min(p, q):
-        gap = sv[rank - 1] / sv[rank] if rank > 0 and sv[rank] > 0 else math.inf
-        if gap < 1e6:
-            raise AmbiguousRank(gap)
-    r = rank
-    best = None
-    for rows in itertools.combinations(range(p), r):
-        for cols in itertools.combinations(range(q), r):
-            det = float(np.linalg.det(M[np.ix_(rows, cols)]))
-            key = (-abs(det), rows, cols)
-            if best is None or key < best[0]:
-                best = (key, rows, cols, det)
-    _, rows, cols, det = best
-    if det == 0.0:
-        raise AmbiguousRank(0.0)
-    minor = M[np.ix_(rows, cols)]
-    others = [j for j in range(q) if j not in cols]
-    kernel = []
-    for k, sig in enumerate(others):
-        coeffs = np.linalg.solve(minor, M[np.ix_(rows, [sig])]).ravel()
-        x = np.zeros(q)
-        x[sig] = 1.0
-        for kk, jc in enumerate(cols):
-            x[jc] = -coeffs[kk]
-        kernel.append(x)
-    # wedge normalization: e^{j_1} ^ ... ^ e^{j_r} ^ x^1 ^ ... ^ x^{q-r}
-    # equals the full wedge iff the column permutation is even
-    perm = list(cols) + others
-    if _perm_sign(perm) < 0 and kernel:
-        kernel[0] = -kernel[0]
-    return kernel, (rows, cols)
-
-
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
 # -- flow elimination ----------------------------------------------------------------
 
 
@@ -421,8 +346,6 @@ def _solve_constant_closure(M: PolyMatrix):
     express derivatives through columns of strictly lower degree (that choice
     makes the generators nilpotent when it exists).  Returns None if some
     derivative is not a constant combination of the columns."""
-    from .polycore import partial_derivative
-
     p, q, d = M.p, M.q, M.d
     cols = _columns_as_vectors(M)
     degs = [max((e.degree() for e in col), default=-1) for col in cols]
@@ -718,6 +641,23 @@ def eliminate(M: PolyMatrix):
     D, zero_blocks = vanishing_degrees(R, row_groups, col_groups)
     decomp = BlockDecomposition(row_groups, col_groups, D, A, B, zero_blocks)
     return A, B, R, decomp
+
+
+def _perm_sign(perm) -> int:
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        clen = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def _apply_col_perm(X: PolyMatrix, perm):

@@ -33,6 +33,7 @@ from .gitnorm import (
 from .polycore import (
     PolyMatrix,
     fraction_from_json,
+    fraction_to_json,
     hs_norm,
     is_int,
     mi_factorial,
@@ -121,7 +122,7 @@ def _emit(report: dict, out: str | None):
 
 def _json_default(v):
     if isinstance(v, Fraction):
-        return {"num": v.numerator, "den": v.denominator}
+        return fraction_to_json(v)
     if isinstance(v, np.ndarray):
         return list(map(float, v))
     raise TypeError(f"not serializable: {type(v)}")
@@ -139,13 +140,25 @@ def _rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+def _value_str(x: float, digits: int) -> str:
+    """x with ``digits`` decimals: fixed point below 1e15, scientific from 1e15 up."""
+    return f"{x:.{digits}{'f' if abs(x) < 1e15 else 'e'}}"
+
+
+def _number(v):
+    """A JSON number field as it is; true and false are not numbers."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a number")
+    return v
+
+
 # -- verbs -------------------------------------------------------------------------
 
 
 def cmd_hsnorm(args) -> int:
     M = _float_matrix_from(_load(args.input), args.input)
     value = hs_norm(M)
-    _table([["hsnorm", f"{value:.9f}"]])
+    _table([["hsnorm", _value_str(value, 9)]])
     _emit({"value": value}, args.out)
     return 0
 
@@ -161,7 +174,7 @@ def cmd_gitnorm(args) -> int:
                          "alpha! c^2 that is not a normal float")
     est = git_norm(M, args.sigma)
     _table([
-        ["value", f"{est.value:.6f}"],
+        ["value", _value_str(est.value, 6)],
         ["status", est.status],
         ["foc_residual", f"{est.foc_residual:.3e}"],
     ])
@@ -251,10 +264,8 @@ def cmd_plan(args) -> int:
         sigma = args.sigma if args.sigma is not None else obj.get("sigma")
         if isinstance(sigma, dict):
             sigma = fraction_from_json(sigma)
-        elif isinstance(sigma, bool):
-            raise TypeError("sigma is a bool")
         elif sigma is not None:
-            sigma = Fraction(sigma)
+            sigma = Fraction(_number(sigma))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{args.input}: not a tile plan problem "
                          f"({type(exc).__name__}: {exc})") from exc
@@ -278,14 +289,14 @@ def cmd_sublevel(args) -> int:
     obj = _load(args.input)
     try:
         M = _matrix_from(obj["matrix"], args.input)
-        domain = [tuple(map(float, iv)) for iv in obj["domain"]]
+        domain = [tuple(float(_number(x)) for x in iv) for iv in obj["domain"]]
         if len(domain) != M.d or not all(
                 len(iv) == 2 and -math.inf < iv[0] < iv[1] < math.inf for iv in domain):
             raise ValueError(f"domain needs {M.d} finite intervals [lo, hi], lo < hi")
         tau = float(args.tau if args.tau is not None else fraction_from_json(obj["tau"]))
         if not tau > 0:
             raise ValueError("tau must be positive")
-        weight = float(obj.get("weight", 1.0))
+        weight = float(_number(obj.get("weight", 1.0)))
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"{args.input}: not a sublevel problem "
                          f"({type(exc).__name__}: {exc})") from exc
@@ -320,7 +331,8 @@ def _form_from(obj: dict, path: str) -> CurvatureForm:
                                    for row in plane] for plane in obj["tensor"]])
         if "phi" in obj:
             prob = RadonProblem.from_json(obj)
-            return curvature_form(prob, obj.get("point", [0] * (prob.n + prob.nt)))
+            point = obj.get("point", [0] * (prob.n + prob.nt))
+            return curvature_form(prob, [_number(v) for v in point])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, NonTransverse) as exc:
         raise InputError(f"{path}: not a curvature form problem "
                          f"({type(exc).__name__}: {exc})") from exc

@@ -36,6 +36,7 @@ from .polycore import (
     _shift,
     act_dense,
     act_group,
+    fraction_to_json,
     from_dense,
     hs_norm,
     support_set,
@@ -120,7 +121,7 @@ class SparseVerdict:
 
 def theta_to_json(theta: dict) -> list:
     """Convex weights {(i, j, alpha): Fraction} as a list sorted by cell."""
-    return [{"i": i, "j": j, "alpha": list(a), "num": t.numerator, "den": t.denominator}
+    return [{"i": i, "j": j, "alpha": list(a), **fraction_to_json(t)}
             for (i, j, a), t in sorted(theta.items())]
 
 
@@ -134,9 +135,9 @@ class Destabilizer:
     def flat(self):
         return list(self.w_p) + list(self.w_q) + list(self.w_d)
 
-    def _pairings(self, triples, sigma):
-        """Numerators of the pairings of ``triples`` and of the margin over
-        one common positive denominator, and that denominator."""
+    def verify(self, E: SupportSet, sigma) -> bool:
+        """Whether w.(e^i; e^j; alpha - sigma 1_d) <= -margin on every triple
+        of E, compared exactly over one common positive denominator."""
         sigma = Fraction(sigma)
         w = [Fraction(v) for v in self.flat()] + [Fraction(self.margin)]
         L = math.lcm(*(v.denominator for v in w))
@@ -145,28 +146,17 @@ class Destabilizer:
         Wd = W[p + q:-1]
         # L sd w.(e^i; e^j; alpha - sigma 1_d) for sigma = sn / sd
         sn, sd = sigma.numerator, sigma.denominator
-        shift = sn * sum(Wd)
-        nums = [sd * (W[i] + W[p + j] + sum(v * a for v, a in zip(Wd, alpha))) - shift
-                for i, j, alpha in triples]
-        return nums, sd * W[-1], L * sd
-
-    def pairing(self, triple, sigma: Fraction) -> Fraction:
-        """Exact value of w.(e^i; e^j; alpha - sigma 1_d) for one triple."""
-        (num,), _, den = self._pairings([triple], sigma)
-        return Fraction(num, den)
-
-    def verify(self, E: SupportSet, sigma) -> bool:
-        nums, margin, _ = self._pairings(E.triples, sigma)
-        return all(v <= -margin for v in nums)
+        shift, bound = sn * sum(Wd), -sd * W[-1]
+        return all(sd * (W[i] + W[p + j] + sum(v * a for v, a in zip(Wd, alpha))) - shift
+                   <= bound for i, j, alpha in E.triples)
 
     def to_json(self) -> dict:
-        enc = lambda xs: [{"num": Fraction(x).numerator,
-                           "den": Fraction(x).denominator} for x in xs]
+        enc = lambda xs: [fraction_to_json(x) for x in xs]
         return {
             "w_p": enc(self.w_p),
             "w_q": enc(self.w_q),
             "w_d": enc(self.w_d),
-            "margin": {"num": self.margin.numerator, "den": self.margin.denominator},
+            "margin": fraction_to_json(self.margin),
         }
 
 
@@ -179,14 +169,12 @@ class MembershipResult:
     def to_json(self) -> dict:
         out = {"member": self.member}
         if self.theta is not None:
-            out["theta"] = [
-                {"num": t.numerator, "den": t.denominator} for t in self.theta
-            ]
+            out["theta"] = [fraction_to_json(t) for t in self.theta]
         if self.separator is not None:
             w, gap = self.separator
             out["separator"] = {
-                "w": [{"num": v.numerator, "den": v.denominator} for v in w],
-                "gap": {"num": gap.numerator, "den": gap.denominator},
+                "w": [fraction_to_json(v) for v in w],
+                "gap": fraction_to_json(gap),
             }
         return out
 
@@ -214,23 +202,6 @@ def _cells(basis: GradedBasis, T: np.ndarray, V: np.ndarray):
     exponential sum over the support."""
     keep = T.ravel() != 0
     return V[keep], (basis.fac * T * T).ravel()[keep]
-
-
-def _scaled_norm(V: np.ndarray, m: np.ndarray, w: LogWeights) -> float:
-    if len(m) == 0:
-        return 0.0
-    return math.sqrt(float(np.sum(m * np.exp(2.0 * V @ w.flat()))))
-
-
-def scaled_norm(P: PolyMatrix, w: LogWeights, sigma) -> float:
-    """Norm after diagonal rescaling by exp(w), with the |det|^(-sigma) factor.
-
-    Equals (sum over support of exp(2 w.(e^i;e^j;alpha-sigma 1_d)) alpha! c^2)^(1/2).
-    """
-    if len(w.w_p) != P.p or len(w.w_q) != P.q or len(w.w_d) != P.d:
-        raise ValueError("weight dimensions do not match the matrix")
-    basis, T = to_dense(P)
-    return _scaled_norm(*_cells(basis, T, _weight_matrix(basis, P.p, P.q, sigma)), w)
 
 
 # -- convex diagonal minimization -------------------------------------------------
@@ -270,7 +241,8 @@ class DiagonalResult:
 
 
 def minimize_diagonal(P: PolyMatrix, sigma) -> DiagonalResult:
-    """Damped Newton descent of the convex function w -> scaled_norm^2.
+    """Damped Newton descent of the convex function
+    w -> ||rescale_by_weights(P, w, sigma)||^2.
 
     The stopping test is on the gradient of the logarithm of the objective,
     so it does not depend on the scale of P or of the value.  Status is
@@ -376,11 +348,6 @@ def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     Z = rng.standard_normal((n, n))
     Q, R = np.linalg.qr(Z)
     return Q * np.sign(np.diag(R))
-
-
-def frame_element(frames) -> GroupElement:
-    O1, O2, O3 = frames
-    return GroupElement(O1, O2, O3, volume_preserving=False)
 
 
 def group_value(P: PolyMatrix, g: GroupElement, sigma) -> float:

@@ -100,12 +100,6 @@ class Poly:
     def constant(dim: int, c) -> "Poly":
         return Poly(dim, {(0,) * dim: c})
 
-    @staticmethod
-    def variable(dim: int, k: int) -> "Poly":
-        alpha = [0] * dim
-        alpha[k] = 1
-        return Poly(dim, {tuple(alpha): 1})
-
     # -- basic queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -174,14 +168,6 @@ class Poly:
                 out[key] = out.get(key, 0) + ca * cb
         return Poly(self.dim, out, exact=self.exact and other.exact)
 
-    def pow(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly.constant(self.dim, 1)
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- restricted views ----------------------------------------------------
 
     def homogeneous_part(self, degree: int) -> "Poly":
@@ -191,28 +177,8 @@ class Poly:
             exact=self.exact,
         )
 
-    def low_order(self) -> int:
-        """Smallest total degree carrying a nonzero term (-1 for zero)."""
-        if not self.terms:
-            return -1
-        return min(mi_order(a) for a in self.terms)
-
 
 # -- operations on polynomials ------------------------------------------------
-
-
-def eval_poly(P: Poly, point: Sequence[float]) -> float:
-    """Evaluate at a real point, in double precision."""
-    if len(point) != P.dim:
-        raise ValueError(f"point has length {len(point)}, expected {P.dim}")
-    total = 0.0
-    for a, c in P.terms.items():
-        m = 1.0
-        for x, e in zip(point, a):
-            if e:
-                m *= float(x) ** e
-        total += float(c) * m
-    return total
 
 
 def partial_derivative(P: Poly, alpha) -> Poly:
@@ -234,41 +200,18 @@ def partial_derivative(P: Poly, alpha) -> Poly:
     return Poly(P.dim, out, exact=P.exact)
 
 
-def taylor_coeff(P: Poly, alpha):
-    """Value of d^alpha P at the origin (= alpha! times the coefficient)."""
-    alpha = tuple(alpha)
-    return P.terms.get(alpha, Fraction(0) if P.exact else 0.0) * mi_factorial(alpha)
-
-
-def substitute_linear(P: Poly, C) -> Poly:
-    """Return z -> P(C^T z), expanded and recollected: :func:`act_dense` on
-    P as a 1 x 1 matrix, exact when P and C are."""
-    one = ((1,),)
-    return _act(PolyMatrix([[P]]), one, one, _as_matrix(C, P.dim, P.dim)).entries[0][0]
-
-
 # -- matrices ------------------------------------------------------------------
 
 
-def _as_matrix(M, rows: int | None = None, cols: int | None = None):
+def _as_matrix(M):
     """Normalize to a tuple-of-tuples (exact) or 2d ndarray (float); an
     ``object`` ndarray is read like nested sequences."""
     if isinstance(M, np.ndarray) and M.dtype != object:
-        out = M
-        r, c = M.shape
-    else:
-        out = tuple(tuple(row) for row in M)
-        r = len(out)
-        c = len(out[0]) if r else 0
-        if all(_is_exact_scalar(x) for row in out for x in row):
-            out = tuple(tuple(_as_fraction(x) for x in row) for row in out)
-        else:
-            out = np.array([[float(x) for x in row] for row in out])
-    if rows is not None and r != rows:
-        raise ValueError(f"expected {rows} rows, got {r}")
-    if cols is not None and c != cols:
-        raise ValueError(f"expected {cols} cols, got {c}")
-    return out
+        return M
+    out = tuple(tuple(row) for row in M)
+    if all(_is_exact_scalar(x) for row in out for x in row):
+        return tuple(tuple(_as_fraction(x) for x in row) for row in out)
+    return np.array([[float(x) for x in row] for row in out])
 
 
 def matrix_is_exact(M) -> bool:
@@ -507,13 +450,9 @@ def act_group(P: PolyMatrix, g: GroupElement) -> PolyMatrix:
     """
     if (len(g.A) != P.p) or (len(g.B) != P.q) or (len(g.C) != P.d):
         raise ValueError("group element shape does not match matrix")
-    return _act(P, g.A, g.B, g.C)
-
-
-def _act(P: PolyMatrix, A, B, C) -> PolyMatrix:
-    exact = P.exact and all(matrix_is_exact(M) for M in (A, B, C))
+    exact = P.exact and all(matrix_is_exact(M) for M in (g.A, g.B, g.C))
     basis, T = to_dense(P, object if exact else float)
-    return from_dense(basis, act_dense(basis, T, A, B, C))
+    return from_dense(basis, act_dense(basis, T, g.A, g.B, g.C))
 
 
 def hs_norm_sq_exact(P: PolyMatrix) -> Fraction:
@@ -577,15 +516,19 @@ def support_set(P: PolyMatrix) -> SupportSet:
 def poly_to_json(P: Poly) -> list:
     if not P.exact:
         raise ValueError("only exact polynomials serialize")
-    return [
-        {"alpha": list(a), "num": c.numerator, "den": c.denominator}
-        for a, c in P.sorted_terms()
-    ]
+    return [{"alpha": list(a), **fraction_to_json(c)} for a, c in P.sorted_terms()]
 
 
 def is_int(v) -> bool:
     """Whether a JSON value is an int and not a bool (an int subclass)."""
     return type(v) is int
+
+
+def fraction_to_json(x) -> dict:
+    """The exact scalar x as {"num": n, "den": d}, d > 0; a float raises
+    TypeError."""
+    x = _as_fraction(x)
+    return {"num": x.numerator, "den": x.denominator}
 
 
 def fraction_from_json(obj: dict) -> Fraction:

@@ -27,7 +27,6 @@ import numpy as np
 from .blockdecomp import (
     degrees_monotone,
     diagonal_shift,
-    has_generic_rank_p,
     inflate_s,
     inflate_z,
     reduced_product,
@@ -87,10 +86,6 @@ class RadonProblem:
     @property
     def nt(self) -> int:
         return self.n1 - self.k
-
-    def jacobian_has_generic_rank(self) -> bool:
-        """Exact rank-k check of d phi / d x at random rational points."""
-        return has_generic_rank_p(build_incidence(self))
 
     def to_json(self) -> dict:
         return {"n": self.n, "n1": self.n1, "k": self.k,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .blockdecomp import BlockDecomposition, Tile
 from .gitnorm import _coordinate_rows
 from .lp import solve_eq_lp
-from .polycore import is_int
+from .polycore import fraction_to_json, is_int
 
 
 @dataclass
@@ -32,9 +32,9 @@ class TilePoint:
         return tuple(self.row_part) + tuple(self.col_part) + (self.sigma,)
 
     def to_json(self):
-        enc = lambda xs: [{"num": x.numerator, "den": x.denominator} for x in xs]
+        enc = lambda xs: [fraction_to_json(x) for x in xs]
         out = {"row_part": enc(self.row_part), "col_part": enc(self.col_part),
-               "sigma": {"num": self.sigma.numerator, "den": self.sigma.denominator}}
+               "sigma": fraction_to_json(self.sigma)}
         if self.tile is not None:
             out["tile"] = self.tile.to_json()
         return out
@@ -49,10 +49,9 @@ class TilePlan:
 
     def to_json(self):
         return {
-            "theta": [{"num": t.numerator, "den": t.denominator} for t in self.theta],
-            "sigma": {"num": self.sigma_total.numerator,
-                      "den": self.sigma_total.denominator},
-            "tau": {"num": self.tau.numerator, "den": self.tau.denominator},
+            "theta": [fraction_to_json(t) for t in self.theta],
+            "sigma": fraction_to_json(self.sigma_total),
+            "tau": fraction_to_json(self.tau),
             "tiles": [pt.to_json() for pt in self.points],
         }
 

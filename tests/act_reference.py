@@ -4,11 +4,12 @@ This is how ``semistab.polycore.act_group`` acted on float operands before
 the dense kernel, together with the derivative-pairing matrices
 ``semistab.gitnorm._foc_matrices`` computed on that representation.  The
 code is kept as it was, apart from this docstring, ``act_group`` taking the
-matrices (A, B, C) in place of a group element, and the name
-``foc_matrices``.  Every ``Poly`` built on the way prunes its coefficients
-at 1e-14 of its largest one, so intermediate products are pruned as well as
-the result.  The oracle tests compare the dense kernel with it entry by
-entry.
+matrices (A, B, C) in place of a group element, the name ``foc_matrices``,
+the method ``Poly.pow`` kept here as :func:`_pow`, and
+``substitute_linear`` no longer checking that C is ``P.dim`` x ``P.dim``.
+Every ``Poly`` built on the way prunes its coefficients at 1e-14 of its
+largest one, so intermediate products are pruned as well as the result.
+The oracle tests compare the dense kernel with it entry by entry.
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ from semistab.polycore import (
 )
 
 
+def _pow(P: Poly, n: int) -> Poly:
+    if n < 0:
+        raise ValueError("negative power")
+    result = Poly.constant(P.dim, 1)
+    for _ in range(n):
+        result = result * P
+    return result
+
+
 def _substitute_forms(P: Poly, forms: list[Poly]) -> Poly:
     """Substitute variable k by forms[k]; shared power cache per call."""
     if len(forms) != P.dim:
@@ -36,7 +46,7 @@ def _substitute_forms(P: Poly, forms: list[Poly]) -> Poly:
     def power(k: int, e: int) -> Poly:
         got = cache[k].get(e)
         if got is None:
-            got = forms[k].pow(e)
+            got = _pow(forms[k], e)
             cache[k][e] = got
         return got
 
@@ -52,7 +62,7 @@ def _substitute_forms(P: Poly, forms: list[Poly]) -> Poly:
 
 def substitute_linear(P: Poly, C) -> Poly:
     """Return z -> P(C^T z), expanded and recollected."""
-    C = _as_matrix(C, P.dim, P.dim)
+    C = _as_matrix(C)
     exact = matrix_is_exact(C)
     d = P.dim
     forms = []

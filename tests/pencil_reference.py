@@ -3,7 +3,8 @@ before it became one flattening-frame construction for every shape.
 
 It handles p x 2 z-linear matrices with p = 2d - 1 and d = 3, and their
 transposes, through the chained column relation S2 w2 = S1 w3.  The code is
-kept as it was, apart from this docstring and the imports.  The oracle test
+kept as it was, apart from this docstring, the imports and the method
+``Poly.low_order`` kept here as :func:`_low_order`.  The oracle test
 requires the same support set in the new frame and a byte-identical
 destabilizer on every form this one decides.
 """
@@ -14,7 +15,14 @@ from fractions import Fraction
 
 from semistab.gitnorm import Destabilizer, find_destabilizer
 from semistab.lp import exact_det, exact_inverse, exact_nullspace
-from semistab.polycore import GroupElement, PolyMatrix, act_group, support_set
+from semistab.polycore import GroupElement, PolyMatrix, act_group, mi_order, support_set
+
+
+def _low_order(P) -> int:
+    """Smallest total degree carrying a nonzero term (-1 for zero)."""
+    if not P.terms:
+        return -1
+    return min(mi_order(a) for a in P.terms)
 
 
 def pencil_destabilizer(P: PolyMatrix, sigma):
@@ -31,7 +39,7 @@ def pencil_destabilizer(P: PolyMatrix, sigma):
     sigma = Fraction(sigma)
     if not P.exact:
         return None
-    if any(e.degree() > 1 or (not e.is_zero() and e.low_order() < 1)
+    if any(e.degree() > 1 or (not e.is_zero() and _low_order(e) < 1)
            for row in P.entries for e in row):
         return None
     if P.p == 2 and P.q == 2 * P.d - 1:

@@ -5,10 +5,12 @@ This is how ``semistab.gitnorm.git_norm`` searched: the identity frame and
 Haar restarts, then Cayley coordinate descent on the frames until the budget
 of inner solves was spent, then a first-order gradient polish on the full
 group.  The code is kept as it was, apart from this docstring, the names
-``_act_dense`` and ``_rescaled``, the constants below and the copy of
-``_split_polar``.  ``_act_dense`` is the float action with its old pruning
-at 1e-14 of each entry's largest coefficient, and ``_minimize`` is the old
-inner solve with its absolute gradient test and value cut-offs.  The oracle test compares the new search
+``_act_dense`` and ``_rescaled``, the constants below and the copies of
+``_split_polar`` and ``_scaled_norm``; ``frame_element(frames)`` is written
+out as ``GroupElement(*frames, volume_preserving=False)``.  ``_act_dense`` is
+the float action with its old pruning at 1e-14 of each entry's largest
+coefficient, and ``_minimize`` is the old inner solve with its absolute
+gradient test and value cut-offs.  The oracle test compares the new search
 with it: on a semistable input the new value must be at most this one.
 """
 
@@ -25,11 +27,9 @@ from semistab.gitnorm import (
     _cells,
     _foc_matrices,
     _residual,
-    _scaled_norm,
     _sym_expm,
     _traceless_basis,
     _weight_matrix,
-    frame_element,
     haar_orthogonal,
 )
 from semistab.polycore import (
@@ -47,6 +47,12 @@ DEFAULT_GRAD_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 DEFAULT_RESTARTS = 64
 FLOAT_PRUNE_REL = 1e-14
+
+
+def _scaled_norm(V: np.ndarray, m: np.ndarray, w: LogWeights) -> float:
+    if len(m) == 0:
+        return 0.0
+    return math.sqrt(float(np.sum(m * np.exp(2.0 * V @ w.flat()))))
 
 
 def _act_dense(basis: GradedBasis, T: np.ndarray, A, B, C) -> np.ndarray:
@@ -226,7 +232,7 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = DEFAULT_RESTARTS,
     U = _traceless_basis(p, q, d)
 
     def in_frame(frames):
-        g = frame_element(frames)
+        g = GroupElement(*frames, volume_preserving=False)
         return _act_dense(basis, T, g.A, g.B, g.C)
 
     def inner(frames):

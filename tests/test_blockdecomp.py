@@ -3,16 +3,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from semistab import fixtures as fx
 from semistab.blockdecomp import (
-    AmbiguousRank,
     BlockDecomposition,
     Tile,
     eliminate,
     has_generic_rank_p,
-    parametrize_kernel,
     pm_det,
     pm_mul,
     reduced_matrix,
@@ -32,63 +29,6 @@ from semistab.polycore import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-# -- kernel parametrization ----------------------------------------------------------
-
-
-def _wedge_sign_oracle(cols, kernel, q):
-    """det of [e_{j1} .. e_{jr} x^1 .. x^{q-r}] must equal +1."""
-    mat = np.zeros((q, q))
-    for k, j in enumerate(cols):
-        mat[j, k] = 1.0
-    for k, x in enumerate(kernel):
-        mat[:, len(cols) + k] = x
-    return np.linalg.det(mat)
-
-
-def test_kernel_cramer_small():
-    # the largest 2x2 minor of [[1,0,2],[0,1,3]] uses columns (0, 2);
-    # Cramer by hand gives x = -(e2 - (2/3) e1 - (1/3) e3)
-    M = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
-    kernel, (rows, cols) = parametrize_kernel(M)
-    assert cols == (0, 2)
-    x = kernel[0]
-    assert np.allclose(x, [-2 / 3, -1.0, 1 / 3])
-    assert np.allclose(M @ x, 0.0)
-    # coefficients relative to the minor bounded by 2
-    assert np.abs(x).max() <= 2.0
-    assert _wedge_sign_oracle(cols, kernel, 3) == pytest.approx(1.0)
-
-
-def test_kernel_identity_case():
-    kernel, (rows, cols) = parametrize_kernel(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    assert cols == (0, 1)
-    assert np.allclose(kernel[0], [0, 0, 1])
-
-
-def test_kernel_sign_fix():
-    kernel, (rows, cols) = parametrize_kernel(np.array([[0, 1.0, 0], [0, 0, 1.0]]))
-    assert np.allclose(kernel[0], [1, 0, 0])
-    assert _wedge_sign_oracle(cols, kernel, 3) == pytest.approx(1.0)
-
-
-def test_kernel_residual_invariant():
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        p, q = 3, 5
-        M = rng.normal(size=(p, q))
-        kernel, _ = parametrize_kernel(M)
-        for x in kernel:
-            assert np.linalg.norm(M @ x) <= 1e-8 * np.linalg.norm(M) * np.linalg.norm(x)
-
-
-def test_kernel_ambiguous_rank():
-    # singular values 1 and 1e-3: the gap 1e3 is below the 1e6 requirement
-    M = np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
-    with pytest.raises(AmbiguousRank) as err:
-        parametrize_kernel(M, rank=1)
-    assert err.value.gap < 1e6
 
 
 # -- elimination ----------------------------------------------------------------------

@@ -279,6 +279,22 @@ def test_hsnorm_of_a_coefficient_near_the_float_range_is_finite(tmp_path, expone
     assert abs(json.loads(out.read_text())["value"] - expect) <= 1e-15 * expect
 
 
+@pytest.mark.parametrize("argv,num,shown", [
+    (["hsnorm"], 10 ** 160, "2.000000000e+160"),
+    (["gitnorm", "--sigma", "1"], 10 ** 20, "2.000000e+20")], ids=["hsnorm", "gitnorm"])
+def test_value_from_1e15_up_prints_in_scientific_notation(tmp_path, argv, num, shown):
+    # in fixed point 2e160 once printed as a 171-character line of digits
+    matrix = load_fixture("t2.json")
+    for row in matrix["entries"]:
+        row[0][0]["num"] = num
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(matrix))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--input", str(path)]) == 0
+    assert out.getvalue().splitlines()[0].split()[1] == shown
+
+
 @pytest.mark.parametrize("command,fixture,matrix", [
     (["blockdecomp", "--input"], "m61.json", lambda problem: problem),
     (["blockdecomp", "--verify"], "intro.json", lambda problem: problem["decomposition"]["B"]),
@@ -381,6 +397,11 @@ BOOL_FIELDS = {
     "balanced-exponent": (["radon", "--balanced"], "balanced_parabola.json",
                           ("alphas", 0, 0)),
     "balanced-d": (["radon", "--balanced"], "balanced_parabola.json", ("d",)),
+    "sublevel-domain": (["sublevel", "--samples", "10", "--input"], "sublevel_line.json",
+                        ("domain", 0, 1)),
+    "sublevel-weight": (["sublevel", "--samples", "10", "--input"], "sublevel_line.json",
+                        ("weight",)),
+    "phi-point": (["semistable", "--input"], 1, ("point", 1)),
 }
 
 
@@ -388,7 +409,8 @@ BOOL_FIELDS = {
 def test_integer_field_true_is_an_input_error(tmp_path, field):
     # each once ran with true read as the integer 1: a coefficient, a
     # tensor entry, a tile sigma or tau of 1, a plan pinned at sigma 1, the
-    # tile [0, 1], a 1 x 2 matrix, a type-1 set, the exponent 1 ...
+    # tile [0, 1], a 1 x 2 matrix, a type-1 set, the exponent 1, the domain
+    # [-1000, 1], the weight 1, the phi point [0, 1, 0] ...
     command, base, path = BOOL_FIELDS[field]
     problem = (load_fixture(base) if isinstance(base, str)
                else json.loads(json.dumps(BASES[base])))

@@ -1,7 +1,8 @@
 """Each module of the package, each test module and each tool uses every
 name it imports, every private module-level function or class is used
 somewhere in the package, every option of the public interface is set by
-some caller, every function the benchmark traces still exists, every
+some caller, every public function, class and method has a caller outside
+the unit tests, every function the benchmark traces still exists, every
 verdict detail is a stage text the benchmark can parse, the package has no
 ``assert`` statement and only the CLI prints."""
 
@@ -156,6 +157,57 @@ def test_every_option_is_set_by_a_caller():
                for p in sorted((ROOT / d).rglob("*.py"))]
     unset = unset_options({p.stem: p.read_text() for p in MODULES}, callers)
     assert [u for u in unset if u not in allowed] == []
+
+
+def unreferenced_public(modules: dict, callers: list) -> list:
+    """``module.name`` (``module.Class.method`` for a method) of each public
+    module-level function or class and each public method in the ``modules``
+    (name to source) whose name no code in the ``modules`` outside its own
+    definition and no code in the ``callers`` (sources) refers to.  An
+    import does not count as a reference."""
+    trees = {mod: ast.parse(src) for mod, src in modules.items()}
+    used = sum((names_used(t) for t in trees.values()), Counter())
+    used += sum((names_used(ast.parse(src)) for src in callers), Counter())
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                         if isinstance(fn, ast.FunctionDef)]
+            out += [f"{mod}.{qual}" for qual, d in defs if not d.name.startswith("_")
+                    and used[d.name] == names_used(d)[d.name]]
+    return sorted(out)
+
+
+def test_unreferenced_public_finds_each_kind():
+    lib = {"a": ("def live():\n    pass\n"
+                 "def dead(n):\n    return dead(n - 1)\n"
+                 "class K:\n"
+                 "    def m(self):\n        pass\n"
+                 "    def n(self):\n        return self.m()\n"
+                 "    def _p(self):\n        pass\n"),
+           "b": "from a import dead\nx = live()\n"}
+    assert unreferenced_public(lib, ["k.n()\n"]) == ["a.K", "a.dead"]
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is the package itself, the benchmark, the tools or the
+    # acceptance suite; a name that only its own unit tests call is dead
+    allowed = {
+        "polycore.hs_norm_sq_exact": "the exact norm of ROADMAP item 1's critical-point check",
+        "sublevel.wedge_norm": "ROADMAP item 4 rewrites the wedge norm",
+        "sublevel.probe_nondegeneracy": "a paper-facing check of the sublevel hypothesis",
+        "radon.specialize_incidence": "the paper's incidence matrix M(t) at a fixed x",
+        "radon.CurvatureForm.transformed": "moves the forms of ROADMAP item 1's corpus",
+    }
+    callers = [p.read_text() for p in [*sorted((ROOT / "perfbench").rglob("*.py")),
+                                        *sorted((ROOT / "tools").rglob("*.py")),
+                                        ROOT / "tests" / "test_acceptance.py"]]
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert [u for u in unreferenced_public(modules, callers) if u not in allowed] == []
 
 
 def spans_constant(name: str):

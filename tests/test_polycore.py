@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,40 +12,23 @@ from semistab.polycore import (
     PolyMatrix,
     act_dense,
     act_group,
-    eval_poly,
     hs_norm,
     hs_norm_sq_exact,
     mi_factorial,
+    fraction_from_json,
+    fraction_to_json,
     partial_derivative,
     polymatrix_from_json,
     polymatrix_to_json,
-    substitute_linear,
     support_set,
-    taylor_coeff,
     to_dense,
 )
 
 
-def z(d, k):
-    return Poly.variable(d, k)
-
-
-def test_eval_poly_direct_substitution():
-    P = Poly(2, {(2, 0): 1, (0, 1): 1})
-    assert eval_poly(P, [2, 3]) == 7
-
-
-def test_eval_zero_polynomial():
-    assert eval_poly(Poly.zero(3), [1.0, 2.0, 3.0]) == 0.0
-
-
-def test_eval_bilinear_monomial():
-    assert eval_poly(Poly(2, {(1, 1): 1}), [1, 1]) == 1
-
-
-def test_eval_dimension_mismatch():
-    with pytest.raises(ValueError):
-        eval_poly(Poly.zero(2), [1.0])
+def substitute(P, C):
+    """z -> P(C^T z): act_group on P as a 1 x 1 matrix."""
+    g = GroupElement(((1,),), ((1,),), C, volume_preserving=False)
+    return act_group(PolyMatrix([[P]]), g).entries[0][0]
 
 
 def test_partial_derivative_basic():
@@ -54,29 +38,23 @@ def test_partial_derivative_basic():
     assert partial_derivative(Poly(2, {(1, 1): 1}), (1, 1)) == Poly.constant(2, 1)
 
 
-def test_taylor_coeff_is_factorial_times_coefficient():
-    P = Poly(2, {(3, 2): F(5, 7)})
-    assert taylor_coeff(P, (3, 2)) == F(5, 7) * 12
-    assert taylor_coeff(P, (1, 1)) == 0
-
-
 def test_substitute_linear_diagonal():
     P = Poly(2, {(2, 0): 1})
-    got = substitute_linear(P, [[2, 0], [0, 1]])
+    got = substitute(P, [[2, 0], [0, 1]])
     assert got == Poly(2, {(2, 0): 4})
 
 
 def test_substitute_linear_rotation():
     # z1 under the 90-degree rotation becomes +-z2 (transpose convention)
     C = [[0, -1], [1, 0]]
-    got = substitute_linear(Poly(2, {(1, 0): 1}), C)
+    got = substitute(Poly(2, {(1, 0): 1}), C)
     assert got == Poly(2, {(0, 1): 1})
 
 
 def test_substitute_linear_identity():
     P = Poly(2, {(1, 1): 1})
     eye = [[1, 0], [0, 1]]
-    assert substitute_linear(P, eye) == P
+    assert substitute(P, eye) == P
 
 
 def test_act_group_row_swap():
@@ -191,6 +169,18 @@ def test_serialization_roundtrip():
     assert back == P
     # graded-lex term order in the payload
     assert obj["entries"][0][0][0]["alpha"] == [0, 1]
+
+
+def test_fraction_codec_round_trips_ints_and_fractions():
+    rng = random.Random(16)
+    for _ in range(300):
+        num = rng.randint(-10 ** 40, 10 ** 40)
+        x = num if rng.random() < 0.3 else F(num, rng.randint(1, 10 ** 40))
+        obj = fraction_to_json(x)
+        assert type(obj["num"]) is int and type(obj["den"]) is int and obj["den"] > 0
+        assert fraction_from_json(obj) == x
+    with pytest.raises(TypeError):
+        fraction_to_json(0.5)
 
 
 # -- invariance properties ---------------------------------------------------
