@@ -37,6 +37,7 @@ from .polycore import (
     hs_norm,
     is_int,
     mi_factorial,
+    number_from_json,
     polymatrix_from_json,
     support_set,
 )
@@ -143,13 +144,6 @@ def _rat_str(x: Fraction) -> str:
 def _value_str(x: float, digits: int) -> str:
     """x with ``digits`` decimals: fixed point below 1e15, scientific from 1e15 up."""
     return f"{x:.{digits}{'f' if abs(x) < 1e15 else 'e'}}"
-
-
-def _number(v):
-    """A JSON number field as it is; true and false are not numbers."""
-    if isinstance(v, bool):
-        raise TypeError(f"{v!r} is not a number")
-    return v
 
 
 # -- verbs -------------------------------------------------------------------------
@@ -261,11 +255,9 @@ def cmd_plan(args) -> int:
         tiles = [(Tile(tuple(e["I"]), tuple(e["J"])), fraction_from_json(e["sigma"]))
                  for e in obj["tiles"]]
         pts = [tile_point(decomp, tile, sig) for tile, sig in tiles]
-        sigma = args.sigma if args.sigma is not None else obj.get("sigma")
-        if isinstance(sigma, dict):
-            sigma = fraction_from_json(sigma)
-        elif sigma is not None:
-            sigma = Fraction(_number(sigma))
+        sigma = args.sigma
+        if sigma is None and "sigma" in obj:
+            sigma = number_from_json(obj["sigma"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{args.input}: not a tile plan problem "
                          f"({type(exc).__name__}: {exc})") from exc
@@ -289,14 +281,16 @@ def cmd_sublevel(args) -> int:
     obj = _load(args.input)
     try:
         M = _matrix_from(obj["matrix"], args.input)
-        domain = [tuple(float(_number(x)) for x in iv) for iv in obj["domain"]]
+        domain = [tuple(float(number_from_json(x)) for x in iv) for iv in obj["domain"]]
         if len(domain) != M.d or not all(
                 len(iv) == 2 and -math.inf < iv[0] < iv[1] < math.inf for iv in domain):
             raise ValueError(f"domain needs {M.d} finite intervals [lo, hi], lo < hi")
         tau = float(args.tau if args.tau is not None else fraction_from_json(obj["tau"]))
         if not tau > 0:
             raise ValueError("tau must be positive")
-        weight = float(_number(obj.get("weight", 1.0)))
+        weight = float(number_from_json(obj.get("weight", 1)))
+        if not weight >= 0:
+            raise ValueError("weight must be nonnegative")
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"{args.input}: not a sublevel problem "
                          f"({type(exc).__name__}: {exc})") from exc
@@ -332,7 +326,7 @@ def _form_from(obj: dict, path: str) -> CurvatureForm:
         if "phi" in obj:
             prob = RadonProblem.from_json(obj)
             point = obj.get("point", [0] * (prob.n + prob.nt))
-            return curvature_form(prob, [_number(v) for v in point])
+            return curvature_form(prob, [number_from_json(v) for v in point])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, NonTransverse) as exc:
         raise InputError(f"{path}: not a curvature form problem "
                          f"({type(exc).__name__}: {exc})") from exc

@@ -109,15 +109,6 @@ class SparseVerdict:
     strictly_positive_theta: bool = False
     reason: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "positive": self.positive,
-            "strictly_positive_theta": self.strictly_positive_theta,
-            "theta": None if self.theta is None else theta_to_json(self.theta),
-            "reason": self.reason,
-        }
-
 
 def theta_to_json(theta: dict) -> list:
     """Convex weights {(i, j, alpha): Fraction} as a list sorted by cell."""
@@ -237,7 +228,6 @@ class DiagonalResult:
     weights: LogWeights
     status: str
     iterations: int
-    objective: float  # normalized squared objective at the final point
 
 
 def minimize_diagonal(P: PolyMatrix, sigma) -> DiagonalResult:
@@ -263,7 +253,7 @@ def _minimize(V: np.ndarray, m: np.ndarray, U: np.ndarray, dims) -> DiagonalResu
     traceless basis of the weights."""
     p, q, d = dims
     if len(m) == 0:
-        return DiagonalResult(0.0, LogWeights.zeros(p, q, d), "converged", 0, 0.0)
+        return DiagonalResult(0.0, LogWeights.zeros(p, q, d), "converged", 0)
     total = float(m.sum())
     mh = m / total
 
@@ -335,7 +325,7 @@ def _minimize(V: np.ndarray, m: np.ndarray, U: np.ndarray, dims) -> DiagonalResu
         f = fnew
     w = U @ y
     value = math.sqrt(f * total)
-    return DiagonalResult(value, split(w), status, it, f)
+    return DiagonalResult(value, split(w), status, it)
 
 
 # -- frames ----------------------------------------------------------------------
@@ -525,12 +515,23 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = 0, budget: int = 400,
     past DRIFT_WALL.  The value is always an upper bound.  ``restarts`` and
     ``seed`` have no effect (the search is deterministic); they are accepted
     so that existing callers keep working.
+
+    The search works with the masses alpha! c^2.  When the largest is not a
+    normal float but every mass of P / 2^e is (e the binary exponent of the
+    largest |c|), it searches P / 2^e and reports the value times 2^e and
+    the residual times 4^e.
     """
     p, q, d = P.p, P.q, P.d
     frames = (np.eye(p), np.eye(q), np.eye(d))
     basis, Tc = to_dense(P)
-    with np.errstate(over="ignore"):  # P is zero, or every mass alpha! c^2 underflows
-        if not np.any(basis.fac * Tc * Tc):
+    e, tiny = 0, np.finfo(float).tiny
+    with np.errstate(over="ignore"):
+        if not tiny <= np.max(basis.fac * Tc * Tc) < math.inf:
+            k = math.frexp(np.abs(Tc).max())[1]
+            S = np.ldexp(Tc, -k)
+            if np.min(basis.fac * S * S, where=S != 0, initial=1.0) >= tiny:
+                e, Tc = k, S
+        if not np.any(basis.fac * Tc * Tc):  # P is zero, or every mass underflows
             return GitEstimate(0.0, "converged", LogWeights.zeros(p, q, d), frames, 0.0, 0)
     sigma = float(sigma)
     V = _weight_matrix(basis, p, q, sigma)
@@ -574,6 +575,9 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = 0, budget: int = 400,
         frames = tuple(np.linalg.svd(gk)[2] for gk in g)
         w1, w2, w3 = (_log_scales(gk) for gk in g)
         weights = LogWeights(w1 - w1.mean(), w2 - w2.mean(), w3)
+    if e:
+        with np.errstate(over="ignore"):  # a residual past the float range is inf
+            value, foc = float(np.ldexp(value, e)), float(np.ldexp(foc, 2 * e))
     return GitEstimate(value, status, weights, frames, foc, evals)
 
 

@@ -124,9 +124,6 @@ class Poly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.dim, tuple(self.sorted_terms())))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -239,13 +236,6 @@ class GroupElement:
                 if abs(abs(d) - 1.0) > 1e-9:
                     raise ValueError(f"|det {name}| = {abs(d)} is not 1")
 
-    @staticmethod
-    def identity(p: int, q: int, d: int) -> "GroupElement":
-        eye = lambda n: tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        )
-        return GroupElement(eye(p), eye(q), eye(d))
-
     def det_C(self) -> float:
         return _num_det(self.C)
 
@@ -289,10 +279,6 @@ class PolyMatrix:
             raise ValueError(f"entry degree {deg} exceeds declared cap {self.degree_cap}")
 
     @staticmethod
-    def zero(p: int, q: int, d: int) -> "PolyMatrix":
-        return PolyMatrix([[Poly.zero(d) for _ in range(q)] for _ in range(p)])
-
-    @staticmethod
     def identity(n: int, d: int) -> "PolyMatrix":
         return PolyMatrix([[Poly.constant(d, int(i == j)) for j in range(n)]
                            for i in range(n)])
@@ -304,19 +290,11 @@ class PolyMatrix:
     def exact(self) -> bool:
         return all(e.exact for row in self.entries for e in row)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
             and self.entries == other.entries
         )
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for i in range(self.p)]
-                           for j in range(self.q)])
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -537,6 +515,16 @@ def fraction_from_json(obj: dict) -> Fraction:
     if not (is_int(num) and is_int(den) and den):
         raise ValueError(f"{num!r}/{den!r} is not an integer over a nonzero integer")
     return Fraction(num, den)
+
+
+def number_from_json(v) -> Fraction:
+    """A JSON number field: an int (not a bool), a finite float (its exact
+    binary value) or {"num": n, "den": d}; anything else raises TypeError."""
+    if isinstance(v, dict):
+        return fraction_from_json(v)
+    if is_int(v) or type(v) is float and math.isfinite(v):
+        return Fraction(v)
+    raise TypeError(f"{v!r} is not a finite number")
 
 
 def poly_from_json(dim: int, terms: Iterable[dict]) -> Poly:

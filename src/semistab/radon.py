@@ -55,7 +55,6 @@ from .polycore import (
     mi_order,
     partial_derivative,
     poly_from_json,
-    poly_to_json,
     support_set,
 )
 
@@ -86,10 +85,6 @@ class RadonProblem:
     @property
     def nt(self) -> int:
         return self.n1 - self.k
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "n1": self.n1, "k": self.k,
-                "phi": [poly_to_json(f) for f in self.phi]}
 
     @staticmethod
     def from_json(obj: dict) -> "RadonProblem":
@@ -124,9 +119,6 @@ class CurvatureForm:
         b = len(self.tensor[0]) if k else 0
         c = len(self.tensor[0][0]) if b else 0
         return (k, b, c)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for pl in self.tensor for row in pl for v in row)
 
     def to_polymatrix(self) -> PolyMatrix:
         """Rows = output index, columns = x-kernel index, z = t-kernel."""
@@ -359,9 +351,9 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64,
     its permutations), and cost three exact ranks when neither applies; the
     exact identity-frame destabilizer; and finally the deterministic
     critical-point search of ``git_norm`` (at most 200 inner solves),
-    whose converged critical points count as positive.  ``restarts`` and
-    ``seed`` have no effect: the search is deterministic, and they are
-    accepted only so that existing callers keep working.
+    whose converged critical points of positive value count as positive.
+    ``restarts`` and ``seed`` have no effect: the search is deterministic,
+    and they are accepted only so that existing callers keep working.
     """
     sigma = Fraction(1, Q.shape[2])
     P = Q.to_polymatrix()
@@ -391,7 +383,7 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64,
             return SemistabilityVerdict("unstable", cert, 0.0,
                                         "identity-frame destabilizer")
     est = git_norm(P, sigma, budget=200)
-    if est.status == "converged":
+    if est.status == "converged" and est.value > 0:
         return SemistabilityVerdict(
             "positive",
             PositiveCertificate("critical", est.value,

@@ -184,7 +184,7 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
     M : PolyMatrix | callable
         Row family; a callable must map (n, d) points to (n, p, q) rows.
     weight : callable | float
-        Nonnegative weight w(t); a scalar means a constant weight.
+        Nonnegative weight w(t); a scalar means a finite constant weight.
     domain : sequence of (lo, hi)
         Axis-aligned box.
     stratified : bool
@@ -204,6 +204,8 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
     u_of_t = matrix_evaluator(M) if isinstance(M, PolyMatrix) else M
     if not callable(weight):
         wconst = float(weight)
+        if not 0 <= wconst < math.inf:
+            raise ValueError(f"a constant weight must be finite and nonnegative: {wconst}")
         weight = lambda pts: np.full(len(pts), wconst)
     dom = tuple((float(lo), float(hi)) for lo, hi in domain)
     f = _integrand_factory(u_of_t, weight, tau)
@@ -392,9 +394,6 @@ class TilePlanWeight:
 class NondegReport:
     samples: list
     min_ratio: float
-
-    def to_json(self):
-        return {"samples": self.samples, "min_ratio": self.min_ratio}
 
 
 def probe_nondegeneracy(M, decomp: BlockDecomposition, t0, sigma, w_value,

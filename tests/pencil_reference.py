@@ -3,8 +3,9 @@ before it became one flattening-frame construction for every shape.
 
 It handles p x 2 z-linear matrices with p = 2d - 1 and d = 3, and their
 transposes, through the chained column relation S2 w2 = S1 w3.  The code is
-kept as it was, apart from this docstring, the imports and the method
-``Poly.low_order`` kept here as :func:`_low_order`.  The oracle test
+kept as it was, apart from this docstring, the imports, and the methods
+``Poly.low_order`` and ``PolyMatrix.transpose`` kept here as
+:func:`_low_order` and :func:`_transpose`.  The oracle test
 requires the same support set in the new frame and a byte-identical
 destabilizer on every form this one decides.
 """
@@ -25,6 +26,10 @@ def _low_order(P) -> int:
     return min(mi_order(a) for a in P.terms)
 
 
+def _transpose(P: PolyMatrix) -> PolyMatrix:
+    return PolyMatrix([list(col) for col in zip(*P.entries)])
+
+
 def pencil_destabilizer(P: PolyMatrix, sigma):
     """Exact destabilizing frame for z-linear two-column matrices.
 
@@ -43,7 +48,7 @@ def pencil_destabilizer(P: PolyMatrix, sigma):
            for row in P.entries for e in row):
         return None
     if P.p == 2 and P.q == 2 * P.d - 1:
-        got = pencil_destabilizer(P.transpose(), sigma)
+        got = pencil_destabilizer(_transpose(P), sigma)
         if got is None:
             return None
         g, dest = got

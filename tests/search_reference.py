@@ -68,7 +68,7 @@ def _minimize(V: np.ndarray, m: np.ndarray, U: np.ndarray, dims, tol: float,
     traceless basis of the weights."""
     p, q, d = dims
     if len(m) == 0:
-        return DiagonalResult(0.0, LogWeights.zeros(p, q, d), "converged", 0, 0.0)
+        return DiagonalResult(0.0, LogWeights.zeros(p, q, d), "converged", 0)
     total = float(m.sum())
     mh = m / total
 
@@ -141,7 +141,7 @@ def _minimize(V: np.ndarray, m: np.ndarray, U: np.ndarray, dims, tol: float,
             break
     w = U @ y
     value = math.sqrt(f * total)
-    return DiagonalResult(value, split(w), status, it, f)
+    return DiagonalResult(value, split(w), status, it)
 
 
 def _split_polar(A):

@@ -198,6 +198,20 @@ def test_tile_map_61_leading_block():
     assert tm.entries[0][1].is_zero()
 
 
+def test_tile_map_over_a_zero_block():
+    # M = [[1, s, 0], [0, 0, s^2]] reduces to [[1, 0, z], [0, s^2, 0]]: row
+    # groups [1, 1], column groups [2, 1], and block (1, 1) identically zero
+    s = lambda k: Poly(1, {(k,): 1})
+    M = PolyMatrix([[Poly.constant(1, 1), s(1), Poly.zero(1)],
+                    [Poly.zero(1), Poly.zero(1), s(2)]])
+    _, _, _, dec = eliminate(M)
+    assert (dec.row_groups, dec.col_groups, dec.zero_blocks) == ([1, 1], [2, 1], {(1, 1)})
+    one, o = Poly.constant(1, 1), Poly.zero(1)
+    assert tile_map(M, dec, Tile((0, 1), (0, 1)), [F(2)]) == PolyMatrix(
+        [[one, o, s(1)], [o, Poly.constant(1, 4), o]])
+    assert tile_map(M, dec, Tile((1, 1), (1, 1)), [F(2)]) == PolyMatrix([[o]])
+
+
 def test_tile_map_63_full_tile_matches_display():
     P = fx.example63_P()
     d = 3

@@ -14,6 +14,7 @@ line.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -418,3 +419,57 @@ def test_integer_field_true_is_an_input_error(tmp_path, field):
     target = tmp_path / "bool.json"
     target.write_text(json.dumps(problem))
     assert_one_error_line(*run_main(command + [str(target)]))
+
+
+SUBLEVEL = ["sublevel", "--samples", "50", "--input"]
+NOT_NUMBERS = {
+    # (command, fixture or base, path of the field, value): each once ran,
+    # the weights "nan", -1, NaN and Infinity with max_estimate 0.000000,
+    # the weight "2" as 2.0, the domain as [-1, 1], the phi point as
+    # [0, 1/3, 0], the plan pinned at 13/36, and a null plan sigma as no pin
+    "weight-nan-string": (SUBLEVEL, "sublevel_line.json", ("weight",), "nan"),
+    "weight-negative": (SUBLEVEL, "sublevel_line.json", ("weight",), -1),
+    "weight-string": (SUBLEVEL, "sublevel_line.json", ("weight",), "2"),
+    "weight-nan": (SUBLEVEL, "sublevel_line.json", ("weight",), math.nan),
+    "weight-infinity": (SUBLEVEL, "sublevel_line.json", ("weight",), math.inf),
+    "domain-strings": (SUBLEVEL, "sublevel_line.json", ("domain",), [["-1", "1"]]),
+    "phi-point-string": (["semistable", "--input"], 1, ("point", 1), "1/3"),
+    "plan-sigma-string": (["plan", "--input"], "plan61.json", ("sigma",), "13/36"),
+    "plan-sigma-null": (["plan", "--input"], "plan61.json", ("sigma",), None),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NOT_NUMBERS))
+def test_number_field_that_is_not_a_finite_number_is_an_input_error(tmp_path, field):
+    command, base, path, value = NOT_NUMBERS[field]
+    problem = (load_fixture(base) if isinstance(base, str)
+               else json.loads(json.dumps(BASES[base])))
+    target = tmp_path / "number.json"
+    target.write_text(json.dumps(set_at(problem, path, value)))
+    assert_one_error_line(*run_main(command + [str(target)]))
+
+
+def run_report(tmp_path, argv, problem):
+    """(exit status, report) of ``argv`` on ``problem`` written as JSON."""
+    target, out = tmp_path / "problem.json", tmp_path / "report.json"
+    target.write_text(json.dumps(problem))
+    code, _ = run_main(argv + [str(target), "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_number_fields_take_ints_floats_and_rationals(tmp_path):
+    # the phi point once rejected {"num", "den"} with a TypeError
+    point = json.loads(json.dumps(BASES[1]))
+    code, rep = run_report(tmp_path, ["semistable", "--input"],
+                           set_at(point, ("point", 1), rational(1, 3)))
+    assert code == 0 and rep["state"] == "positive"
+    line = load_fixture("sublevel_line.json")
+    _, one = run_report(tmp_path, SUBLEVEL, line)
+    for weight in (2, 2.0, rational(4, 2)):
+        code, two = run_report(tmp_path, SUBLEVEL, dict(line, weight=weight))
+        assert code == 0 and two["max_estimate"] == 2 * one["max_estimate"]
+    plan = load_fixture("plan61.json")
+    assert run_report(tmp_path, ["plan", "--input"], plan)[1]["sigma"] == rational(13, 36)
+    for sigma in (0.5, 1):  # numbers, at which the plan is infeasible
+        got = run_report(tmp_path, ["plan", "--input"], dict(plan, sigma=sigma))
+        assert got == (2, {"plan": None})

@@ -111,9 +111,10 @@ def test_minimize_diagonal_constant_identity():
 
 
 def test_zero_matrix():
-    res = minimize_diagonal(PolyMatrix.zero(2, 2, 2), 1)
+    zero = PolyMatrix([[Poly.zero(2)] * 2] * 2)
+    res = minimize_diagonal(zero, 1)
     assert res.value == 0.0 and res.status == "converged"
-    est = git_norm(PolyMatrix.zero(2, 2, 2), 1, restarts=2)
+    est = git_norm(zero, 1, restarts=2)
     assert est.value == 0.0 and est.status == "converged"
 
 

@@ -151,7 +151,7 @@ def test_unset_options_finds_each_kind():
 
 def test_every_option_is_set_by_a_caller():
     # TilePlanWeight's seed is a no-op kept with its restarts, which the
-    # benchmark passes; both go in ROADMAP item 5's benchmark change
+    # benchmark passes; both go in ROADMAP item 8's benchmark change
     allowed = {"sublevel.TilePlanWeight.seed"}
     callers = [p.read_text() for d in ("src", "perfbench", "tools", "tests")
                for p in sorted((ROOT / d).rglob("*.py"))]
@@ -164,7 +164,10 @@ def unreferenced_public(modules: dict, callers: list) -> list:
     module-level function or class and each public method in the ``modules``
     (name to source) whose name no code in the ``modules`` outside its own
     definition and no code in the ``callers`` (sources) refers to.  An
-    import does not count as a reference."""
+    import does not count as a reference.  The match is by name only: a
+    method whose name another function or attribute shares (``zero``,
+    ``to_json``) counts as called, and so does a dunder, which Python calls
+    without naming it; such members need a line trace to be found dead."""
     trees = {mod: ast.parse(src) for mod, src in modules.items()}
     used = sum((names_used(t) for t in trees.values()), Counter())
     used += sum((names_used(ast.parse(src)) for src in callers), Counter())

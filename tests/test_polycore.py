@@ -17,6 +17,7 @@ from semistab.polycore import (
     mi_factorial,
     fraction_from_json,
     fraction_to_json,
+    number_from_json,
     partial_derivative,
     polymatrix_from_json,
     polymatrix_to_json,
@@ -68,7 +69,7 @@ def test_act_group_row_swap():
 
 def test_act_group_identity():
     P = PolyMatrix([[Poly(2, {(2, 0): 1})], [Poly(2, {(0, 2): 1})]])
-    g = GroupElement.identity(2, 1, 2)
+    g = GroupElement([[1, 0], [0, 1]], [[1]], [[1, 0], [0, 1]])
     assert act_group(P, g) == P
 
 
@@ -101,7 +102,8 @@ def test_group_element_accepts_exact_object_arrays():
 def test_act_group_shape_mismatch():
     P = PolyMatrix([[Poly(2, {(2, 0): 1})], [Poly(2, {(0, 2): 1})]])
     with pytest.raises(ValueError):
-        act_group(P, GroupElement.identity(3, 1, 2))
+        act_group(P, GroupElement([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]],
+                                  [[1, 0], [0, 1]]))
 
 
 def test_hs_norm_examples():
@@ -122,7 +124,7 @@ def test_hs_norm_at_the_ends_of_the_float_range():
     assert hs_norm(two(top)) == math.inf
     # squares below the smallest float no longer round the norm to zero
     assert hs_norm(two(1e-200)) == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
-    assert hs_norm(PolyMatrix.zero(2, 2, 2)) == 0.0
+    assert hs_norm(PolyMatrix([[Poly.zero(2)] * 2] * 2)) == 0.0
 
 
 def test_diagonal_shift_taylor():
@@ -144,7 +146,7 @@ def test_support_set_examples():
     P = PolyMatrix([[Poly(2, {(2, 0): 1})], [Poly(2, {(0, 2): 1})]])
     E = support_set(P)
     assert E.triples == [(0, 0, (2, 0)), (1, 0, (0, 2))]
-    assert len(support_set(PolyMatrix.zero(2, 2, 2))) == 0
+    assert len(support_set(PolyMatrix([[Poly.zero(2)] * 2] * 2))) == 0
 
 
 def test_support_set_degree1_subtile_count():
@@ -181,6 +183,17 @@ def test_fraction_codec_round_trips_ints_and_fractions():
         assert fraction_from_json(obj) == x
     with pytest.raises(TypeError):
         fraction_to_json(0.5)
+
+
+def test_number_decoder_reads_ints_finite_floats_and_rationals():
+    assert number_from_json(-7) == -7 and type(number_from_json(3)) is F
+    assert number_from_json(0.1) == F(3602879701896397, 2 ** 55)  # exact binary value
+    assert number_from_json({"num": 2, "den": -6}) == F(-1, 3)
+    for bad in ("2", "1/3", True, False, None, [1], math.nan, math.inf, -math.inf):
+        with pytest.raises(TypeError):
+            number_from_json(bad)
+    with pytest.raises(ValueError):
+        number_from_json({"num": 1, "den": 0})
 
 
 # -- invariance properties ---------------------------------------------------

@@ -77,7 +77,7 @@ def test_curvature_parabola():
 def test_curvature_zero_form():
     phi = Poly(3, {(0, 1, 0): 1, (1, 0, 3): 1})  # x2 + t^3 x1
     Q = curvature_form(RadonProblem(2, 2, 1, [phi]), [0, 0, 0])
-    assert Q.is_zero()
+    assert Q.to_polymatrix().is_zero()
 
 
 def test_curvature_shape_contract():
@@ -676,3 +676,41 @@ def test_curvature_float_chart():
     phi2 = Poly(3, {(0, 1, 0): 1, (2, 0, 0): F(-1, 2), (1, 0, 1): 1,
                     (0, 0, 2): F(-1, 2)})
     assert curvature_form(RadonProblem(2, 2, 1, [phi2]), [0, 0, 0]).chart == "exact"
+
+
+def scaled(tensor, c):
+    return CurvatureForm([[[F(v) * c for v in row] for row in plane] for plane in tensor])
+
+
+def test_unstable_form_scaled_past_the_float_masses_is_not_positive():
+    # T has an identity-frame destabilizer of margin 1; Q is T moved by three
+    # integer frames.  Times 2^-700 every mass alpha! c^2 underflowed, and
+    # git_norm's zero-matrix exit made the verdict positive with value 0.0
+    T = [[[-5, -5, -2], [-2, 4, 0], [-5, 0, 0]], [[2, 0, 0], [2, 0, 0], [0, 0, 0]],
+         [[4, 0, 0], [0, 0, 0], [0, 0, 0]]]
+    Q = CurvatureForm(T).transformed([[3, -2, 1], [-2, 2, -1], [0, -3, 2]],
+                                     [[-3, 0, 2], [-1, 0, 1], [3, -3, 2]],
+                                     [[-1, -1, 3], [-2, 1, -1], [-3, -3, 1]])
+    assert semistability_verdict(scaled(T, 1)).state == "unstable"
+    for c in (1, F(1, 2 ** 700)):
+        v = semistability_verdict(scaled(Q.tensor, c))
+        assert v.state != "positive" and v.value_bound > 0
+
+
+def test_positive_form_scaled_past_the_float_masses_keeps_its_value():
+    # times 10^200 the masses overflowed: undetermined with value nan
+    B = [[[3, 0], [3, 0]], [[-3, -1], [1, 0]]]
+    one = semistability_verdict(scaled(B, 1))
+    assert one.state == "positive" and one.value_bound == pytest.approx(2.449, abs=1e-3)
+    for c in (10 ** 200, F(1, 10 ** 200)):
+        v = semistability_verdict(scaled(B, c))
+        assert v.state == "positive"
+        assert v.value_bound == pytest.approx(float(one.value_bound * c), rel=1e-12)
+    # one entry times 10^250: no power of two brings every mass into the
+    # float range, and a search that ignored the masses that underflow would
+    # end positive at 7.5e95, far below the infimum 2.449e125; the unscaled
+    # search overflows instead, and its bound is inf
+    T = scaled(B, 1).tensor
+    T[1][0][1] *= 10 ** 250
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert semistability_verdict(CurvatureForm(T)).value_bound >= 2.4e125

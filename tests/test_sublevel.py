@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from semistab import fixtures as fx
-from semistab.blockdecomp import Tile, eliminate
-from semistab.gitnorm import find_destabilizer
+from semistab.blockdecomp import Tile, eliminate, tile_map, useful_tiles
+from semistab.gitnorm import find_destabilizer, git_norm
 from semistab.polycore import Poly, PolyMatrix, support_set
 from semistab.sublevel import (
     TilePlanWeight,
@@ -204,6 +204,25 @@ def test_tile_plan_weight_collapses_to_constant():
     assert np.allclose(vals, w.constant)
 
 
+def test_tile_plan_weight_off_a_constant_evaluates_each_point():
+    # M = [[1, s^2]] reduces to [1, -z^2 - 2 s z] with D = [[0, 1]]; at tile
+    # sigma 1/2 the plan puts all weight on the full tile, whose map at t is
+    # [1, -2 t z] with group norm 2 sqrt(t), so w(t) = (2 sqrt(t))^2 = 4 t
+    M = PolyMatrix([[Poly.constant(1, 1), Poly(1, {(2,): 1})]])
+    _, _, _, dec = eliminate(M)
+    assert dec.D == [[0, 1]]
+    tiles = useful_tiles(dec)
+    plan = solve_plan([tile_point(dec, t, F(1, 2)) for t in tiles], 1, 2)
+    assert (plan.theta, plan.tau) == ([0, 1, 0], 2)
+    w = TilePlanWeight(M, dec, plan, mode="auto", restarts=4)
+    assert w.constant is None
+    got = w(np.array([[0.5], [1.0], [2.0]]))
+    assert got == pytest.approx([2, 4, 8], rel=1e-9)
+    direct = [git_norm(tile_map(M, dec, tiles[1], [F(t)]), F(1, 2), budget=120).value ** 2
+              for t in (0.5, 1.0, 2.0)]
+    assert list(got) == direct
+
+
 # -- hypothesis probing ---------------------------------------------------------------
 
 
@@ -222,6 +241,17 @@ def test_probe_zero_weight_is_trivially_satisfied():
     rep = probe_nondegeneracy(M, dec, [F(0), F(0)], F(13, 36), 0.0,
                               M_samples=1)
     assert rep.min_ratio == math.inf
+
+
+def test_probe_random_samples_are_reproducible_for_a_seed():
+    M, dec, _ = _plan61()
+    probe = lambda seed: probe_nondegeneracy(M, dec, [F(1, 3), F(-2, 7)], F(13, 36),
+                                             1.0, M_samples=4, seed=seed).samples
+    first = probe(5)
+    assert [s["sample"] for s in first] == ["identity", "random-0", "random-1", "random-2"]
+    assert probe(5) == first
+    other = probe(6)
+    assert other[0] == first[0] and other[1:] != first[1:]
 
 
 @pytest.mark.parametrize("t0", [[F(0)], [F(0)] * 3])
