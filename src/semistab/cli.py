@@ -15,8 +15,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .blockdecomp import (
     BlockDecomposition,
     Tile,
@@ -114,7 +112,10 @@ def _decomposition_from(obj: dict, path: str) -> BlockDecomposition:
 
 
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
+    # strict JSON: a non-finite float (a bound past the float range) is null
+    text = json.dumps(report, default=_json_default)
+    text = json.dumps(json.loads(text, parse_constant=lambda _: None),
+                      sort_keys=True, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -124,8 +125,6 @@ def _emit(report: dict, out: str | None):
 def _json_default(v):
     if isinstance(v, Fraction):
         return fraction_to_json(v)
-    if isinstance(v, np.ndarray):
-        return list(map(float, v))
     raise TypeError(f"not serializable: {type(v)}")
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .blockdecomp import BlockDecomposition, Tile
+import numpy as np
+
+from .blockdecomp import BlockDecomposition, Tile, eliminate, tile_map
 from .polycore import Poly, PolyMatrix
 
 F = Fraction
@@ -166,8 +168,6 @@ def example63_decomposition() -> tuple:
     Zero entries take the published ad-hoc degrees (0 in the identity block,
     1 in the linear block).
     """
-    from .blockdecomp import eliminate
-
     M = example63_matrix()
     _, B, _, _ = eliminate(M)
     D = [
@@ -188,8 +188,6 @@ def example63_decomposition() -> tuple:
 
 def example63_P() -> PolyMatrix:
     """The degree-matched 4 x 8 matrix of the degenerate example."""
-    from .blockdecomp import tile_map
-
     M, decomp = example63_decomposition()
     return tile_map(M, decomp, Tile((0, 3), (0, 7)), [F(0)] * 3)
 
@@ -218,9 +216,7 @@ def line_family() -> PolyMatrix:
 
 def anisotropic_omega(c: float):
     """The diagonal volume-one basis {(c, 0), (0, 1/c)}."""
-    import numpy as np
-
+    # lazy: sublevel loads the float search (gitnorm), which no other fixture needs
     from .sublevel import OmegaBasis
 
-    return OmegaBasis(np.array([[c, 0.0], [0.0, 1.0 / c]]),
-                      np.log(np.array([c, 1.0 / c])))
+    return OmegaBasis(np.diag([c, 1.0 / c]), np.log([c, 1.0 / c]))

@@ -36,6 +36,7 @@ from .polycore import (
     _shift,
     act_dense,
     act_group,
+    balanced_rows,
     fraction_to_json,
     from_dense,
     hs_norm,
@@ -195,6 +196,21 @@ def _cells(basis: GradedBasis, T: np.ndarray, V: np.ndarray):
     return V[keep], (basis.fac * T * T).ravel()[keep]
 
 
+def _dense_in_range(P: PolyMatrix):
+    """(basis, T, e) with T the dense coefficients of P / 2^e.  e is 0
+    unless the largest mass alpha! c^2 of P is not a normal float but every
+    mass of P / 2^e is, for e the binary exponent of the largest |c|."""
+    basis, T = to_dense(P)
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore"):
+        if not tiny <= np.max(basis.fac * T * T) < math.inf:
+            k = math.frexp(np.abs(T).max())[1]
+            S = np.ldexp(T, -k)
+            if np.min(basis.fac * S * S, where=S != 0, initial=1.0) >= tiny:
+                return basis, S, k
+    return basis, T, 0
+
+
 # -- convex diagonal minimization -------------------------------------------------
 
 
@@ -240,12 +256,18 @@ def minimize_diagonal(P: PolyMatrix, sigma) -> DiagonalResult:
     the sum has shrunk by e^-50 or more, or when the weights pass 10 * 50
     with every term shrinking along them (the infimum is then 0 along a
     ray); weights past 10 * 50 otherwise are an unattained positive
-    infimum, "budget-exhausted".
+    infimum, "budget-exhausted".  Like :func:`git_norm`, it descends on
+    P / 2^e when P's masses leave the float range, and reports the value
+    times 2^e.
     """
     p, q, d = P.p, P.q, P.d
-    basis, T = to_dense(P)
+    basis, T, e = _dense_in_range(P)
     V, m = _cells(basis, T, _weight_matrix(basis, p, q, sigma))
-    return _minimize(V, m, _traceless_basis(p, q, d), (p, q, d))
+    res = _minimize(V, m, _traceless_basis(p, q, d), (p, q, d))
+    if e:
+        with np.errstate(over="ignore"):  # a value past the float range is inf
+            res.value = float(np.ldexp(res.value, e))
+    return res
 
 
 def _minimize(V: np.ndarray, m: np.ndarray, U: np.ndarray, dims) -> DiagonalResult:
@@ -523,14 +545,8 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = 0, budget: int = 400,
     """
     p, q, d = P.p, P.q, P.d
     frames = (np.eye(p), np.eye(q), np.eye(d))
-    basis, Tc = to_dense(P)
-    e, tiny = 0, np.finfo(float).tiny
+    basis, Tc, e = _dense_in_range(P)
     with np.errstate(over="ignore"):
-        if not tiny <= np.max(basis.fac * Tc * Tc) < math.inf:
-            k = math.frexp(np.abs(Tc).max())[1]
-            S = np.ldexp(Tc, -k)
-            if np.min(basis.fac * S * S, where=S != 0, initial=1.0) >= tiny:
-                e, Tc = k, S
         if not np.any(basis.fac * Tc * Tc):  # P is zero, or every mass underflows
             return GitEstimate(0.0, "converged", LogWeights.zeros(p, q, d), frames, 0.0, 0)
     sigma = float(sigma)
@@ -615,23 +631,6 @@ def rescale_by_weights(P: PolyMatrix, w: LogWeights, sigma) -> PolyMatrix:
 # -- exact certificates ------------------------------------------------------------
 
 
-def _coordinate_rows(points: list, sizes, p: int, q: int, sigma=None):
-    """Equality rows sum_t theta_t x_t = (1/p, ..; 1/q, ..; sigma, ..), then
-    sum_t theta_t = 1, for points x_t made of a row part, a column part and
-    a sigma part of the given ``sizes``.  With ``sigma`` None, sigma is a
-    free last variable, moved to the left side of the sigma-part rows."""
-    nr, nc, ns = sizes
-    free = sigma is None  # variables: theta | sigma
-    A = [[pt[c] for pt in points] for c in range(nr + nc + ns)]
-    A.append([1] * len(points))
-    b = ([Fraction(1, p)] * nr + [Fraction(1, q)] * nc
-         + [0 if free else sigma] * ns + [1])
-    if free:
-        for c, row in enumerate(A):
-            row.append(-1 if nr + nc <= c < nr + nc + ns else 0)
-    return A, b
-
-
 def polytope_membership(E: SupportSet, sigma) -> MembershipResult:
     """Exact membership of the balanced barycenter in the support hull.
 
@@ -644,7 +643,7 @@ def polytope_membership(E: SupportSet, sigma) -> MembershipResult:
     if len(E.triples) == 0:
         w = [Fraction(0)] * (p + q + d)
         return MembershipResult(member=False, separator=(w, Fraction(1)))
-    A, b = _coordinate_rows(E.weight_points(), (p, q, d), p, q, sigma)
+    A, b = balanced_rows(E.weight_points(), (p, q, d), p, q, sigma)
     res = feasible_point(A, b)
     if res.status == "optimal":
         return MembershipResult(member=True, theta=res.x)
@@ -765,7 +764,7 @@ def sparse_criterion(P: PolyMatrix, sigma) -> SparseVerdict:
     # barycentric weights theta with the largest floor eps >= 0; the LP is
     # infeasible exactly when the barycenter is outside the support hull
     E = support_set(P)
-    A, b = _coordinate_rows(E.weight_points(), (p, q, d), p, q, sigma)
+    A, b = balanced_rows(E.weight_points(), (p, q, d), p, q, sigma)
     n = len(E.triples)
     # variables: theta (n) | eps | slack_t (theta_t - eps - s_t = 0)
     nvars = n + 1 + n
@@ -796,7 +795,7 @@ def feasible_sigma_interval(E: SupportSet):
     n = len(E.triples)
     if n == 0:
         return None
-    A, b = _coordinate_rows(E.weight_points(), (p, q, d), p, q)
+    A, b = balanced_rows(E.weight_points(), (p, q, d), p, q)
     obj = [0] * n + [1]
     lo = solve_eq_lp(A, b, obj, maximize=False)
     if lo.status != "optimal":

@@ -488,6 +488,23 @@ def support_set(P: PolyMatrix) -> SupportSet:
     return SupportSet(P.p, P.q, P.d, triples)
 
 
+def balanced_rows(points: list, sizes, p: int, q: int, sigma=None):
+    """Equality rows sum_t theta_t x_t = (1/p, ..; 1/q, ..; sigma, ..), then
+    sum_t theta_t = 1, for points x_t made of a row part, a column part and
+    a sigma part of the given ``sizes``.  With ``sigma`` None, sigma is a
+    free last variable, moved to the left side of the sigma-part rows."""
+    nr, nc, ns = sizes
+    free = sigma is None  # variables: theta | sigma
+    A = [[pt[c] for pt in points] for c in range(nr + nc + ns)]
+    A.append([1] * len(points))
+    b = ([Fraction(1, p)] * nr + [Fraction(1, q)] * nc
+         + [0 if free else sigma] * ns + [1])
+    if free:
+        for c, row in enumerate(A):
+            row.append(-1 if nr + nc <= c < nr + nc + ns else 0)
+    return A, b
+
+
 # -- serialization --------------------------------------------------------------
 
 

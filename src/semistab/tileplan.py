@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blockdecomp import BlockDecomposition, Tile
-from .gitnorm import _coordinate_rows
 from .lp import solve_eq_lp
-from .polycore import fraction_to_json, is_int
+from .polycore import balanced_rows, fraction_to_json, is_int
 
 
 @dataclass
@@ -96,7 +95,7 @@ def solve_plan(points: list, p: int, q: int, sigma=None) -> TilePlan | None:
     n = len(points)
     sizes = (len(points[0].row_part), len(points[0].col_part), 1)
     # variables: theta (n) | sigma_total
-    A, b = _coordinate_rows([pt.coords() for pt in points], sizes, p, q)
+    A, b = balanced_rows([pt.coords() for pt in points], sizes, p, q)
     if sigma is not None:
         A.append([0] * n + [1])
         b.append(Fraction(sigma))

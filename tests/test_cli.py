@@ -282,6 +282,29 @@ def test_gitnorm_is_scale_free(tmp_path, capsys):
     capsys.readouterr()
 
 
+def strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("scale, code", [((10 ** 200, 1), 0), ((1, 10 ** 250), 2)],
+                         ids=["all-1e200", "one-entry-1e250"])
+def test_semistable_report_is_strict_json(tmp_path, scale, code):
+    # a report once held the bare tokens Infinity (the positive certificate's
+    # foc_residual of the form times 10^200, and the value_bound of the
+    # mixed-range form) that strict JSON parsers reject; they are now null
+    B = [[[3, 0], [3, 0]], [[-3, -1], [1, 0]]]
+    B = [[[v * scale[0] for v in row] for row in plane] for plane in B]
+    B[1][0][1] *= scale[1]
+    path, out = tmp_path / "form.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"tensor": [[[{"num": v, "den": 1} for v in row]
+                                            for row in plane] for plane in B]}))
+    proc = run_cli("semistable", "--input", str(path), "--out", str(out))
+    assert proc.returncode == code, proc.stderr
+    strict_json(out.read_text())
+
+
 def test_unknown_verb_rejected():
     proc = run_cli("frobnicate")
     assert proc.returncode == 1
@@ -312,6 +335,36 @@ def test_fixture_roundtrips():
             M = polymatrix_from_json(cand)
             again = polymatrix_from_json(polymatrix_to_json(M))
             assert again == M
+
+
+# file, the part of it that is built (None for all), builder in semistab.fixtures
+SHIPPED = [
+    ("m61.json", None, "example61_matrix"),
+    ("m61_decomp.json", "matrix", "example61_matrix"),
+    ("intro.json", None, "intro_decomposition"),
+    ("m63.json", None, "example63_decomposition"),
+    ("p63.json", None, "example63_P"),
+    ("p63_degree1.json", None, "example63_degree1_subtile"),
+    ("t2.json", None, "two_squares"),
+]
+
+
+@pytest.mark.parametrize("name, part, builder", SHIPPED, ids=[s[0] for s in SHIPPED])
+def test_shipped_fixture_equals_its_builder(name, part, builder):
+    # the JSON files and semistab.fixtures are two copies of the worked
+    # examples, which must not drift apart
+    from semistab import fixtures
+    from semistab.polycore import polymatrix_to_json
+
+    built = getattr(fixtures, builder)()
+    if isinstance(built, tuple):  # (matrix, decomposition)
+        M, decomp = built
+        built = {"matrix": polymatrix_to_json(M), "decomposition": decomp.to_json()}
+    else:
+        built = polymatrix_to_json(built)
+    with open(fx(name)) as fh:
+        shipped = json.load(fh)
+    assert (shipped if part is None else shipped[part]) == built
 
 
 def test_sublevel_rejects_bad_sample_counts():

@@ -1,4 +1,5 @@
-"""Each module of the package, each test module and each tool uses every
+"""Each module of the package loads exactly the package modules it needs,
+each module of the package, each test module and each tool uses every
 name it imports, every private module-level function or class is used
 somewhere in the package, every option of the public interface is set by
 some caller, every public function, class and method has a caller outside
@@ -8,6 +9,10 @@ verdict detail is a stage text the benchmark can parse, the package has no
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -16,8 +21,52 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "semistab"
 SPANS = ROOT / "perfbench" / "spans.py"
-# __init__.py imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
+
+# the package modules that importing each module loads in a fresh
+# interpreter, itself included; the exact side (the package, lp) is numpy-free
+CLOSURES = {
+    "semistab": set(),
+    "lp": {"lp"},
+    "polycore": {"lp", "polycore"},
+    "blockdecomp": {"blockdecomp", "lp", "polycore"},
+    "gitnorm": {"gitnorm", "lp", "polycore"},
+    "tileplan": {"blockdecomp", "lp", "polycore", "tileplan"},
+    "fixtures": {"blockdecomp", "fixtures", "lp", "polycore"},
+    "radon": {"blockdecomp", "gitnorm", "lp", "polycore", "radon"},
+    "sublevel": {"blockdecomp", "gitnorm", "lp", "polycore", "sublevel"},
+    "cli": {"blockdecomp", "cli", "gitnorm", "lp", "polycore", "radon", "sublevel",
+            "tileplan"},
+}
+NUMPY_FREE = {"semistab", "lp"}
+
+
+def loaded_by(module: str) -> tuple:
+    """(package modules, whether numpy is loaded) after importing ``module``
+    of the package, or the package itself, in a fresh interpreter."""
+    name = "semistab" if module == "semistab" else f"semistab.{module}"
+    code = ("import json, sys\n"
+            f"import {name}\n"
+            "print(json.dumps([sorted(m[9:] for m in sys.modules if m.startswith('semistab.')),"
+            " 'numpy' in sys.modules]))")
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    mods, numpy = json.loads(out)
+    return set(mods), numpy
+
+
+def test_closure_table_lists_every_module():
+    assert set(CLOSURES) == {"semistab" if p.stem == "__init__" else p.stem for p in MODULES}
+
+
+@pytest.mark.parametrize("module", sorted(CLOSURES))
+def test_module_loads_only_its_closure(module):
+    # the package namespace re-exports nothing, so a module loads only what
+    # it imports; a checker of exact certificates stays free of the float side
+    mods, numpy = loaded_by(module)
+    assert mods == CLOSURES[module]
+    assert not (numpy and module in NUMPY_FREE)
 
 
 def unused_imports(source: str) -> list:

@@ -697,6 +697,16 @@ def test_unstable_form_scaled_past_the_float_masses_is_not_positive():
         assert v.state != "positive" and v.value_bound > 0
 
 
+def test_sparse_positive_form_scaled_past_the_float_masses_keeps_its_bound():
+    # the README's form.json tensor; the sparse stage's diagonal descent had
+    # no rescale, so times 2^-700 or 10^200 its value_bound was nan
+    form = [[[1, 0], [0, 1]], [[0, 1], [F(1, 2), 0]]]
+    for c in (1, F(1, 2 ** 700), 10 ** 200):
+        v = semistability_verdict(scaled(form, c))
+        assert (v.state, v.detail) == ("positive", "sparse criterion")
+        assert v.value_bound == pytest.approx(1.6817928305074292 * float(c), rel=1e-12)
+
+
 def test_positive_form_scaled_past_the_float_masses_keeps_its_value():
     # times 10^200 the masses overflowed: undetermined with value nan
     B = [[[3, 0], [3, 0]], [[-3, -1], [1, 0]]]
