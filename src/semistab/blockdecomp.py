@@ -52,16 +52,6 @@ from .polycore import (
 )
 
 
-class NotDerivativeClosed(Exception):
-    def __init__(self, column: int, direction: int):
-        self.column = column
-        self.direction = direction
-        super().__init__(
-            f"column {column}: s_{direction}-partial is not a constant "
-            f"combination of columns"
-        )
-
-
 # -- bivariate helpers ------------------------------------------------------------
 
 
@@ -345,7 +335,8 @@ def _solve_constant_closure(M: PolyMatrix):
     """Find constant G_k with d/ds_k M = M G_k for each k, preferring to
     express derivatives through columns of strictly lower degree (that choice
     makes the generators nilpotent when it exists).  Returns None if some
-    derivative is not a constant combination of the columns."""
+    derivative is not a constant combination of the columns, or if some
+    generator is not nilpotent."""
     p, q, d = M.p, M.q, M.d
     cols = _columns_as_vectors(M)
     degs = [max((e.degree() for e in col), default=-1) for col in cols]
@@ -380,7 +371,7 @@ def _solve_constant_closure(M: PolyMatrix):
                 if sol is not None:
                     break
             else:
-                raise NotDerivativeClosed(j, k)
+                return None
             for coef, j2 in zip(sol, use):
                 G[j2][j] = coef
         generators.append(G)
@@ -594,9 +585,9 @@ def eliminate(M: PolyMatrix):
     decomposition read off from it (column groups by vanishing order, row
     groups by order profile).
 
-    Refuses with NotDerivativeClosed only when neither strategy applies; the
-    greedy strategy needs no closure hypothesis, so in practice the check is
-    soft: flow is preferred when the closure system solves.
+    The flow of the constant closure generators is used when the closure
+    system solves with nilpotent generators; the greedy strategy needs no
+    closure hypothesis and runs in either case.
     """
     if not M.exact:
         raise ValueError("eliminate needs exact coefficients")
@@ -604,10 +595,7 @@ def eliminate(M: PolyMatrix):
     degbound = max(M.degree(), 1)
 
     A = PolyMatrix.identity(p, d)
-    try:
-        generators = _solve_constant_closure(M)
-    except NotDerivativeClosed:
-        generators = None
+    generators = _solve_constant_closure(M)
     if generators is not None:
         B = _exp_flow(generators, d, q)
     else:

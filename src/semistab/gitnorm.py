@@ -28,6 +28,7 @@ import numpy as np
 
 from .lp import CertificateError, feasible_point, solve_eq_lp
 from .polycore import (
+    FloatRangeError,
     GradedBasis,
     GroupElement,
     PolyMatrix,
@@ -50,6 +51,7 @@ GRAD_TOL = 1e-10           # on the gradient of the log of the diagonal objectiv
 MAX_ITER = 200
 POLISH_STEPS = 30
 POLISH_REACH = 4.0         # largest log-scale of one polish step
+TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass
@@ -197,18 +199,24 @@ def _cells(basis: GradedBasis, T: np.ndarray, V: np.ndarray):
 
 
 def _dense_in_range(P: PolyMatrix):
-    """(basis, T, e) with T the dense coefficients of P / 2^e.  e is 0
-    unless the largest mass alpha! c^2 of P is not a normal float but every
-    mass of P / 2^e is, for e the binary exponent of the largest |c|."""
+    """(basis, T, e): T the dense coefficients of P / 2^e, whose nonzero masses
+    alpha! c^2 are normal floats: e = 0 if P's are, else the binary exponent of
+    the largest |c|.  FloatRangeError if neither e does, or if a nonzero c is 0
+    or subnormal as a float (a c whose mass is normal is, below degree 170)."""
     basis, T = to_dense(P)
-    tiny = np.finfo(float).tiny
-    with np.errstate(over="ignore"):
-        if not tiny <= np.max(basis.fac * T * T) < math.inf:
-            k = math.frexp(np.abs(T).max())[1]
-            S = np.ldexp(T, -k)
-            if np.min(basis.fac * S * S, where=S != 0, initial=1.0) >= tiny:
-                return basis, S, k
-    return basis, T, 0
+    keep, S, e = T != 0, T, 0
+    if np.count_nonzero(keep) == sum(len(x.terms) for row in P.entries for x in row):
+        for rescale in (True, False):
+            with np.errstate(over="ignore"):
+                m = (basis.fac * S * S)[keep]
+            if m.size == 0 or TINY <= m.min() and m.max() < math.inf:
+                return basis, S, e
+            if not rescale or np.abs(T[keep]).min() < TINY:
+                break
+            e = math.frexp(np.abs(T).max())[1]
+            S = np.ldexp(T, -e)
+    raise FloatRangeError("a coefficient is not a normal float, or no power of two "
+                          "brings every nonzero mass alpha! c^2 into the float range")
 
 
 # -- convex diagonal minimization -------------------------------------------------
@@ -257,8 +265,7 @@ def minimize_diagonal(P: PolyMatrix, sigma) -> DiagonalResult:
     with every term shrinking along them (the infimum is then 0 along a
     ray); weights past 10 * 50 otherwise are an unattained positive
     infimum, "budget-exhausted".  Like :func:`git_norm`, it descends on
-    P / 2^e when P's masses leave the float range, and reports the value
-    times 2^e.
+    P / 2^e (or raises FloatRangeError) and reports the value times 2^e.
     """
     p, q, d = P.p, P.q, P.d
     basis, T, e = _dense_in_range(P)
@@ -512,7 +519,7 @@ def kempf_ness_polish(basis: GradedBasis, T: np.ndarray, sigma: float):
 def _log_scales(M: np.ndarray) -> np.ndarray:
     """Logarithms of the singular values of M, a 0 read as the smallest
     normal float."""
-    return np.log(np.maximum(np.linalg.svd(M, compute_uv=False), np.finfo(float).tiny))
+    return np.log(np.maximum(np.linalg.svd(M, compute_uv=False), TINY))
 
 
 def git_norm(P: PolyMatrix, sigma, restarts: int = 0, budget: int = 400,
@@ -538,17 +545,16 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = 0, budget: int = 400,
     ``seed`` have no effect (the search is deterministic); they are accepted
     so that existing callers keep working.
 
-    The search works with the masses alpha! c^2.  When the largest is not a
-    normal float but every mass of P / 2^e is (e the binary exponent of the
-    largest |c|), it searches P / 2^e and reports the value times 2^e and
-    the residual times 4^e.
+    The search works with the masses alpha! c^2 of P / 2^e, e = 0 if P's are
+    normal floats, else the binary exponent of the largest |c|, and reports the
+    value times 2^e and the residual times 4^e.  It raises FloatRangeError
+    before searching when neither e gives normal masses of normal floats c.
     """
     p, q, d = P.p, P.q, P.d
     frames = (np.eye(p), np.eye(q), np.eye(d))
     basis, Tc, e = _dense_in_range(P)
-    with np.errstate(over="ignore"):
-        if not np.any(basis.fac * Tc * Tc):  # P is zero, or every mass underflows
-            return GitEstimate(0.0, "converged", LogWeights.zeros(p, q, d), frames, 0.0, 0)
+    if not Tc.any():
+        return GitEstimate(0.0, "converged", LogWeights.zeros(p, q, d), frames, 0.0, 0)
     sigma = float(sigma)
     V = _weight_matrix(basis, p, q, sigma)
     U = _traceless_basis(p, q, d)

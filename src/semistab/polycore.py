@@ -40,6 +40,17 @@ SINGULAR_REL = 1e-12      # float C with sigma_min <= this * sigma_max is singul
 Multiindex = tuple
 
 
+class FloatRangeError(ValueError):
+    """Exact data that the float layer cannot hold."""
+
+
+def _to_float(c) -> float:
+    try:
+        return float(c)
+    except OverflowError as exc:
+        raise FloatRangeError("a coefficient is past the float range") from exc
+
+
 def mi_order(alpha) -> int:
     return sum(alpha)
 
@@ -361,14 +372,14 @@ def graded_basis(d: int, D: int) -> GradedBasis:
 
 
 def to_dense(P: PolyMatrix, dtype=float):
-    """(basis, T): the coefficients of P as an array of shape (p, q, n_mon),
-    float by default; ``dtype=object`` keeps exact coefficients exact."""
+    """(basis, T): P's coefficients as an array of shape (p, q, n_mon), float
+    (FloatRangeError past its range) unless ``dtype=object`` keeps them exact."""
     basis = graded_basis(P.d, max(P.degree_cap, 0))
     T = np.zeros((P.p, P.q, len(basis.alphas)), dtype=dtype)
     for i, row in enumerate(P.entries):
         for j, e in enumerate(row):
             for a, c in e.terms.items():
-                T[i, j, basis.index[a]] = c
+                T[i, j, basis.index[a]] = c if dtype is object else _to_float(c)
     return basis, T
 
 
@@ -447,7 +458,7 @@ def hs_norm_sq_exact(P: PolyMatrix) -> Fraction:
 def hs_norm(P: PolyMatrix) -> float:
     """Hilbert-Schmidt norm sqrt(sum alpha! c^2), summed over (c / s)^2 for the
     power of two s <= max |c| < 2s: no square overflows, the largest never underflows."""
-    terms = [(a, float(c)) for row in P.entries for e in row for a, c in e.terms.items()]
+    terms = [(a, _to_float(c)) for row in P.entries for e in row for a, c in e.terms.items()]
     s = math.ldexp(0.5, math.frexp(max((abs(c) for _, c in terms), default=0.0))[1])
     total = 0.0
     for a, c in terms:

@@ -45,6 +45,7 @@ from .gitnorm import (
 from .lp import (CertificateError, exact_inverse, exact_nullspace, exact_rank,
                  exact_rref)
 from .polycore import (
+    FloatRangeError,
     GroupElement,
     Poly,
     PolyMatrix,
@@ -352,6 +353,7 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64,
     exact identity-frame destabilizer; and finally the deterministic
     critical-point search of ``git_norm`` (at most 200 inner solves),
     whose converged critical points of positive value count as positive.
+    A FloatRangeError makes the sparse bound inf and the search undetermined.
     ``restarts`` and ``seed`` have no effect: the search is deterministic,
     and they are accepted only so that existing callers keep working.
     """
@@ -364,7 +366,10 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64,
     if P.exact:
         sv = sparse_criterion(P, sigma)
         if sv.applicable and sv.positive:
-            value = minimize_diagonal(P, sigma).value
+            try:
+                value = minimize_diagonal(P, sigma).value
+            except FloatRangeError:  # the bound is lost, not the certificate
+                value = math.inf
             return SemistabilityVerdict(
                 "positive",
                 PositiveCertificate("sparse", value, theta=sv.theta),
@@ -382,7 +387,11 @@ def semistability_verdict(Q: CurvatureForm, restarts: int = 64,
             cert = UnstableCertificate(None, dest, exact=True, sigma=sigma)
             return SemistabilityVerdict("unstable", cert, 0.0,
                                         "identity-frame destabilizer")
-    est = git_norm(P, sigma, budget=200)
+    try:
+        est = git_norm(P, sigma, budget=200)
+    except FloatRangeError as exc:
+        return SemistabilityVerdict("undetermined", None, math.inf,
+                                    f"best upper bound {math.inf}: {exc}")
     if est.status == "converged" and est.value > 0:
         return SemistabilityVerdict(
             "positive",

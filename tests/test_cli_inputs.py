@@ -248,23 +248,33 @@ def test_sublevel_tau_is_validated(tmp_path, tau, flag):
 
 
 def test_coefficient_past_the_float_range_is_an_input_error(tmp_path):
-    # gitnorm, hsnorm and semistable (when its exact stages leave the form to
-    # the float flow) once ended in OverflowError; the exact polytope LP and a
-    # form the exact stages decide take the coefficient as it is
+    # gitnorm, hsnorm and sublevel once ended in OverflowError; the exact
+    # polytope LP and a form the exact stages decide take the coefficient as
+    # it is.  The tensor's sparse certificate was once lost to the float
+    # bound computed after it: it is positive, with the bound null
     matrix, tensor, phi = load_fixture("t2.json"), json.loads(json.dumps(BASES[0])), \
         json.loads(json.dumps(BASES[1]))
+    sublevel = load_fixture("sublevel_line.json")
     matrix["entries"][0][0][0]["num"] = 10 ** 400
     tensor["tensor"][0][0][0]["num"] = 10 ** 400
     phi["phi"][0][0]["num"] = 10 ** 400
+    sublevel["matrix"]["entries"][0][0][0]["num"] = 10 ** 400
     paths = {}
-    for name, problem in [("matrix", matrix), ("tensor", tensor), ("phi", phi)]:
+    for name, problem in [("matrix", matrix), ("tensor", tensor), ("phi", phi),
+                          ("sublevel", sublevel)]:
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w") as fh:
             json.dump(problem, fh)
     assert_one_error_line(*run_main(["gitnorm", "--sigma", "1", "--input", paths["matrix"]]))
     assert_one_error_line(*run_main(["hsnorm", "--input", paths["matrix"]]))
+    assert_one_error_line(*run_main(["sublevel", "--samples", "10",
+                                     "--input", paths["sublevel"]]))
     assert run_main(["polytope", "--sigma", "1", "--input", paths["matrix"]])[0] == 0
-    assert_one_error_line(*run_main(["semistable", "--input", paths["tensor"]]))
+    out = tmp_path / "verdict.json"
+    assert run_main(["semistable", "--input", paths["tensor"], "--out", str(out)]) == (0, "")
+    report = json.loads(out.read_text())
+    assert (report["state"], report["detail"], report["value_bound"]) == (
+        "positive", "sparse criterion", None)
     assert run_main(["semistable", "--input", paths["phi"]])[0] == 0
 
 
@@ -280,14 +290,20 @@ def test_hsnorm_of_a_coefficient_near_the_float_range_is_finite(tmp_path, expone
     assert abs(json.loads(out.read_text())["value"] - expect) <= 1e-15 * expect
 
 
-@pytest.mark.parametrize("argv,num,shown", [
-    (["hsnorm"], 10 ** 160, "2.000000000e+160"),
-    (["gitnorm", "--sigma", "1"], 10 ** 20, "2.000000e+20")], ids=["hsnorm", "gitnorm"])
-def test_value_from_1e15_up_prints_in_scientific_notation(tmp_path, argv, num, shown):
-    # in fixed point 2e160 once printed as a 171-character line of digits
+@pytest.mark.parametrize("argv,coefficient,shown", [
+    (["hsnorm"], rational(10 ** 160), "2.000000000e+160"),
+    (["gitnorm", "--sigma", "1"], rational(10 ** 20), "2.000000e+20"),
+    (["hsnorm"], rational(1, 10 ** 200), "2.000000000e-200"),
+    (["gitnorm", "--sigma", "1"], rational(1, 10 ** 200), "2.000000e-200")],
+    ids=["hsnorm", "gitnorm", "hsnorm-2e-200", "gitnorm-2e-200"])
+def test_value_from_1e15_up_prints_in_scientific_notation(tmp_path, argv, coefficient,
+                                                          shown):
+    # in fixed point 2e160 once printed as a 171-character line of digits,
+    # and 2e-200 as zeros; any nonzero value that would print as zeros is
+    # scientific too
     matrix = load_fixture("t2.json")
     for row in matrix["entries"]:
-        row[0][0]["num"] = num
+        row[0][0].update(coefficient)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(matrix))
     out = io.StringIO()
@@ -357,18 +373,36 @@ def set_at(problem, path, value):
 @pytest.mark.parametrize("edits", [
     [(("entries", 0, 0, 0, "num"), 10 ** 308)],
     [(("entries", 0, 0, 0, "num"), 10 ** 200)],
-    [(("entries", 0, 0, 0, "den"), 10 ** 200), (("entries", 1, 0, 0, "den"), 10 ** 200)]],
-    ids=["num-1e308", "num-1e200", "both-den-1e200"])
+    [(("entries", 0, 0, 0, "den"), 10 ** 330)],
+    [(("entries", 0, 0, 0, "num"), 10 ** 300), (("entries", 1, 0, 0, "den"), 10 ** 330)]],
+    ids=["num-1e308", "num-1e200", "den-1e330", "num-1e300-den-1e330"])
 def test_gitnorm_mass_past_the_normal_float_range_is_an_input_error(tmp_path, edits):
-    # 10^308 once ended in a LinAlgError traceback, 10^200 exited 0 with
-    # drift-to-zero though the infimum is 2e100, and two coefficients
-    # 10^-200 reported 0.0 converged, below the infimum 2e-200
+    # 10^308 once ended in a LinAlgError traceback, and 10^200 exited 0 with
+    # drift-to-zero though the infimum is 2e100: beside the mass 2 of the
+    # other coefficient, no power of two brings its mass into the float range.
+    # 10^-330 is 0.0 as a float, so its mass is lost before any rescale; a
+    # search without it drifts to zero, below the infimum (2e-165, and about
+    # 2e-15 beside 10^300)
     problem = load_fixture("t2.json")
     for path, value in edits:
         set_at(problem, path, value)
     path = tmp_path / "mass.json"
     path.write_text(json.dumps(problem))
     assert_one_error_line(*run_main(["gitnorm", "--sigma", "1", "--input", str(path)]))
+
+
+def test_gitnorm_masses_one_power_of_two_brings_into_range_have_a_value(tmp_path):
+    # two coefficients 10^-200 once reported 0.0 converged, below the infimum
+    # 2e-200, and then were an input error; their masses 2e-400 times 4^664
+    # are normal floats, so the search runs on the rescaled form
+    problem = load_fixture("t2.json")
+    for row in problem["entries"]:
+        row[0][0]["den"] = 10 ** 200
+    path, out = tmp_path / "mass.json", tmp_path / "r.json"
+    path.write_text(json.dumps(problem))
+    assert run_main(["gitnorm", "--sigma", "1", "--input", str(path),
+                     "--out", str(out)]) == (0, "")
+    assert json.loads(out.read_text())["value"] == pytest.approx(2e-200, rel=1e-12)
 
 
 PLAN_TILE = ("tiles", 0)

@@ -21,6 +21,7 @@ from semistab.gitnorm import (
     sparse_criterion,
 )
 from semistab.polycore import (
+    FloatRangeError,
     GroupElement,
     Poly,
     PolyMatrix,
@@ -504,6 +505,19 @@ def test_git_norm_is_scale_free():
             assert est.status == "converged", (k, exact)
             assert abs(est.value - expect) <= 1e-6 * expect, (k, exact)
             assert est.foc_residual <= FOC_TARGET * est.value ** 2, (k, exact)
+
+
+@pytest.mark.parametrize("search", [git_norm, minimize_diagonal])
+@pytest.mark.parametrize("k,exact", [(200, True), (200, False), (330, True)])
+def test_masses_no_power_of_two_brings_into_range_raise(search, k, exact):
+    # x^2 + 10^-200 y^2: the mass 2e-400 is not a normal float at any scale
+    # that keeps the mass 2 finite.  git_norm once searched without it and
+    # stopped budget-exhausted at 1.05e-154, below the infimum 2e-100, after
+    # about 1,000 RuntimeWarnings.  10^-330 is 0.0 as a float: its mass is
+    # lost before any rescale, and the search of x^2 alone drifted to zero,
+    # below the infimum 2e-165
+    with pytest.raises(FloatRangeError):
+        search(scale_form(k, exact), 1)
 
 
 def float_form_523(seed):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -705,6 +706,17 @@ def test_sparse_positive_form_scaled_past_the_float_masses_keeps_its_bound():
         v = semistability_verdict(scaled(form, c))
         assert (v.state, v.detail) == ("positive", "sparse criterion")
         assert v.value_bound == pytest.approx(1.6817928305074292 * float(c), rel=1e-12)
+    # one entry times 10^250, 10^400 or 10^-330: no power of two brings every
+    # mass into the float range, and the bound was nan after two
+    # RuntimeWarnings, or the coefficient's OverflowError lost the
+    # certificate, or the entry's mass was dropped (0.0 as a float); the
+    # certificate stays, and the bound is inf
+    for c in (10 ** 250, 10 ** 400, F(1, 10 ** 330)):
+        T = scaled(form, 1).tensor
+        T[0][0][0] *= c
+        v = semistability_verdict(CurvatureForm(T))
+        assert (v.state, v.detail, v.value_bound) == ("positive", "sparse criterion",
+                                                      math.inf)
 
 
 def test_positive_form_scaled_past_the_float_masses_keeps_its_value():
@@ -716,11 +728,17 @@ def test_positive_form_scaled_past_the_float_masses_keeps_its_value():
         v = semistability_verdict(scaled(B, c))
         assert v.state == "positive"
         assert v.value_bound == pytest.approx(float(one.value_bound * c), rel=1e-12)
-    # one entry times 10^250: no power of two brings every mass into the
-    # float range, and a search that ignored the masses that underflow would
-    # end positive at 7.5e95, far below the infimum 2.449e125; the unscaled
-    # search overflows instead, and its bound is inf
-    T = scaled(B, 1).tensor
-    T[1][0][1] *= 10 ** 250
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert semistability_verdict(CurvatureForm(T)).value_bound >= 2.4e125
+    # one entry times 10^250, 10^-200 or 10^-330: no power of two brings
+    # every mass into the float range.  A search that ignored the masses that
+    # underflow would end positive at 7.5e95 on the first, far below the
+    # infimum 2.449e125, and ended positive at 2.449 on the others (on the
+    # last the entry is 0.0 as a float); the unscaled search overflowed with
+    # RuntimeWarnings.  The float stage is skipped: undetermined, with the
+    # bound inf
+    for (i, j, l), c in [((1, 0, 1), 10 ** 250), ((0, 0, 0), F(1, 10 ** 200)),
+                         ((0, 0, 0), F(1, 10 ** 330))]:
+        T = scaled(B, 1).tensor
+        T[i][j][l] *= c
+        v = semistability_verdict(CurvatureForm(T))
+        assert (v.state, v.value_bound) == ("undetermined", math.inf)
+        assert v.detail.startswith("best upper bound inf")
