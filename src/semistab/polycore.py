@@ -324,7 +324,8 @@ class GradedBasis:
     rows.  ``plan`` builds the symmetric power S(C) degree by degree: the
     column of alpha is the column of its parent alpha - e_k (k the first
     variable of alpha) times the linear form (C^T z)_k, and ``mul[l]`` maps
-    each monomial of the degree below to its product with z_l.
+    each monomial of the degree below to its product with z_l.  The same
+    parents build the table of monomials at points (:meth:`monomials`).
     """
 
     def __init__(self, d: int, D: int):
@@ -360,6 +361,17 @@ class GradedBasis:
             for l in range(self.d):
                 S[mul[l], mid:hi] += prev * C[l, ks]
         return S
+
+    def monomials(self, pts) -> np.ndarray:
+        """Z of shape (n_mon, n), Z[m] = pts^alpha_m for points (n, d): one
+        row per monomial, so each product is contiguous; row alpha is its
+        parent's row times pts[:, k]."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        Z = np.empty((len(self.alphas), len(pts)))
+        Z[0] = 1.0
+        for _, lo, hi, parents, ks, _ in self.plan:
+            Z[lo:hi] = Z[parents] * pts.T[ks]
+        return Z
 
 
 def _shift(alpha, k: int, by: int):

@@ -2,13 +2,13 @@
 
 The integrand is w(t) / ||u(t)||_omega^tau where u(t) is the row family of
 an incidence matrix, omega a volume-one basis, and w a weight (typically a
-product of tile-map group norms).  A polynomial family is evaluated as a
-table of its monomials at the sample points, built degree by degree over
-the dense graded basis, times its coefficient array: one GEMM.  The form
-norm is computed through the Cauchy-Binet identity: the sum of squared
-maximal minors of the pairing matrix G equals det(G G^T), so no explicit
-minor enumeration is needed.  G for all samples is one GEMM; det(G G^T) is
-the Gram entry itself for one row and LAPACK's determinant for more.
+product of tile-map group norms).  u(t) is a decomposable p-form, and its
+omega-norm is the length of its Plücker vector (:func:`plucker_evaluator`);
+no Gram matrix squares the condition number of M(t) omega, so a norm is 0
+only where u(t) vanishes.  The C(q, p) maximal minors are enumerated once
+per family.  C(q, p) grows fast; the shapes here are small (m61 has 126
+minors, 48 nonzero, the line family 2), and a shape with thousands should be
+measured against a QR of (M(t) omega)^T per sample before it takes this path.
 
 Estimators are deterministic given (seed, samples, domain, omega): sampling
 uses counter-mode Philox streams keyed by the master seed, chunk sums are
@@ -18,9 +18,11 @@ strata in a deterministic priority order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .blockdecomp import (
     specialize_s,
 )
 from .gitnorm import git_norm, haar_orthogonal
-from .polycore import PolyMatrix, act_dense, to_dense
+from .polycore import Poly, PolyMatrix, act_dense, to_dense
 
 
 @dataclass
@@ -70,31 +72,6 @@ class IntegralEstimate:
         }
 
 
-def wedge_norm(rows, omega) -> float:
-    """Norm of the decomposable form spanned by ``rows`` in the basis omega.
-
-    rows: (p, q) array of the evaluated row covectors; omega: OmegaBasis or
-    a (q, q) array whose columns are the basis vectors.  Returns the square
-    root of the sum of squared p x p maximal minors of the pairing matrix,
-    computed as sqrt(det(G G^T)).
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape[0] > rows.shape[1]:
-        raise ValueError("more rows than ambient dimensions")
-    return float(wedge_norm_batch(rows[None], omega)[0])
-
-
-def wedge_norm_batch(rows, omega) -> np.ndarray:
-    """Vectorized wedge_norm for a batch of shape (n, p, q)."""
-    cols = omega.columns if isinstance(omega, OmegaBasis) else np.asarray(omega)
-    rows = np.asarray(rows, dtype=float)
-    n, p, q = rows.shape
-    G = (rows.reshape(n * p, q) @ cols).reshape(n, p, q)
-    gram = G @ G.transpose(0, 2, 1)
-    det = gram[:, 0, 0] if p == 1 else np.linalg.det(gram)
-    return np.sqrt(np.maximum(det, 0.0))
-
-
 def sample_omega(seed: int, scale_max: float, q: int) -> OmegaBasis:
     """Anisotropic volume-one basis O1 exp(diag w) O2.
 
@@ -119,24 +96,79 @@ def sample_omega(seed: int, scale_max: float, q: int) -> OmegaBasis:
     return OmegaBasis(M, w)
 
 
-def matrix_evaluator(M: PolyMatrix):
-    """callable mapping points (n, d) to evaluated row matrices (n, p, q).
+# -- the Plücker norm ----------------------------------------------------------------
 
-    The monomial table (one row per monomial, so each product is contiguous)
-    follows ``GradedBasis.plan``: z^alpha is its parent's row times pts[:, k];
-    the rows are one GEMM of the table with the coefficients.
+
+def _maximal_minors(M: PolyMatrix) -> dict:
+    """The p x p minors of M, keyed by column subset in combinations order.
+
+    Laplace expansion along each next row, over the minors of the rows
+    above: ring operations only, so the minors are exact for an exact M and
+    float otherwise.  p > q has no maximal minor.
     """
-    basis, T = to_dense(M)
-    p, q, n_mon = T.shape
-    coef = T.reshape(p * q, n_mon).T
+    exact, minors = M.exact, {(): Poly.constant(M.d, 1)}
+    for k, row in enumerate(M.entries):
+        below, minors = minors, {}
+        for S in itertools.combinations(range(M.q), k + 1):
+            out = {}
+            for i, j in enumerate(S):
+                sign = -1 if (k - i) % 2 else 1
+                for a, ca in row[j].terms.items():
+                    for b, cb in below[S[:i] + S[i + 1:]].terms.items():
+                        ab = tuple(x + y for x, y in zip(a, b))
+                        out[ab] = out.get(ab, 0) + sign * ca * cb
+            minors[S] = Poly(M.d, out, exact=exact)
+    return minors
+
+
+@lru_cache(maxsize=16)
+def _minor_table(key):
+    """(basis, nonzero, C, e) for the row family with terms ``key``, or None
+    when it has no nonzero maximal minor.  The minor over the column subset
+    ``nonzero[k]`` is sum_alpha C[alpha, k] 2^e z^alpha over ``basis``, with
+    max |C| in [1/2, 1); a coefficient past the float range raises
+    FloatRangeError."""
+    d, rows = key
+    M = PolyMatrix([[Poly(d, dict(terms)) for terms in row] for row in rows])
+    minors = {S: m for S, m in _maximal_minors(M).items() if not m.is_zero()}
+    if not minors:
+        return None
+    basis, T = to_dense(PolyMatrix([list(minors.values())]))
+    C = T[0].T
+    e = math.frexp(np.abs(C).max())[1]
+    return basis, np.array(list(minors)), np.ldexp(C, -e), e
+
+
+def plucker_evaluator(M: PolyMatrix, omega):
+    """callable mapping points (n, d) to the omega-norms of u(t), M's rows.
+
+    The norm of the decomposable form u(t) is the length of its Plücker
+    vector in the basis omega: the maximal minors of G = M(t) omega, which by
+    Cauchy-Binet are m(t) Lambda^p(omega), m(t) being M's maximal minors and
+    Lambda^p(omega) the p x p minors of omega.  The minors of M are exact
+    polynomials, built once per family (cached); per basis, W = C
+    Lambda^p(omega) reduces by one QR to its triangular factor R, so a chunk
+    costs one GEMM of R with the table of monomials.  Squares are taken of
+    R / 2^r, max |R / 2^r| < 1.  omega: OmegaBasis or a (q, q) array whose
+    columns are the basis vectors.
+    """
+    # keyed by M's terms, as a PolyMatrix is not hashable
+    table = _minor_table((M.d, tuple(tuple(tuple(sorted(e.terms.items())) for e in row)
+                                     for row in M.entries)))
+    if table is None:
+        return lambda pts: np.zeros(len(np.atleast_2d(pts)))
+    basis, nonzero, C, e = table
+    cols = omega.columns if isinstance(omega, OmegaBasis) else np.asarray(omega, dtype=float)
+    S = np.array(list(itertools.combinations(range(M.q), M.p)))
+    wedge = np.linalg.det(cols[nonzero[:, None, :, None], S[None, :, None, :]])
+    R = np.linalg.qr((C @ wedge).T, mode="r")
+    r = math.frexp(np.abs(R).max())[1]
+    R = np.ldexp(R, -r)
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        Z = np.empty((n_mon, len(pts)))
-        Z[0] = 1.0
-        for _, lo, hi, parents, ks, _ in basis.plan:
-            Z[lo:hi] = Z[parents] * pts.T[ks]
-        return (Z.T @ coef).reshape(-1, p, q)
+        y = R @ basis.monomials(pts)
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            return np.ldexp(np.sqrt(np.einsum("ij,ij->j", y, y)), e + r)
 
     return evaluate
 
@@ -154,10 +186,9 @@ CHUNK = 1 << 14
 TARGET_REL_ERROR = 0.05
 
 
-def _integrand_factory(u_of_t, weight, tau: float):
-    def f_chunk(pts, omega):
-        rows = u_of_t(pts)
-        norms = wedge_norm_batch(rows, omega)
+def _integrand_factory(norm_of, weight, tau: float):
+    def f_chunk(pts):
+        norms = norm_of(pts)
         w = weight(pts)
         bad = (norms == 0.0) & (w > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -167,8 +198,8 @@ def _integrand_factory(u_of_t, weight, tau: float):
         vals = np.where(nonfinite, 0.0, vals)
         return vals, int(np.count_nonzero(bad | nonfinite))
 
-    def f(pts, omega):
-        parts = [f_chunk(pts[i:i + CHUNK], omega) for i in range(0, len(pts), CHUNK)]
+    def f(pts):
+        parts = [f_chunk(pts[i:i + CHUNK]) for i in range(0, len(pts), CHUNK)]
         return np.concatenate([v for v, _ in parts]), sum(b for _, b in parts)
 
     return f
@@ -181,8 +212,8 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
 
     Parameters
     ----------
-    M : PolyMatrix | callable
-        Row family; a callable must map (n, d) points to (n, p, q) rows.
+    M : PolyMatrix
+        Row family u(t); its norm is :func:`plucker_evaluator`'s.
     weight : callable | float
         Nonnegative weight w(t); a scalar means a finite constant weight.
     domain : sequence of (lo, hi)
@@ -201,18 +232,17 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
     if n_samples < 1 or budget_factor < 1:
         raise ValueError("n_samples and budget_factor must be at least 1")
     tau = float(tau)
-    u_of_t = matrix_evaluator(M) if isinstance(M, PolyMatrix) else M
     if not callable(weight):
         wconst = float(weight)
         if not 0 <= wconst < math.inf:
             raise ValueError(f"a constant weight must be finite and nonnegative: {wconst}")
         weight = lambda pts: np.full(len(pts), wconst)
     dom = tuple((float(lo), float(hi)) for lo, hi in domain)
-    f = _integrand_factory(u_of_t, weight, tau)
+    f = _integrand_factory(plucker_evaluator(M, omega), weight, tau)
 
     if not stratified:
-        return _plain_mc(f, dom, omega, seed, n_samples)
-    return _stratified_mc(f, dom, omega, seed, n_samples, budget_factor)
+        return _plain_mc(f, dom, seed, n_samples)
+    return _stratified_mc(f, dom, seed, n_samples, budget_factor)
 
 
 def _sample_box(rng, box, n):
@@ -221,7 +251,7 @@ def _sample_box(rng, box, n):
     return lo + (hi - lo) * rng.random((n, len(box)))
 
 
-def _plain_mc(f, dom, omega, seed, n_samples) -> IntegralEstimate:
+def _plain_mc(f, dom, seed, n_samples) -> IntegralEstimate:
     vol = math.prod(hi - lo for lo, hi in dom)
     sums, sqsums = [], []
     count = 0
@@ -232,7 +262,7 @@ def _plain_mc(f, dom, omega, seed, n_samples) -> IntegralEstimate:
         n = min(CHUNK, n_samples - count)
         rng = _philox_stream(seed, counter)
         pts = _sample_box(rng, dom, n)
-        vals, bad = f(pts, omega)
+        vals, bad = f(pts)
         flagged += bad
         sums.append(float(vals.sum()))
         sqsums.append(float((vals * vals).sum()))
@@ -251,7 +281,7 @@ def _plain_mc(f, dom, omega, seed, n_samples) -> IntegralEstimate:
     )
 
 
-def _stratified_mc(f, dom, omega, seed, n_samples, budget_factor):
+def _stratified_mc(f, dom, seed, n_samples, budget_factor):
     """Stratified passes with doubling stratum counts.
 
     Each pass lays an equal grid of strata over the box (the split axis
@@ -291,7 +321,7 @@ def _stratified_mc(f, dom, omega, seed, n_samples, budget_factor):
             axis=-1)
         cell_w = widths0 / np.array(counts, dtype=float)
         pts = cell_lo[:, None, :] + u * cell_w
-        vals, bad = f(pts.reshape(-1, dim), omega)
+        vals, bad = f(pts.reshape(-1, dim))
         vals = vals.reshape(m, n_per)
         cvol = vol / m
         means = vals.mean(axis=1)

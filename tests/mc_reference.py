@@ -1,12 +1,15 @@
 """Test-only reference: the Monte-Carlo evaluator and wedge norm as they were
-before the dense monomial table.
+before the dense monomial table and the Plücker norm.
 
 ``matrix_evaluator`` sums one term c * z^alpha at a time, each monomial
 built from ``pts[:, k] ** e``; ``wedge_norm_batch`` pairs rows and basis by
-a broadcast batched matmul and forms the Gram by einsum.  The code is kept
-as it was, apart from this docstring.  The oracle tests compare
-``semistab.sublevel`` with it: the evaluated rows, the wedge norms and whole
-estimates (with this wedge norm patched into the estimator).
+a broadcast batched matmul and takes sqrt(det(G G^T)) of the Gram formed by
+einsum.  The code is kept as it was, apart from this docstring and
+``gram_evaluator``, which composes the two in the shape of
+``semistab.sublevel.plucker_evaluator``.  The oracle tests compare
+``semistab.sublevel`` with it: rows built from the monomial table, the
+wedge norms and whole estimates (with ``gram_evaluator`` patched into the
+estimator).
 """
 
 from __future__ import annotations
@@ -47,3 +50,9 @@ def matrix_evaluator(M: PolyMatrix):
         return out
 
     return evaluate
+
+
+def gram_evaluator(M: PolyMatrix, omega):
+    """callable mapping points (n, d) to the Gram-path wedge norms of M's rows."""
+    rows_of = matrix_evaluator(M)
+    return lambda pts: wedge_norm_batch(rows_of(pts), omega)

@@ -113,6 +113,30 @@ def test_sublevel_line(tmp_path):
     assert report["max_estimate"] > 0
 
 
+def test_sublevel_huge_coefficient_is_quiet(tmp_path):
+    # u(t) = (10^200, t) once printed an overflow RuntimeWarning from the
+    # Gram of the wedge norm; every integrand value underflows to 0
+    with open(fx("sublevel_line.json")) as fh:
+        problem = json.load(fh)
+    problem["matrix"]["entries"][0][0][0]["num"] = 10 ** 200
+    path, out = tmp_path / "huge.json", tmp_path / "s.json"
+    path.write_text(json.dumps(problem))
+    proc = run_cli("sublevel", "--input", str(path), "--samples", "2000",
+                   "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(out.read_text())["max_estimate"] == 0.0
+
+
+def test_sublevel_minor_past_float_range_is_an_input_error(tmp_path):
+    # the maximal minor of diag(10^200, 10^200 t) is 10^400 t
+    big = lambda a: [{"alpha": [a], "num": 10 ** 200, "den": 1}]
+    path = tmp_path / "minor.json"
+    path.write_text(json.dumps({
+        "domain": [[-1.0, 1.0]], "tau": {"num": 1, "den": 1},
+        "matrix": {"p": 2, "q": 2, "d": 1, "entries": [[big(0), []], [[], big(1)]]}}))
+    one_error_line(run_cli("sublevel", "--input", str(path), "--samples", "10"))
+
+
 def test_semistable_tensor(tmp_path):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(

@@ -250,7 +250,6 @@ def test_every_public_name_has_a_caller():
     # acceptance suite; a name that only its own unit tests call is dead
     allowed = {
         "polycore.hs_norm_sq_exact": "the exact norm of ROADMAP item 1's critical-point check",
-        "sublevel.wedge_norm": "ROADMAP item 4 rewrites the wedge norm",
         "sublevel.probe_nondegeneracy": "a paper-facing check of the sublevel hypothesis",
         "radon.specialize_incidence": "the paper's incidence matrix M(t) at a fixed x",
         "radon.CurvatureForm.transformed": "moves the forms of ROADMAP item 1's corpus",

@@ -1,9 +1,9 @@
 """Oracle tests: the dense Monte-Carlo evaluator against the per-term one.
 
-The monomial-table evaluator, the one-GEMM wedge norm and whole estimates
-built on them must agree with ``tests/mc_reference.py`` on the fixtures'
-row families, on seeded random polynomial matrices and on the inputs of
-acceptance criteria 6 and 7.
+The monomial table, the Plücker wedge norm and whole estimates built on
+them must agree with ``tests/mc_reference.py`` (the per-term rows and the
+Gram-path norm) on the fixtures' row families, on seeded random polynomial
+matrices and on the inputs of acceptance criteria 6 and 7.
 """
 
 import json
@@ -18,8 +18,8 @@ import pytest
 import mc_reference as ref
 from semistab import fixtures as fx
 from semistab import sublevel
-from semistab.polycore import Poly, PolyMatrix
-from semistab.sublevel import estimate_integral, matrix_evaluator, sample_omega
+from semistab.polycore import Poly, PolyMatrix, to_dense
+from semistab.sublevel import estimate_integral, plucker_evaluator, sample_omega
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -61,18 +61,21 @@ def _largest_terms(M, pts):
     ("zero", PolyMatrix([[Poly.zero(1), Poly.zero(1)]]), 1.0),
 ] + [(f"random-{k}", _random_matrix(random.Random(k)), 2.0) for k in range(40)])
 def test_evaluator_matches_per_term_sum(name, M, half_width):
+    # rows from the monomial table times the coefficient array, one GEMM
     rng = np.random.default_rng(len(name))
+    basis, T = to_dense(M)
+    coef = T.reshape(M.p * M.q, -1).T
     for scale in (1.0, half_width):
         pts = rng.uniform(-scale, scale, size=(257, M.d))
-        got = matrix_evaluator(M)(pts)
+        got = (basis.monomials(pts).T @ coef).reshape(-1, M.p, M.q)
         want = ref.matrix_evaluator(M)(pts)
         assert got.shape == want.shape == (257, M.p, M.q)
         assert np.all(np.abs(got - want) <= 1e-13 * _largest_terms(M, pts))
 
 
 def test_wedge_norm_matches_einsum_gram():
-    # det(G G^T) loses about cond(G)^2 ulps in either Gram order, so the two
-    # agree to 1e-10 only where rows and basis are well conditioned
+    # det(G G^T) loses about cond(G)^2 ulps, so the Plücker norm and the
+    # Gram path agree to 1e-10 only where rows and basis are well conditioned
     rng = np.random.default_rng(21)
     for p in range(1, 5):
         for q in range(p, 9):
@@ -81,16 +84,21 @@ def test_wedge_norm_matches_einsum_gram():
             sv = np.linalg.svd(rows, compute_uv=False)
             rows = rows[sv[:, 0] <= 10 * sv[:, -1]]
             assert len(rows) >= 100
-            got = sublevel.wedge_norm_batch(rows, omega)
+            got = np.array([plucker_evaluator(_constant(G), omega)(np.zeros((1, 1)))[0]
+                            for G in rows])
             want = ref.wedge_norm_batch(rows, omega)
             assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+def _constant(rows):
+    return PolyMatrix([[Poly.constant(1, float(x)) for x in row] for row in rows])
 
 
 def _estimate_pair(monkeypatch, M, *args, **kwargs):
     new = estimate_integral(M, *args, **kwargs)
     with monkeypatch.context() as mp:
-        mp.setattr(sublevel, "wedge_norm_batch", ref.wedge_norm_batch)
-        old = estimate_integral(ref.matrix_evaluator(M), *args, **kwargs)
+        mp.setattr(sublevel, "plucker_evaluator", ref.gram_evaluator)
+        old = estimate_integral(M, *args, **kwargs)
     return new, old
 
 

@@ -1,25 +1,41 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import mc_reference
 from semistab import fixtures as fx
+from semistab import sublevel
 from semistab.blockdecomp import Tile, eliminate, tile_map, useful_tiles
 from semistab.gitnorm import find_destabilizer, git_norm
+from semistab.lp import exact_det
 from semistab.polycore import Poly, PolyMatrix, support_set
 from semistab.sublevel import (
     TilePlanWeight,
     estimate_integral,
+    plucker_evaluator,
     probe_nondegeneracy,
     sample_omega,
-    wedge_norm,
 )
 from semistab.tileplan import solve_plan, tile_point
 
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+FIXDIR = os.path.join(ROOT, "fixtures")
+
 
 # -- wedge norms -------------------------------------------------------------------
+
+
+def wedge_norm(rows, omega) -> float:
+    """The Plücker norm of the constant row family ``rows`` in the basis omega."""
+    M = PolyMatrix([[Poly.constant(1, float(x)) for x in row] for row in rows])
+    return float(plucker_evaluator(M, omega)(np.zeros((1, 1)))[0])
 
 
 def test_wedge_norm_line():
@@ -166,6 +182,50 @@ def test_estimator_flags_singular_samples():
     est = estimate_integral(M, 1.0, 2, [(0, 1)], om, seed=0, n_samples=1000)
     assert est.flagged == 1000
     assert est.value == 0.0
+
+
+def _exact_value(P: Poly, t) -> F:
+    return sum((c * math.prod(x ** a for x, a in zip(t, alpha))
+                for alpha, c in P.terms.items()), F(0))
+
+
+def test_plucker_norm_exact_where_the_gram_path_flags():
+    # basis 13300198 (largest log-scale 7.9): the Gram path's det(G G^T)
+    # cancels to 0 at some of the 20,000 sample points of its estimate.
+    # There the norm matches the exact one, sqrt of the sum of squared
+    # maximal minors of M(t) omega, with t and omega read as exact binary
+    # rationals, and the estimate flags no sample
+    with open(os.path.join(FIXDIR, "sublevel61_cap.json")) as fh:
+        cap = json.load(fh)
+    seed, n = 13_300_198, cap["n_samples"]
+    M = fx.example61_matrix()
+    omega = sample_omega(seed, cap["scale_max"], 9)
+    box = tuple((float(lo), float(hi)) for lo, hi in cap["box"])
+    pts = np.concatenate([sublevel._sample_box(sublevel._philox_stream(seed, c + 1), box,
+                                               min(sublevel.CHUNK, n - start))
+                          for c, start in enumerate(range(0, n, sublevel.CHUNK))])
+    flagged = pts[mc_reference.gram_evaluator(M, omega)(pts) == 0.0]
+    assert len(flagged) > 0
+    got = plucker_evaluator(M, omega)(flagged)
+    Om = [[F(x) for x in row] for row in omega.columns]
+    for t, norm in zip(flagged, got):
+        Mt = [[_exact_value(e, [F(x) for x in t]) for e in row] for row in M.entries]
+        G = [[sum(a * b for a, b in zip(row, col)) for col in zip(*Om)] for row in Mt]
+        exact = math.sqrt(sum(exact_det([[row[c] for c in S] for row in G]) ** 2
+                              for S in itertools.combinations(range(9), 4)))
+        assert abs(norm - exact) <= 1e-12 * exact
+    tau = cap["tau"]["num"] / cap["tau"]["den"]
+    est = estimate_integral(M, cap["weight_constant"], tau, box, omega, seed=seed,
+                            n_samples=n)
+    assert est.flagged == 0
+
+
+def test_build_sublevel_cap_check():
+    # the cap fixture's build_max and weight constant, recomputed from 400
+    # bases, agree with the fixture to the tool's CHECK_REL
+    proc = subprocess.run([sys.executable, "tools/build_sublevel_cap.py", "--check"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_estimator_rejects_bad_tau():
