@@ -414,8 +414,15 @@ def _foc_matrices(basis: GradedBasis, T: np.ndarray, sigma):
 
 
 def _residual(basis: GradedBasis, T: np.ndarray, sigma) -> float:
-    R1, R2, R3, _ = _foc_matrices(basis, T, sigma)
-    return math.sqrt((R1 ** 2).sum() + (R2 ** 2).sum() + (R3 ** 2).sum())
+    """The Frobenius norm of :func:`_foc_matrices`' residuals.  It is
+    homogeneous of degree 2 in T, so a float T is scaled by a power of two to
+    entries below 1 and the residual scaled back: squaring the residual
+    entries would leave the float range at masses that are normal floats."""
+    e = 0 if T.dtype == object else math.frexp(np.abs(T).max(initial=0.0))[1]
+    R1, R2, R3, _ = _foc_matrices(basis, np.ldexp(T, -e) if e else T, sigma)
+    with np.errstate(over="ignore"):  # a residual past the float range is inf
+        return float(np.ldexp(math.sqrt((R1 ** 2).sum() + (R2 ** 2).sum()
+                                        + (R3 ** 2).sum()), 2 * e))
 
 
 def _sym_expm(S: np.ndarray) -> np.ndarray:

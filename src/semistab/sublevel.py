@@ -1,4 +1,4 @@
-"""Monte-Carlo estimation of uniform sublevel-set integrals.
+"""Estimation of uniform sublevel-set integrals.
 
 The integrand is w(t) / ||u(t)||_omega^tau where u(t) is the row family of
 an incidence matrix, omega a volume-one basis, and w a weight (typically a
@@ -10,10 +10,12 @@ per family.  C(q, p) grows fast; the shapes here are small (m61 has 126
 minors, 48 nonzero, the line family 2), and a shape with thousands should be
 measured against a QR of (M(t) omega)^T per sample before it takes this path.
 
-Estimators are deterministic given (seed, samples, domain, omega): sampling
-uses counter-mode Philox streams keyed by the master seed, chunk sums are
-merged by exact float summation, and the adaptive stratification refines
-strata in a deterministic priority order.
+Both estimators are deterministic.  Plain Monte Carlo draws its points from
+counter-mode Philox streams keyed by the master seed and merges chunk sums
+by exact float summation.  The adaptive cubature (:func:`_cubature`) uses
+no randomness: it refines cells of a tensor Gauss-Legendre rule pair in an
+order fixed by their error estimates and corners, and its error estimate is
+a rule difference, not a standard error.
 """
 
 from __future__ import annotations
@@ -178,28 +180,35 @@ def _philox_stream(seed: int, counter: int) -> np.random.Generator:
 
 
 # points per Philox stream of the plain estimator (part of its determinism:
-# changing it changes the estimates) and per integrand evaluation, so that
-# the temporaries of a large stratified pass stay small
+# changing it changes the estimates)
 CHUNK = 1 << 14
 
-# relative standard error at which the stratified estimator may stop
-TARGET_REL_ERROR = 0.05
+# points per integrand evaluation; the values do not depend on it.  At
+# CHUNK points one evaluation's temporaries take about 4 MB on m61, which
+# glibc's malloc maps, or trims from its heap, afresh for every chunk: about
+# 1,700 minor page faults per 20k-sample estimate (about 2,100 at blocks of
+# 2,048 or 4,096).  Blocks of this size reuse the same heap and fault none
+BLOCK = 1 << 10
+
+# Gauss-Legendre orders of the cubature's rule pair, and the relative size
+# of the summed rule differences at which it stops
+RULE_ORDERS = (8, 12)
+CUBATURE_REL_TOL = 1e-12
 
 
 def _integrand_factory(norm_of, weight, tau: float):
-    def f_chunk(pts):
-        norms = norm_of(pts)
+    def f_block(pts):
         w = weight(pts)
-        bad = (norms == 0.0) & (w > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(bad, 0.0, w * norms ** (-tau))
-        vals = np.where(w == 0.0, 0.0, vals)
-        nonfinite = ~np.isfinite(vals)
-        vals = np.where(nonfinite, 0.0, vals)
-        return vals, int(np.count_nonzero(bad | nonfinite))
+            vals = w * norm_of(pts) ** (-tau)
+        # a value that is not finite under nonzero weight (inf where the
+        # norm is 0) is left out and flagged
+        weighted, finite = w != 0.0, np.isfinite(vals)
+        return (np.where(weighted & finite, vals, 0.0),
+                int(np.count_nonzero(weighted & ~finite)))
 
     def f(pts):
-        parts = [f_chunk(pts[i:i + CHUNK]) for i in range(0, len(pts), CHUNK)]
+        parts = [f_block(pts[i:i + BLOCK]) for i in range(0, len(pts), BLOCK)]
         return np.concatenate([v for v, _ in parts]), sum(b for _, b in parts)
 
     return f
@@ -208,7 +217,7 @@ def _integrand_factory(norm_of, weight, tau: float):
 def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
                       n_samples: int = 100_000, stratified: bool = False,
                       budget_factor: int = 32) -> IntegralEstimate:
-    """Monte-Carlo estimate of int w(t) ||u(t)||_omega^(-tau) dt over a box.
+    """Estimate of int w(t) ||u(t)||_omega^(-tau) dt over a box.
 
     Parameters
     ----------
@@ -219,13 +228,15 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
     domain : sequence of (lo, hi)
         Axis-aligned box.
     stratified : bool
-        Adaptive stratification: strata are split (doubling the count) in
-        decreasing order of estimated variance until the relative standard
-        error is at most TARGET_REL_ERROR or the sample budget
-        (budget_factor * n_samples) is exhausted.
+        False: plain Monte Carlo over ``n_samples`` points of Philox streams
+        keyed by ``seed``, with the sample standard error.  True: the
+        adaptive cubature of :func:`_cubature`, which ignores ``seed``,
+        spends at most ``budget_factor * n_samples`` evaluations (or its
+        first cell's), and reports its rule-difference error estimate, which
+        is not a bound, in ``std_error``.
 
-    Samples where the norm vanishes under positive weight are excluded and
-    counted in ``flagged``.
+    ``samples`` counts integrand evaluations.  Points where the norm
+    vanishes under positive weight count 0 and are counted in ``flagged``.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -239,10 +250,11 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
         weight = lambda pts: np.full(len(pts), wconst)
     dom = tuple((float(lo), float(hi)) for lo, hi in domain)
     f = _integrand_factory(plucker_evaluator(M, omega), weight, tau)
-
-    if not stratified:
-        return _plain_mc(f, dom, seed, n_samples)
-    return _stratified_mc(f, dom, seed, n_samples, budget_factor)
+    if stratified:
+        value, err, used, flagged = _cubature(f, dom, budget_factor * n_samples)
+    else:
+        value, err, used, flagged = _plain_mc(f, dom, seed, n_samples)
+    return IntegralEstimate(value, err, used, flagged, dom, seed)
 
 
 def _sample_box(rng, box, n):
@@ -251,109 +263,89 @@ def _sample_box(rng, box, n):
     return lo + (hi - lo) * rng.random((n, len(box)))
 
 
-def _plain_mc(f, dom, seed, n_samples) -> IntegralEstimate:
+def _plain_mc(f, dom, seed, n_samples):
     vol = math.prod(hi - lo for lo, hi in dom)
-    sums, sqsums = [], []
-    count = 0
-    flagged = 0
-    counter = 0
-    while count < n_samples:
-        counter += 1
-        n = min(CHUNK, n_samples - count)
-        rng = _philox_stream(seed, counter)
-        pts = _sample_box(rng, dom, n)
+    sums, sqsums, flagged = [], [], 0
+    for counter, start in enumerate(range(0, n_samples, CHUNK), start=1):
+        pts = _sample_box(_philox_stream(seed, counter), dom, min(CHUNK, n_samples - start))
         vals, bad = f(pts)
         flagged += bad
         sums.append(float(vals.sum()))
         sqsums.append(float((vals * vals).sum()))
-        count += n
-    total = math.fsum(sums)
-    total_sq = math.fsum(sqsums)
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return IntegralEstimate(
-        value=mean * vol,
-        std_error=math.sqrt(var / count) * vol,
-        samples=count,
-        flagged=flagged,
-        domain=dom,
-        seed=seed,
-    )
+    mean = math.fsum(sums) / n_samples
+    var = max(math.fsum(sqsums) / n_samples - mean * mean, 0.0)
+    return mean * vol, math.sqrt(var / n_samples) * vol, n_samples, flagged
 
 
-def _stratified_mc(f, dom, seed, n_samples, budget_factor):
-    """Stratified passes with doubling stratum counts.
+@lru_cache(maxsize=None)
+def _rule_pair(d: int):
+    """(U, W): the nodes of the tensor Gauss-Legendre rules of RULE_ORDERS on
+    the unit cube, stacked, and a (len(U), 2) matrix whose column k holds rule
+    k's weights at its own nodes and 0 elsewhere.  The one-dimensional nodes
+    are the eigenvalues of the Jacobi matrix of the Legendre recurrence and the
+    weights the squared first components of its eigenvectors (Golub-Welsch)."""
+    rules = []
+    for n in RULE_ORDERS:
+        k = np.arange(1, n)
+        beta = k / np.sqrt(4.0 * k * k - 1.0)
+        x, V = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+        rules.append((np.array(list(itertools.product((x + 1) / 2, repeat=d))),
+                      np.prod(list(itertools.product(V[0] ** 2, repeat=d)), axis=1)))
+    (U0, w0), (U1, w1) = rules
+    W = np.zeros((len(U0) + len(U1), 2))
+    W[:len(U0), 0], W[len(U0):, 1] = w0, w1
+    return np.concatenate([U0, U1]), W
 
-    Each pass lays an equal grid of strata over the box (the split axis
-    rotates) and spends roughly ``n_samples`` fresh points; the stratum count
-    doubles between passes until the relative standard error target is met
-    AND the estimate is stable against the previous pass, or the total budget
-    is exhausted.  Once the grid is as fine as the per-pass sample count
-    allows, further passes enrich the per-stratum sample count instead.
-    Doubling rather than locally refining is deliberately conservative:
-    narrow features are discovered by the fresh global passes.
+
+def _cubature(f, dom, budget: int):
+    """Adaptive tensor Gauss-Legendre cubature over the box ``dom``.
+
+    Each cell carries the integral of the finer rule of the pair RULE_ORDERS
+    and, as its error estimate, the difference of the two rules.  Each round
+    bisects the fewest cells whose estimates make up half of their sum, taken
+    in decreasing order of estimate with ties broken by lower corner, each
+    along its axis that is widest relative to the box.  It stops when the
+    summed estimate is at most CUBATURE_REL_TOL times the value, or when the
+    next round would take the evaluations past ``budget``.  The estimate is
+    not a bound: a feature that falls between a cell's nodes can hide from
+    both rules.  Returns (value, estimate, evaluations, flagged points).
     """
-    dim = len(dom)
-    budget = budget_factor * n_samples
-    used = 0
-    flagged = 0
-    pass_id = 0
-    splits = [0] * dim  # number of binary splits per axis
-    value = err = None
-    lo = np.array([iv[0] for iv in dom])
-    widths0 = np.array([iv[1] - iv[0] for iv in dom])
-    vol = float(np.prod(widths0))
+    d = len(dom)
+    U, W = _rule_pair(d)
+    box = np.array([[hi - lo for lo, hi in dom]])
+    used = flagged = 0
 
-    def run_pass(n_per):
-        nonlocal pass_id
-        pass_id += 1
-        counts = [1 << s for s in splits]
-        m = int(np.prod(counts))
-        rng = _philox_stream(seed, pass_id)
-        u = rng.random((m, n_per, dim))
-        idx = np.arange(m)
-        coords = []
-        for ax in range(dim):
-            coords.append(idx % counts[ax])
-            idx = idx // counts[ax]
-        cell_lo = np.stack(
-            [lo[ax] + coords[ax] * widths0[ax] / counts[ax] for ax in range(dim)],
-            axis=-1)
-        cell_w = widths0 / np.array(counts, dtype=float)
-        pts = cell_lo[:, None, :] + u * cell_w
-        vals, bad = f(pts.reshape(-1, dim))
-        vals = vals.reshape(m, n_per)
-        cvol = vol / m
-        means = vals.mean(axis=1)
-        variances = vals.var(axis=1)
-        est = float(means.sum()) * cvol
-        var_est = float(variances.sum()) * cvol * cvol / n_per
-        return est, math.sqrt(var_est), m * n_per, bad
+    def evaluate(lo, width):
+        # about CHUNK points at a time: a round can split many thousand cells
+        nonlocal used, flagged
+        rules, step = [], max(1, CHUNK // len(U))
+        for a, w in ((lo[i:i + step], width[i:i + step]) for i in range(0, len(lo), step)):
+            vals, bad = f((a[:, None, :] + w[:, None, :] * U).reshape(-1, d))
+            used += len(vals)
+            flagged += bad
+            rules.append((vals.reshape(len(a), -1) @ W) * np.prod(w, axis=1)[:, None])
+        rules = np.concatenate(rules)
+        return rules[:, 1], np.abs(rules[:, 1] - rules[:, 0])
 
-    mult = 1
+    lo, width = np.array([[a for a, _ in dom]]), box
+    q, err = evaluate(lo, width)
     while True:
-        m = int(np.prod([1 << s for s in splits]))
-        n_per = max(2, n_samples // m) * mult
-        est, e, took, bad = run_pass(n_per)
-        used += took
-        flagged += bad
-        prev, value, err = value, est, e
-        good = (prev is not None and value > 0 and err <= TARGET_REL_ERROR * value
-                and abs(value - prev) <= 3.0 * err + 1e-3 * abs(value))
-        if good or used + m * n_per > budget:
-            break
-        if m <= 2 * n_samples:
-            splits[int(np.argmin(splits))] += 1  # double along the coarsest axis
-        else:
-            mult *= 2  # grid is as fine as the pass affords; deepen the passes
-    return IntegralEstimate(
-        value=value,
-        std_error=err,
-        samples=used,
-        flagged=flagged,
-        domain=dom,
-        seed=seed,
-    )
+        value, total = math.fsum(q), math.fsum(err)
+        order = np.lexsort((*lo.T[::-1], -err))
+        k = min(int(np.searchsorted(np.cumsum(err[order]), 0.5 * total)) + 1, len(q))
+        if total <= CUBATURE_REL_TOL * abs(value) or used + 2 * k * len(U) > budget:
+            return value, total, used, flagged
+        split, keep = order[:k], order[k:]
+        half = width[split]
+        axis = (np.arange(k), np.argmax(half / box, axis=1))
+        half[axis] /= 2
+        upper = lo[split]
+        upper[axis] += half[axis]
+        q_new, err_new = evaluate(np.concatenate([lo[split], upper]),
+                                  np.concatenate([half, half]))
+        lo = np.concatenate([lo[keep], lo[split], upper])
+        width = np.concatenate([width[keep], half, half])
+        q, err = np.concatenate([q[keep], q_new]), np.concatenate([err[keep], err_new])
 
 
 # -- tile-plan weights ---------------------------------------------------------------

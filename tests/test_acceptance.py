@@ -233,6 +233,9 @@ def test_criterion_6_sublevel_analytic_oracle():
                                 seed=123, n_samples=100_000, stratified=True,
                                 budget_factor=64)
         assert abs(est.value - math.pi) <= 0.10 * math.pi
+        # ||(1, t)||^2 = c^2 + t^2 / c^2
+        exact = 2 * math.atan(1000.0 / c ** 2)
+        assert abs(est.value - exact) <= 1e-12 * exact
     base = estimate_integral(line, 1.0, 1, [(-1000.0, 1000.0)],
                              fx.anisotropic_omega(1.0), seed=7,
                              n_samples=100_000, stratified=True)
@@ -243,6 +246,8 @@ def test_criterion_6_sublevel_analytic_oracle():
                                 fx.anisotropic_omega(10.0), seed=7,
                                 n_samples=100_000, stratified=True,
                                 budget_factor=64)
+        exact = 20.0 * math.asinh(10.0 ** k / 100.0)  # 2c asinh(L / c^2), c = 10
+        assert abs(est.value - exact) <= 1e-12 * exact
         assert est.value > prev  # the estimate grows with the box
         prev = est.value
         grown = est

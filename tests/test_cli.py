@@ -306,6 +306,25 @@ def test_gitnorm_is_scale_free(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gitnorm_quadratic_times_1e100_converges_without_warnings(tmp_path):
+    # [[z1^2 + z1 z2/3], [z2^2 + z1 z2/7]] times 10^100 has normal masses, but
+    # the criticality residual squared them: it overflowed to inf, the search
+    # ended budget-exhausted (exit 2), and numpy warned on stderr
+    values = []
+    for n, c in enumerate((1, 10 ** 100)):
+        row = lambda a, den: [[{"alpha": a, "num": c, "den": 1},
+                               {"alpha": [1, 1], "num": c, "den": den}]]
+        path, out = tmp_path / f"q{n}.json", tmp_path / f"r{n}.json"
+        path.write_text(json.dumps({"p": 2, "q": 1, "d": 2,
+                                    "entries": [row([2, 0], 3), row([0, 2], 7)]}))
+        proc = run_cli("gitnorm", "--input", str(path), "--sigma", "1", "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(out.read_text())
+        assert report["status"] == "converged"
+        values.append(report["value"] / c)
+    assert values[1] == pytest.approx(values[0], rel=1e-9)
+
+
 def strict_json(text: str):
     def reject(token):
         raise ValueError(f"not strict JSON: {token}")

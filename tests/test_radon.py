@@ -683,19 +683,34 @@ def scaled(tensor, c):
     return CurvatureForm([[[F(v) * c for v in row] for row in plane] for plane in tensor])
 
 
+# T has an identity-frame destabilizer of margin 1; Q is T moved by three
+# integer frames
+UNSTABLE_T = [[[-5, -5, -2], [-2, 4, 0], [-5, 0, 0]], [[2, 0, 0], [2, 0, 0], [0, 0, 0]],
+              [[4, 0, 0], [0, 0, 0], [0, 0, 0]]]
+UNSTABLE_Q = CurvatureForm(UNSTABLE_T).transformed(
+    [[3, -2, 1], [-2, 2, -1], [0, -3, 2]], [[-3, 0, 2], [-1, 0, 1], [3, -3, 2]],
+    [[-1, -1, 3], [-2, 1, -1], [-3, -3, 1]])
+
+
 def test_unstable_form_scaled_past_the_float_masses_is_not_positive():
-    # T has an identity-frame destabilizer of margin 1; Q is T moved by three
-    # integer frames.  Times 2^-700 every mass alpha! c^2 underflowed, and
-    # git_norm's zero-matrix exit made the verdict positive with value 0.0
-    T = [[[-5, -5, -2], [-2, 4, 0], [-5, 0, 0]], [[2, 0, 0], [2, 0, 0], [0, 0, 0]],
-         [[4, 0, 0], [0, 0, 0], [0, 0, 0]]]
-    Q = CurvatureForm(T).transformed([[3, -2, 1], [-2, 2, -1], [0, -3, 2]],
-                                     [[-3, 0, 2], [-1, 0, 1], [3, -3, 2]],
-                                     [[-1, -1, 3], [-2, 1, -1], [-3, -3, 1]])
-    assert semistability_verdict(scaled(T, 1)).state == "unstable"
+    # times 2^-700 every mass alpha! c^2 underflowed, and git_norm's
+    # zero-matrix exit made the verdict positive with value 0.0
+    assert semistability_verdict(scaled(UNSTABLE_T, 1)).state == "unstable"
     for c in (1, F(1, 2 ** 700)):
-        v = semistability_verdict(scaled(Q.tensor, c))
+        v = semistability_verdict(scaled(UNSTABLE_Q.tensor, c))
         assert v.state != "positive" and v.value_bound > 0
+
+
+@pytest.mark.parametrize("form", [UNSTABLE_Q.tensor, [[[3, 0], [3, 0]], [[-3, -1], [1, 0]]]],
+                         ids=["unstable", "positive"])
+def test_form_keeps_its_verdict_at_every_scale_of_normal_masses(form):
+    # the masses stay normal floats, but the criticality residual squared
+    # them: times 10^-100 or 10^-150 it underflowed to 0 and the unstable
+    # form was positive ("converged critical point"); times 10^100 it
+    # overflowed, and the positive form was undetermined
+    state = semistability_verdict(scaled(form, 1)).state
+    for k in (-150, -100, 100, 150):
+        assert semistability_verdict(scaled(form, F(10) ** k)).state == state, k
 
 
 def test_sparse_positive_form_scaled_past_the_float_masses_keeps_its_bound():

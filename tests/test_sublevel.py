@@ -154,6 +154,7 @@ def test_estimator_closed_form_isotropic():
 
 
 def test_estimator_anisotropic_within_ten_percent_of_pi():
+    # ||(1, t)||^2 = c^2 + t^2 / c^2, so the integral is 2 atan(1000 / c^2)
     line = fx.line_family()
     for c in (0.1, 1.0, 10.0):
         om = fx.anisotropic_omega(c)
@@ -161,6 +162,8 @@ def test_estimator_anisotropic_within_ten_percent_of_pi():
                                 n_samples=100_000, stratified=True,
                                 budget_factor=64)
         assert abs(est.value - math.pi) <= 0.10 * math.pi
+        exact = 2 * math.atan(1000 / c ** 2)
+        assert abs(est.value - exact) <= 1e-12 * exact
 
 
 def test_estimator_domain_monotonicity():
@@ -226,6 +229,53 @@ def test_build_sublevel_cap_check():
     proc = subprocess.run([sys.executable, "tools/build_sublevel_cap.py", "--check"],
                           cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _cap_problem():
+    with open(os.path.join(FIXDIR, "sublevel61_cap.json")) as fh:
+        cap = json.load(fh)
+    return (fx.example61_matrix(), cap["weight_constant"], cap["tau"]["num"] / cap["tau"]["den"],
+            [tuple(b) for b in cap["box"]])
+
+
+def test_cubature_value_on_the_basis_above_the_cap():
+    # the basis whose Monte-Carlo estimate is above the cap; the rule pairs
+    # of orders (6, 10), (8, 12) and (10, 16) agree on it to 4e-15
+    M, weight, tau, box = _cap_problem()
+    est = estimate_integral(M, weight, tau, box, sample_omega(10_700_159, 8.0, 9),
+                            stratified=True)
+    assert est.value == pytest.approx(19.73501636, rel=1e-9)
+    assert est.std_error <= sublevel.CUBATURE_REL_TOL * est.value
+    assert est.flagged == 0
+
+
+def test_cubature_ignores_the_seed():
+    line, om = fx.line_family(), fx.anisotropic_omega(10.0)
+    a, b = (estimate_integral(line, 1.0, 1, [(-1e5, 1e5)], om, seed=s, stratified=True)
+            for s in (1, 2))
+    assert (a.value, a.std_error, a.samples, a.flagged) == \
+        (b.value, b.std_error, b.samples, b.flagged)
+
+
+def test_cubature_out_of_budget_reports_its_error_estimate():
+    M, weight, tau, box = _cap_problem()
+    n_samples, per_cell = 1000, len(sublevel._rule_pair(2)[0])
+    est = estimate_integral(M, weight, tau, box, sample_omega(10_700_159, 8.0, 9),
+                            n_samples=n_samples, stratified=True, budget_factor=1)
+    assert est.std_error > sublevel.CUBATURE_REL_TOL * est.value
+    assert 0 < est.samples <= n_samples and est.samples % per_cell == 0
+
+
+def test_cubature_in_three_variables():
+    # u(t) = (1, t1, t2, t3) at tau = 2: int over [-1, 1]^3 of 1 / (1 + |t|^2)
+    M = PolyMatrix([[Poly(3, {tuple(a): 1}) for a in
+                     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]])
+    box = [(-1.0, 1.0)] * 3
+    est = estimate_integral(M, 1.0, 2, box, np.eye(4), stratified=True)
+    mc = estimate_integral(M, 1.0, 2, box, np.eye(4), seed=3, n_samples=200_000)
+    assert math.isfinite(est.value) and est.flagged == 0
+    assert abs(est.value - mc.value) <= 3 * mc.std_error
+    assert est.std_error <= sublevel.CUBATURE_REL_TOL * est.value
 
 
 def test_estimator_rejects_bad_tau():
