@@ -13,8 +13,10 @@ d are s, the last d are z.  This module owns that layout: the embeddings
 :func:`inflate_s`, :func:`inflate_z` and :func:`inflate_t`, the
 specialisation :func:`specialize_s` at a point s = t0, the translation
 :func:`diagonal_shift` built from the two, the product
-:func:`reduced_product`, the determinant-one check :func:`unimodular`, the
-degree-grid check :func:`degrees_monotone` and the block order
+:func:`reduced_product`, the maximal minors :func:`maximal_minors` (the one
+polynomial-determinant kernel; :mod:`semistab.sublevel` reads its Plücker
+coordinates from it), the determinant-one check :func:`unimodular` built on
+them, the degree-grid check :func:`degrees_monotone` and the block order
 :func:`least_z_order`; :mod:`semistab.radon` verifies its moment families
 with the same functions.  All elimination decisions are exact.
 
@@ -156,62 +158,34 @@ def reduced_product(A: PolyMatrix, M: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     return pm_mul(pm_mul(lift(A, inflate_s), lift(M, inflate_s)), lift(B, inflate_t))
 
 
-def poly_exact_div(P: Poly, Q: Poly) -> Poly:
-    """Exact division of multivariate polynomials (remainder must vanish)."""
-    if Q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if P.is_zero():
-        return Poly.zero(P.dim)
-    qlead = max(Q.terms, key=grlex_key)
-    qc = Q.terms[qlead]
-    rem = dict(P.terms)
-    out: dict = {}
-    while rem:
-        lead = max(rem, key=grlex_key)
-        diff = tuple(a - b for a, b in zip(lead, qlead))
-        if any(v < 0 for v in diff):
-            raise ArithmeticError("inexact polynomial division")
-        coef = rem[lead] / qc
-        out[diff] = coef
-        for b, cb in Q.terms.items():
-            key = tuple(x + y for x, y in zip(diff, b))
-            val = rem.get(key, Fraction(0)) - coef * cb
-            if val:
-                rem[key] = val
-            else:
-                rem.pop(key, None)
-    return Poly(P.dim, out)
+def maximal_minors(M: PolyMatrix) -> dict:
+    """The p x p minors of M, keyed by column subset in combinations order.
 
-
-def pm_det(X: PolyMatrix) -> Poly:
-    """Determinant by fraction-free (Bareiss) elimination; exact."""
-    n = X.p
-    if n != X.q:
-        raise ValueError("determinant of a nonsquare matrix")
-    if n == 0:
-        return Poly.constant(X.d, 1)
-    a = [[X.entries[i][j] for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = Poly.constant(X.d, 1)
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-        if piv is None:
-            return Poly.zero(X.d)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = poly_exact_div(num, prev)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det.scale(sign)
+    Laplace expansion along each next row, over the minors of the rows
+    above: ring operations only, so the minors are exact for an exact M and
+    float otherwise.  p > q has no maximal minor.
+    """
+    exact, minors = M.exact, {(): Poly.constant(M.d, 1)}
+    for k, row in enumerate(M.entries):
+        below, minors = minors, {}
+        for S in itertools.combinations(range(M.q), k + 1):
+            out = {}
+            for i, j in enumerate(S):
+                sign = -1 if (k - i) % 2 else 1
+                for a, ca in row[j].terms.items():
+                    for b, cb in below[S[:i] + S[i + 1:]].terms.items():
+                        ab = tuple(x + y for x, y in zip(a, b))
+                        out[ab] = out.get(ab, 0) + sign * ca * cb
+            minors[S] = Poly(M.d, out, exact=exact)
+    return minors
 
 
 def unimodular(d: int, *Xs: PolyMatrix) -> bool:
-    """Whether each X (polynomials in d variables) has determinant 1."""
-    return all(pm_det(X) == Poly.constant(d, 1) for X in Xs)
+    """Whether each X (polynomials in d variables) has determinant 1: its one
+    maximal minor; ValueError for a nonsquare X."""
+    if any(X.p != X.q for X in Xs):
+        raise ValueError("determinant of a nonsquare matrix")
+    return all(maximal_minors(X)[tuple(range(X.q))] == Poly.constant(d, 1) for X in Xs)
 
 
 def degrees_monotone(grid) -> bool:
@@ -516,13 +490,8 @@ def _greedy_columns(R: PolyMatrix, B: PolyMatrix, d: int, degbound: int):
 
 
 def _runs(values):
-    groups = []
-    for v in values:
-        if groups and groups[-1][0] == v:
-            groups[-1][1] += 1
-        else:
-            groups.append([v, 1])
-    return [g[1] for g in groups]
+    """Lengths of the runs of equal consecutive values."""
+    return [len(list(run)) for _, run in itertools.groupby(values)]
 
 
 def _greedy_rows(R: PolyMatrix, A: PolyMatrix, d: int, degbound: int):
@@ -632,20 +601,8 @@ def eliminate(M: PolyMatrix):
 
 
 def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1)^(number of inversions)."""
+    return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
 
 
 def _apply_col_perm(X: PolyMatrix, perm):

@@ -56,6 +56,13 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are input errors: one line, no usage."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         if "/" in text:
@@ -253,8 +260,11 @@ def cmd_plan(args) -> int:
 
 
 def cmd_sublevel(args) -> int:
-    if args.samples < 1 or args.omegas < 1:
-        raise InputError("--samples and --omegas must be at least 1")
+    if not (1 <= args.samples <= sys.maxsize and 1 <= args.omegas <= sys.maxsize):
+        raise InputError(f"--samples and --omegas must be at least 1 and at most {sys.maxsize}")
+    if not 0 <= args.seed <= 2 ** 128 - args.omegas:
+        # omega k and its Philox streams are keyed by seed + k
+        raise InputError("--seed must be at least 0, and --seed + --omegas - 1 below 2**128")
     obj = _load(args.input)
     try:
         M = _matrix_from(obj["matrix"], args.input)
@@ -275,7 +285,10 @@ def cmd_sublevel(args) -> int:
     rows = [["omega", "estimate", "stderr"]]
     report = {"tau": tau, "omegas": [], "max_estimate": 0.0}
     for k in range(n_omegas):
-        omega = sample_omega(args.seed + k, args.scale_max, M.q)
+        try:
+            omega = sample_omega(args.seed + k, args.scale_max, M.q)
+        except ValueError as exc:
+            raise InputError(f"--scale-max {args.scale_max}: {exc}") from exc
         est = estimate_integral(M, weight, tau, domain, omega,
                                 seed=args.seed + k, n_samples=args.samples,
                                 stratified=args.stratified)
@@ -320,7 +333,12 @@ def cmd_semistable(args) -> int:
 
 def cmd_radon(args) -> int:
     if args.exponents:
-        me = model_exponents(args.n, args.n1, args.k)
+        if None in (args.n, args.n1, args.k):
+            raise InputError("--exponents needs --n, --n1 and --k")
+        try:
+            me = model_exponents(args.n, args.n1, args.k)
+        except ValueError as exc:
+            raise InputError(f"--exponents: {exc}") from exc
         _table([["r2", _rat_str(me["r2"])], ["r1", _rat_str(me["r1"])]])
         _emit({k: v for k, v in me.items()}, args.out)
         return 0
@@ -372,7 +390,7 @@ RESTARTS_HELP = ("accepted and ignored: the critical-point search of gitnorm "
 
 @lru_cache(maxsize=1)  # each build leaves ~500 objects in reference cycles
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="semistab",
         description="semistability certificates and sublevel-set checks")
     sub = top.add_subparsers(dest="verb", required=True)
@@ -432,13 +450,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.verb == "blockdecomp" and not (args.input or args.verify):
-            raise InputError("blockdecomp needs --input or --verify")
+            parser.error("blockdecomp needs --input or --verify")
         if args.verb == "radon" and not (args.exponents or args.balanced
                                          or args.input):
-            raise InputError("radon needs --exponents, --balanced or --input")
+            parser.error("radon needs --exponents, --balanced or --input")
         return VERBS[args.verb](args)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
+    except SystemExit:  # --help; every parse error is an InputError
+        return 0
     except (InputError, FloatRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

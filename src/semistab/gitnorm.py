@@ -35,6 +35,7 @@ from .polycore import (
     SupportSet,
     _invertible,
     _shift,
+    _to_float,
     act_dense,
     act_group,
     balanced_rows,
@@ -186,7 +187,7 @@ def _weight_matrix(basis: GradedBasis, p: int, q: int, sigma) -> np.ndarray:
         V[i, :, :, i] = 1.0
     for j in range(q):
         V[:, j, :, p + j] = 1.0
-    V[..., p + q:] = basis.exps - float(sigma)
+    V[..., p + q:] = basis.exps - _to_float(sigma, "sigma")
     return V.reshape(p * q * n, p + q + d)
 
 
@@ -200,16 +201,18 @@ def _cells(basis: GradedBasis, T: np.ndarray, V: np.ndarray):
 
 def _dense_in_range(P: PolyMatrix):
     """(basis, T, e): T the dense coefficients of P / 2^e, whose nonzero masses
-    alpha! c^2 are normal floats: e = 0 if P's are, else the binary exponent of
-    the largest |c|.  FloatRangeError if neither e does, or if a nonzero c is 0
-    or subnormal as a float (a c whose mass is normal is, below degree 170)."""
+    alpha! c^2 are normal floats with a finite sum: e = 0 if P's are, else the
+    binary exponent of the largest |c|.  FloatRangeError if neither e does, or
+    if a nonzero c is 0 or subnormal as a float (a c whose mass is normal is,
+    below degree 170)."""
     basis, T = to_dense(P)
     keep, S, e = T != 0, T, 0
     if np.count_nonzero(keep) == sum(len(x.terms) for row in P.entries for x in row):
         for rescale in (True, False):
             with np.errstate(over="ignore"):
                 m = (basis.fac * S * S)[keep]
-            if m.size == 0 or TINY <= m.min() and m.max() < math.inf:
+                total = m.sum()
+            if m.size == 0 or TINY <= m.min() and total < math.inf:
                 return basis, S, e
             if not rescale or np.abs(T[keep]).min() < TINY:
                 break
@@ -371,7 +374,7 @@ def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def group_value(P: PolyMatrix, g: GroupElement, sigma) -> float:
     """|det C|^(-sigma) ||rho_g P|| at an arbitrary group element."""
-    return abs(g.det_C()) ** (-float(sigma)) * hs_norm(act_group(P, g))
+    return abs(g.det_C()) ** (-_to_float(sigma, "sigma")) * hs_norm(act_group(P, g))
 
 
 @lru_cache(maxsize=None)
@@ -562,7 +565,7 @@ def git_norm(P: PolyMatrix, sigma, restarts: int = 0, budget: int = 400,
     basis, Tc, e = _dense_in_range(P)
     if not Tc.any():
         return GitEstimate(0.0, "converged", LogWeights.zeros(p, q, d), frames, 0.0, 0)
-    sigma = float(sigma)
+    sigma = _to_float(sigma, "sigma")
     V = _weight_matrix(basis, p, q, sigma)
     U = _traceless_basis(p, q, d)
     parts = lambda w: (w.w_p, w.w_q, w.w_d)
@@ -623,7 +626,7 @@ def criticality_residual(P: PolyMatrix, sigma) -> float:
     """
     if P.exact:
         return _residual(*to_dense(P, object), Fraction(sigma))
-    return _residual(*to_dense(P), float(sigma))
+    return _residual(*to_dense(P), _to_float(sigma, "sigma"))
 
 
 def _diag_rescaled(T: np.ndarray, V: np.ndarray, w: LogWeights) -> np.ndarray:

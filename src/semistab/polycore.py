@@ -44,11 +44,11 @@ class FloatRangeError(ValueError):
     """Exact data that the float layer cannot hold."""
 
 
-def _to_float(c) -> float:
+def _to_float(c, what: str = "a coefficient") -> float:
     try:
         return float(c)
     except OverflowError as exc:
-        raise FloatRangeError("a coefficient is past the float range") from exc
+        raise FloatRangeError(f"{what} is past the float range") from exc
 
 
 def mi_order(alpha) -> int:

@@ -5,10 +5,11 @@ an incidence matrix, omega a volume-one basis, and w a weight (typically a
 product of tile-map group norms).  u(t) is a decomposable p-form, and its
 omega-norm is the length of its Plücker vector (:func:`plucker_evaluator`);
 no Gram matrix squares the condition number of M(t) omega, so a norm is 0
-only where u(t) vanishes.  The C(q, p) maximal minors are enumerated once
-per family.  C(q, p) grows fast; the shapes here are small (m61 has 126
-minors, 48 nonzero, the line family 2), and a shape with thousands should be
-measured against a QR of (M(t) omega)^T per sample before it takes this path.
+only where u(t) vanishes.  The C(q, p) maximal minors come from
+:func:`semistab.blockdecomp.maximal_minors`, once per family.  C(q, p)
+grows fast; the shapes here are small (m61 has 126 minors, 48 nonzero, the
+line family 2), and a shape with thousands should be measured against a QR
+of (M(t) omega)^T per sample before it takes this path.
 
 Both estimators are deterministic.  Plain Monte Carlo draws its points from
 counter-mode Philox streams keyed by the master seed and merges chunk sums
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,9 +33,9 @@ from .blockdecomp import (
     BlockDecomposition,
     Tile,
     _tile_block,
-    group_offsets,
+    maximal_minors,
     reduced_matrix,
-    specialize_s,
+    tile_map,
 )
 from .gitnorm import git_norm, haar_orthogonal
 from .polycore import Poly, PolyMatrix, act_dense, to_dense
@@ -49,6 +50,8 @@ class OmegaBasis:
 
     def __post_init__(self):
         self.columns = np.asarray(self.columns, dtype=float)
+        if not np.isfinite(self.columns).all():
+            raise ValueError("omega has an entry that is not a finite float")
         det = np.linalg.det(self.columns)
         if abs(abs(det) - 1.0) > 1e-8:
             raise ValueError(f"|det omega| = {abs(det)} is not 1")
@@ -74,16 +77,21 @@ class IntegralEstimate:
         }
 
 
+# the log of the largest float: exp(w) is finite for |w| up to it
+MAX_LOG_SCALE = math.log(np.finfo(float).max)
+
+
 def sample_omega(seed: int, scale_max: float, q: int) -> OmegaBasis:
     """Anisotropic volume-one basis O1 exp(diag w) O2.
 
     The orthogonal factors are Haar-ish (QR of a Gaussian with sign fix);
     w is uniform on the traceless part of the cube [-scale_max, scale_max]^q,
     drawn by rejection.  The determinant is renormalized to +-1 at the end
-    to mop up rounding.
+    to mop up rounding.  ValueError unless 0 <= scale_max <= MAX_LOG_SCALE,
+    or when the basis that comes out is not volume one in floats.
     """
-    if scale_max < 0:
-        raise ValueError("scale_max must be nonnegative")
+    if not 0 <= scale_max <= MAX_LOG_SCALE:
+        raise ValueError(f"scale_max must lie in [0, {MAX_LOG_SCALE:.6g}]")
     rng = np.random.default_rng(np.random.Philox(key=seed))
     O1 = haar_orthogonal(rng, q)
     O2 = haar_orthogonal(rng, q)
@@ -92,35 +100,15 @@ def sample_omega(seed: int, scale_max: float, q: int) -> OmegaBasis:
         w -= w.mean()
         if scale_max == 0 or np.abs(w).max() <= scale_max:
             break
-    M = O1 @ np.diag(np.exp(w)) @ O2
-    sign, logdet = np.linalg.slogdet(M)
-    M *= math.exp(-logdet / q)
+    with np.errstate(over="ignore", invalid="ignore"):  # OmegaBasis rejects inf and nan
+        M = O1 @ np.diag(np.exp(w)) @ O2
+        sign, logdet = np.linalg.slogdet(M)
+        if abs(logdet) < MAX_LOG_SCALE:  # else |det| is far from 1, and OmegaBasis says so
+            M *= math.exp(-logdet / q)
     return OmegaBasis(M, w)
 
 
 # -- the Plücker norm ----------------------------------------------------------------
-
-
-def _maximal_minors(M: PolyMatrix) -> dict:
-    """The p x p minors of M, keyed by column subset in combinations order.
-
-    Laplace expansion along each next row, over the minors of the rows
-    above: ring operations only, so the minors are exact for an exact M and
-    float otherwise.  p > q has no maximal minor.
-    """
-    exact, minors = M.exact, {(): Poly.constant(M.d, 1)}
-    for k, row in enumerate(M.entries):
-        below, minors = minors, {}
-        for S in itertools.combinations(range(M.q), k + 1):
-            out = {}
-            for i, j in enumerate(S):
-                sign = -1 if (k - i) % 2 else 1
-                for a, ca in row[j].terms.items():
-                    for b, cb in below[S[:i] + S[i + 1:]].terms.items():
-                        ab = tuple(x + y for x, y in zip(a, b))
-                        out[ab] = out.get(ab, 0) + sign * ca * cb
-            minors[S] = Poly(M.d, out, exact=exact)
-    return minors
 
 
 @lru_cache(maxsize=16)
@@ -132,7 +120,7 @@ def _minor_table(key):
     FloatRangeError."""
     d, rows = key
     M = PolyMatrix([[Poly(d, dict(terms)) for terms in row] for row in rows])
-    minors = {S: m for S, m in _maximal_minors(M).items() if not m.is_zero()}
+    minors = {S: m for S, m in maximal_minors(M).items() if not m.is_zero()}
     if not minors:
         return None
     basis, T = to_dense(PolyMatrix([list(minors.values())]))
@@ -431,55 +419,36 @@ def probe_nondegeneracy(M, decomp: BlockDecomposition, t0, sigma, w_value,
         RHS(Mx) = (sum over blocks, |alpha| = D_ij of
                    |u_row . (Mx d)^alpha v_col|^2 / alpha!)^(1/2)
 
-    through exact differentiation of the reduced matrix and reports
+    as the alpha!-weighted norm of the group action of Mx on the tile map
+    (:func:`semistab.blockdecomp.tile_map`) at t0, and reports
     RHS / (|det Mx|^sigma w_value^sigma) per sample plus the minimum.
 
-    ``tile`` restricts the block sum (used to exhibit instability of a
-    degenerate subtile) and ``degree_override`` replaces the blocks' formal
-    degrees (lowering degrees yields a coarser but still valid
-    decomposition, which is how a homogeneous subtile is probed on its own).
+    ``tile`` (the full tile by default) restricts the block sum (used to
+    exhibit instability of a degenerate subtile) and ``degree_override``
+    replaces every block's formal degree (lowering degrees yields a coarser
+    but still valid decomposition, which is how a homogeneous subtile is
+    probed on its own).
     A destabilizer contributes samples (exp(k w_d); row/column rescalings
     exp(k w_p), exp(k w_q) applied to the adapted factorization, indexed
     within the tile) for k = 1 .. flow_steps.
     """
     d = M.d
-    if len(t0) != d:
-        raise ValueError("diagonal point has wrong dimension")
-    sigma = float(sigma)
-    R = reduced_matrix(M, decomp)
-    basis, T = to_dense(PolyMatrix(
-        [[specialize_s(R.entries[r][c], t0) for c in range(R.q)]
-         for r in range(R.p)]))
-    ri, ci = group_offsets(decomp.row_groups), group_offsets(decomp.col_groups)
+    sigma, w_value = float(sigma), float(w_value)
     if tile is None:
-        irange = range(len(decomp.row_groups))
-        jrange = range(len(decomp.col_groups))
-    else:
-        irange = range(tile.I[0], tile.I[1] + 1)
-        jrange = range(tile.J[0], tile.J[1] + 1)
-    row_lo = ri[irange.start]
-    col_lo = ci[jrange.start]
-    # alpha! on the degree-D monomials of every block in the sum, 0 elsewhere
-    degree = basis.exps.sum(axis=1)
-    mass = np.zeros(T.shape)
-    for i in irange:
-        for j in jrange:
-            if (i, j) in decomp.zero_blocks:
-                continue
-            on = degree == (decomp.D[i][j] if degree_override is None
-                            else degree_override)
-            mass[ri[i]:ri[i + 1], ci[j]:ci[j + 1], on] = basis.fac[on]
+        tile = Tile((0, len(decomp.row_groups) - 1), (0, len(decomp.col_groups) - 1))
+    if degree_override is not None:
+        decomp = replace(decomp, D=[[degree_override] * len(row) for row in decomp.D])
+    # the variable change keeps degrees, so the block sum is over every monomial
+    basis, T = to_dense(tile_map(M, decomp, tile, t0))
+    p, q = T.shape[:2]
     samples = []
-    w_value = float(w_value)
 
-    def record(desc, Mx, row_scale=None, col_scale=None):
+    def record(desc, Mx, row_scale=(), col_scale=()):
         det = abs(float(np.linalg.det(np.asarray(Mx, dtype=float))))
-        rs, cs = np.ones(R.p), np.ones(R.q)
-        if row_scale is not None:
-            rs[row_lo:row_lo + len(row_scale)] = row_scale
-            cs[col_lo:col_lo + len(col_scale)] = col_scale
-        X = act_dense(basis, T, np.eye(R.p), np.eye(R.q), Mx) * np.outer(rs, cs)[:, :, None]
-        val = math.sqrt(float((mass * X ** 2).sum()))
+        rs, cs = np.ones(p), np.ones(q)
+        rs[:len(row_scale)], cs[:len(col_scale)] = row_scale, col_scale
+        X = act_dense(basis, T, np.eye(p), np.eye(q), Mx) * np.outer(rs, cs)[:, :, None]
+        val = math.sqrt(float((basis.fac * X ** 2).sum()))
         denom = det ** sigma * w_value ** sigma
         ratio = math.inf if denom == 0 else val / denom
         samples.append({"sample": desc, "rhs": val, "det": det, "ratio": ratio})

@@ -11,6 +11,7 @@ must exit 0, 1 or 2 without a traceback, and an exit 1 must be one error
 line.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -507,3 +508,101 @@ def test_number_fields_take_ints_floats_and_rationals(tmp_path):
     for sigma in (0.5, 1):  # numbers, at which the plan is infeasible
         got = run_report(tmp_path, ["plan", "--input"], dict(plan, sigma=sigma))
         assert got == (2, {"plan": None})
+
+
+# -- numeric flags ----------------------------------------------------------------------
+
+# each verb on the fixture of its README example; a flag given again wins
+FLAG_BASES = {
+    "hsnorm": ["--input", "t2.json"],
+    "gitnorm": ["--input", "t2.json", "--sigma", "1"],
+    "semistable": ["--input", None],
+    "destabilize": ["--input", "p63_degree1.json", "--sigma", "0", "--sigma-uniform"],
+    "polytope": ["--input", "t2.json", "--sigma", "1"],
+    "blockdecomp": ["--verify", "intro.json"],
+    "tiles": ["--input", "m61_decomp.json"],
+    "plan": ["--input", "plan61.json"],
+    "sublevel": ["--input", "sublevel_line.json", "--samples", "50"],
+    "radon": ["--exponents", "--n", "3", "--n1", "3", "--k", "2"],
+}
+FLAG_VALUES = ["-1", "0", "nan", "inf", str(10 ** 400), str(2 ** 128)]
+
+
+def numeric_flags():
+    """(verb, flag) for every option of every verb that takes a number."""
+    from semistab.cli import build_parser, parse_rational
+
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    return [(verb, action.option_strings[0]) for verb, parser in verbs.items()
+            for action in parser._actions if action.type in (int, float, parse_rational)]
+
+
+def test_every_verb_has_a_flag_base():
+    assert sorted({verb for verb, _ in numeric_flags()}) == sorted(FLAG_BASES)
+
+
+@pytest.mark.parametrize("value", FLAG_VALUES, ids=["-1", "0", "nan", "inf", "1e400", "2^128"])
+@pytest.mark.parametrize("verb, flag", numeric_flags())
+def test_numeric_flag_never_ends_in_a_traceback(tmp_path, verb, flag, value):
+    # argparse's own errors once printed a usage block above the error line
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps(BASES[0]))
+    base = [str(tensor) if a is None else os.path.join(FIXTURES, a) if a.endswith(".json")
+            else a for a in FLAG_BASES[verb]]
+    code, err = run_main([verb, *base, flag, value])
+    assert code in (0, 1, 2)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+SUBLEVEL_LINE = ["sublevel", "--input", os.path.join(FIXTURES, "sublevel_line.json"),
+                 "--samples", "10"]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--scale-max", "-1"], "--scale-max"), (["--scale-max", "nan"], "--scale-max"),
+    (["--scale-max", "inf"], "--scale-max"), (["--scale-max", "1e308"], "--scale-max"),
+    (["--scale-max", "800"], "--scale-max"), (["--seed", "-1"], "--seed"),
+    (["--seed", str(2 ** 128 - 1), "--omegas", "2"], "--seed"),
+    (["--seed", str(2 ** 128)], "--seed"), (["--omegas", str(2 ** 128)], "--omegas")])
+def test_sublevel_flag_out_of_range_is_an_input_error(flags, named):
+    # each but the last once ended in a traceback: ValueError or
+    # OverflowError from sample_omega ("|det omega| ... is not 1" at 800, an
+    # overflowing uniform draw at nan and inf) and the Philox key past
+    # 2**128; --omegas 2**128 ran without end
+    code, err = run_main(SUBLEVEL_LINE + flags)
+    assert_one_error_line(code, err)
+    assert named in err
+
+
+@pytest.mark.parametrize("flags", [["--n", "3", "--n1", "3"], ["--n", "3", "--k", "1"],
+                                   [], ["--n", "3", "--n1", "3", "--k", "5"],
+                                   ["--n", "3", "--n1", "3", "--k", "0"]])
+def test_radon_exponents_outside_the_model_is_an_input_error(flags):
+    # a missing --n1 or --k once raised TypeError, and k outside
+    # 0 < k < min(n, n1) ValueError, both with a traceback
+    assert_one_error_line(*run_main(["radon", "--exponents", *flags]))
+
+
+def test_gitnorm_sigma_past_the_float_range_is_an_input_error():
+    # float(sigma) once raised OverflowError in git_norm
+    argv = ["gitnorm", "--input", os.path.join(FIXTURES, "t2.json"), "--sigma"]
+    for sigma in (str(10 ** 400), "1e400", f"-{10 ** 400}/3"):
+        code, err = run_main(argv + [sigma])
+        assert_one_error_line(code, err)
+        assert "sigma" in err
+
+
+def test_gitnorm_masses_whose_sum_overflows_converge_quietly(tmp_path):
+    # t2 with both coefficients 9 * 10^153 has normal masses whose sum is
+    # not; the search once warned "overflow encountered in reduce"
+    problem = load_fixture("t2.json")
+    for row in problem["entries"]:
+        row[0][0]["num"] = 9 * 10 ** 153
+    path, out = tmp_path / "t2big.json", tmp_path / "r.json"
+    path.write_text(json.dumps(problem))
+    assert run_main(["gitnorm", "--sigma", "1", "--input", str(path),
+                     "--out", str(out)]) == (0, "")
+    report = json.loads(out.read_text())
+    assert report["status"] == "converged"
+    assert report["value"] / (9 * 10 ** 153) == pytest.approx(2.0, rel=1e-9)

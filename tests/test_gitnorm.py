@@ -520,6 +520,25 @@ def test_masses_no_power_of_two_brings_into_range_raise(search, k, exact):
         search(scale_form(k, exact), 1)
 
 
+def test_masses_whose_sum_overflows_are_rescaled():
+    # t2 with both coefficients 9 * 10^153: each mass 2c^2 is a normal float
+    # but their sum is not, and the inner solve once raised "overflow
+    # encountered in reduce"; the form divided by 2^e has the value at c = 1
+    c = 9 * 10 ** 153
+    big = PolyMatrix([[e.scale(c) for e in row] for row in fx.two_squares().entries])
+    est, ref_est = git_norm(big, 1), git_norm(fx.two_squares(), 1)
+    assert (est.status, ref_est.status) == ("converged", "converged")
+    assert est.value / c == ref_est.value
+
+
+def test_sigma_past_the_float_range_raises():
+    # float(10^400) once raised OverflowError from git_norm and the weights
+    with pytest.raises(FloatRangeError, match="sigma"):
+        git_norm(fx.two_squares(), F(10 ** 400))
+    with pytest.raises(FloatRangeError, match="sigma"):
+        minimize_diagonal(fx.two_squares(), F(10 ** 400))
+
+
 def float_form_523(seed):
     """A seeded z-linear float (5,2,3) form: unstable at sigma = 1/3."""
     T = np.random.default_rng(seed).standard_normal((5, 2, 3))
