@@ -325,7 +325,11 @@ class GradedBasis:
     column of alpha is the column of its parent alpha - e_k (k the first
     variable of alpha) times the linear form (C^T z)_k, and ``mul[l]`` maps
     each monomial of the degree below to its product with z_l.  The same
-    parents build the table of monomials at points (:meth:`monomials`).
+    parents build the table of monomials at points (:meth:`monomials`)
+    through ``runs``: in grlex order the monomials of one degree whose first
+    variable is k are consecutive, and so are their parents (those of the
+    degree below with no earlier variable), so each such run is one slice of
+    rows times z_k.
     """
 
     def __init__(self, d: int, D: int):
@@ -339,7 +343,7 @@ class GradedBasis:
                             dtype=int if D <= 20 else float)
         # degree n occupies alphas[start[n]:start[n + 1]]
         start = [sum(1 for a in self.alphas if sum(a) < n) for n in range(D + 2)]
-        self.plan = []
+        self.plan, self.runs = [], []
         for n in range(1, D + 1):
             cols = self.alphas[start[n]:start[n + 1]]
             ks = [next(k for k, e in enumerate(a) if e) for a in cols]
@@ -350,6 +354,10 @@ class GradedBasis:
             self.plan.append((start[n - 1], start[n], start[n + 1],
                               np.array(parents, dtype=int), np.array(ks, dtype=int),
                               mul))
+            for k, run in itertools.groupby(range(len(cols)), key=ks.__getitem__):
+                run = list(run)
+                self.runs.append((slice(start[n] + run[0], start[n] + run[-1] + 1),
+                                  slice(parents[run[0]], parents[run[0]] + len(run)), k))
 
     def sym_power(self, C: np.ndarray) -> np.ndarray:
         """S with S[beta, alpha] the coefficient of z^beta in (C^T z)^alpha."""
@@ -362,15 +370,16 @@ class GradedBasis:
                 S[mul[l], mid:hi] += prev * C[l, ks]
         return S
 
-    def monomials(self, pts) -> np.ndarray:
+    def monomials(self, pts, out=None) -> np.ndarray:
         """Z of shape (n_mon, n), Z[m] = pts^alpha_m for points (n, d): one
         row per monomial, so each product is contiguous; row alpha is its
-        parent's row times pts[:, k]."""
+        parent's row times pts[:, k], a run of rows at a time.  Written into
+        ``out``, a float array of that shape, when given."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        Z = np.empty((len(self.alphas), len(pts)))
+        Z = np.empty((len(self.alphas), len(pts))) if out is None else out
         Z[0] = 1.0
-        for _, lo, hi, parents, ks, _ in self.plan:
-            Z[lo:hi] = Z[parents] * pts.T[ks]
+        for rows, parents, k in self.runs:
+            np.multiply(Z[parents], pts[:, k], out=Z[rows])
         return Z
 
 

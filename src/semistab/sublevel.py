@@ -6,10 +6,13 @@ product of tile-map group norms).  u(t) is a decomposable p-form, and its
 omega-norm is the length of its Plücker vector (:func:`plucker_evaluator`);
 no Gram matrix squares the condition number of M(t) omega, so a norm is 0
 only where u(t) vanishes.  The C(q, p) maximal minors come from
-:func:`semistab.blockdecomp.maximal_minors`, once per family.  C(q, p)
-grows fast; the shapes here are small (m61 has 126 minors, 48 nonzero, the
-line family 2), and a shape with thousands should be measured against a QR
-of (M(t) omega)^T per sample before it takes this path.
+:func:`semistab.blockdecomp.maximal_minors`, once per family; per basis the
+rows of Lambda^p(omega) that they meet come from a Laplace expansion whose
+index arrays are cached per row sets, and the evaluator writes each block's
+monomial table and GEMM into one buffer it owns.  C(q, p) grows fast; the
+shapes here are small (m61 has 126 minors, 48 nonzero, the line family 2),
+and a shape with thousands should be measured against a QR of
+(M(t) omega)^T per sample before it takes this path.
 
 Both estimators are deterministic.  Plain Monte Carlo draws its points from
 counter-mode Philox streams keyed by the master seed and merges chunk sums
@@ -115,9 +118,9 @@ def sample_omega(seed: int, scale_max: float, q: int) -> OmegaBasis:
 def _minor_table(key):
     """(basis, nonzero, C, e) for the row family with terms ``key``, or None
     when it has no nonzero maximal minor.  The minor over the column subset
-    ``nonzero[k]`` is sum_alpha C[alpha, k] 2^e z^alpha over ``basis``, with
-    max |C| in [1/2, 1); a coefficient past the float range raises
-    FloatRangeError."""
+    ``nonzero[k]`` (a tuple of p-tuples) is sum_alpha C[alpha, k] 2^e z^alpha
+    over ``basis``, with max |C| in [1/2, 1); a coefficient past the float
+    range raises FloatRangeError."""
     d, rows = key
     M = PolyMatrix([[Poly(d, dict(terms)) for terms in row] for row in rows])
     minors = {S: m for S, m in maximal_minors(M).items() if not m.is_zero()}
@@ -126,7 +129,46 @@ def _minor_table(key):
     basis, T = to_dense(PolyMatrix([list(minors.values())]))
     C = T[0].T
     e = math.frexp(np.abs(C).max())[1]
-    return basis, np.array(list(minors)), np.ldexp(C, -e), e
+    return basis, tuple(minors), np.ldexp(C, -e), e
+
+
+@lru_cache(maxsize=16)
+def _laplace_plan(q: int, rowsets: tuple) -> list:
+    """Index arrays that build the rows ``rowsets`` (p-subsets of range(q))
+    of Lambda^p(omega), the p x p minors of a q x q omega, by Laplace
+    expansion along the rows: one (rows, T, subs, drop, sign) per level
+    k = 1 .. p.
+
+    Level k holds the k x k minors of omega over the length-k suffixes u of
+    the row sets (sorted below level p; at level p the row sets themselves,
+    in their order) and over every k-subset T of columns in combinations
+    order, as an (n_u, C(q, k)) array.  Its minor (u, T) is
+    sum_i sign[i] omega[u_0, T_i] minor(u[1:], T - T_i): ``rows`` holds
+    each u_0 and ``subs`` the row of u[1:] in the level below, ``drop`` the
+    column there of each T - T_i; the index arrays broadcast to
+    (n_u, C(q, k), k).
+    """
+    p = len(rowsets[0])
+    suffixes, levels = [()], []
+    for k in range(1, p + 1):
+        below = {u: m for m, u in enumerate(suffixes)}
+        suffixes = list(rowsets) if k == p else sorted({S[p - k:] for S in rowsets})
+        T = list(itertools.combinations(range(q), k))
+        pos = {t: c for c, t in enumerate(itertools.combinations(range(q), k - 1))}
+        rows = np.array([u[0] for u in suffixes])[:, None, None]
+        subs = np.array([below[u[1:]] for u in suffixes])[:, None, None]
+        drop = np.array([[pos[t[:i] + t[i + 1:]] for i in range(k)] for t in T])
+        levels.append((rows, np.array(T), subs, drop, (-1.0) ** np.arange(k)))
+    return levels
+
+
+def _compound(cols: np.ndarray, plan: list) -> np.ndarray:
+    """The rows of Lambda^p(cols) that ``plan`` (:func:`_laplace_plan`)
+    builds: one gathered multiply-sum per level."""
+    minors = np.ones((1, 1))
+    for rows, T, subs, drop, sign in plan:
+        minors = (cols[rows, T] * minors[subs, drop]) @ sign
+    return minors
 
 
 def plucker_evaluator(M: PolyMatrix, omega):
@@ -136,11 +178,14 @@ def plucker_evaluator(M: PolyMatrix, omega):
     vector in the basis omega: the maximal minors of G = M(t) omega, which by
     Cauchy-Binet are m(t) Lambda^p(omega), m(t) being M's maximal minors and
     Lambda^p(omega) the p x p minors of omega.  The minors of M are exact
-    polynomials, built once per family (cached); per basis, W = C
-    Lambda^p(omega) reduces by one QR to its triangular factor R, so a chunk
-    costs one GEMM of R with the table of monomials.  Squares are taken of
-    R / 2^r, max |R / 2^r| < 1.  omega: OmegaBasis or a (q, q) array whose
-    columns are the basis vectors.
+    polynomials, built once per family (cached); per basis, the rows of
+    Lambda^p(omega) where m(t) is not zero come from a Laplace expansion
+    whose index arrays are cached per row sets (:func:`_laplace_plan`), and
+    W = C Lambda^p(omega) reduces by one QR to its triangular factor R.  A
+    call evaluates BLOCK points at a time: the table of monomials and its
+    GEMM with R are written into one buffer the evaluator allocates once.
+    Squares are taken of R / 2^r, max |R / 2^r| < 1.  omega: OmegaBasis or
+    a (q, q) array whose columns are the basis vectors.
     """
     # keyed by M's terms, as a PolyMatrix is not hashable
     table = _minor_table((M.d, tuple(tuple(tuple(sorted(e.terms.items())) for e in row)
@@ -149,16 +194,28 @@ def plucker_evaluator(M: PolyMatrix, omega):
         return lambda pts: np.zeros(len(np.atleast_2d(pts)))
     basis, nonzero, C, e = table
     cols = omega.columns if isinstance(omega, OmegaBasis) else np.asarray(omega, dtype=float)
-    S = np.array(list(itertools.combinations(range(M.q), M.p)))
-    wedge = np.linalg.det(cols[nonzero[:, None, :, None], S[None, :, None, :]])
-    R = np.linalg.qr((C @ wedge).T, mode="r")
+    R = np.linalg.qr((C @ _compound(cols, _laplace_plan(M.q, nonzero))).T, mode="r")
     r = math.frexp(np.abs(R).max())[1]
     R = np.ldexp(R, -r)
+    n_r, n_mon = R.shape
+    # one allocation, not two, for fewer page faults (see BLOCK)
+    buf = np.empty((n_mon + n_r) * BLOCK)
+    Z_buf, Y_buf = buf[:n_mon * BLOCK], buf[n_mon * BLOCK:]
 
+    # the closure must not refer to itself: a reference cycle would keep the
+    # buffer until the garbage collector runs
     def evaluate(pts: np.ndarray) -> np.ndarray:
-        y = R @ basis.monomials(pts)
+        pts = np.atleast_2d(pts)
+        norms = np.empty(len(pts))
+        for i in range(0, len(pts), BLOCK):
+            block = pts[i:i + BLOCK]
+            n = len(block)
+            Z = basis.monomials(block, out=Z_buf[:n_mon * n].reshape(n_mon, n))
+            Y = np.matmul(R, Z, out=Y_buf[:n_r * n].reshape(n_r, n))
+            np.einsum("ij,ij->j", Y, Y, out=norms[i:i + n])
+        np.sqrt(norms, out=norms)
         with np.errstate(over="ignore"):  # a norm past the float range is inf
-            return np.ldexp(np.sqrt(np.einsum("ij,ij->j", y, y)), e + r)
+            return np.ldexp(norms, e + r, out=norms)
 
     return evaluate
 
@@ -171,11 +228,15 @@ def _philox_stream(seed: int, counter: int) -> np.random.Generator:
 # changing it changes the estimates)
 CHUNK = 1 << 14
 
-# points per integrand evaluation; the values do not depend on it.  At
-# CHUNK points one evaluation's temporaries take about 4 MB on m61, which
-# glibc's malloc maps, or trims from its heap, afresh for every chunk: about
-# 1,700 minor page faults per 20k-sample estimate (about 2,100 at blocks of
-# 2,048 or 4,096).  Blocks of this size reuse the same heap and fault none
+# points per integrand evaluation; the values do not depend on it.  A block's
+# monomial table and its GEMM with R go into the one buffer a Plücker
+# evaluator allocates (56 x BLOCK floats, 448 KiB, on m61), so a block
+# allocates only a few vectors of BLOCK floats.  The buffer and each chunk's
+# points (256 KiB) are still made afresh per estimate, and whether glibc's
+# malloc takes them from its heap or maps and faults fresh pages depends on
+# its dynamic mmap and trim thresholds, which rise only when a larger block
+# is freed.  In the benchmark process an m61 estimate faults 0 to about 220
+# pages (about 320 when the table and the GEMM output are two buffers)
 BLOCK = 1 << 10
 
 # Gauss-Legendre orders of the cubature's rule pair, and the relative size

@@ -1,18 +1,23 @@
 """Test-only reference: the Monte-Carlo evaluator and wedge norm as they were
-before the dense monomial table and the Plücker norm.
+before the dense monomial table and the Plücker norm, and the rows of
+Lambda^p(omega) as they were built before the Laplace plan.
 
 ``matrix_evaluator`` sums one term c * z^alpha at a time, each monomial
 built from ``pts[:, k] ** e``; ``wedge_norm_batch`` pairs rows and basis by
 a broadcast batched matmul and takes sqrt(det(G G^T)) of the Gram formed by
-einsum.  The code is kept as it was, apart from this docstring and
-``gram_evaluator``, which composes the two in the shape of
-``semistab.sublevel.plucker_evaluator``.  The oracle tests compare
+einsum.  ``det_compound`` gathers every p x p block of omega by broadcast
+indexing and takes LAPACK's ``det`` of each.  The code is kept as it was,
+apart from this docstring, ``det_compound``'s signature (it read q and p
+from M) and ``gram_evaluator``, which composes the first two in the shape
+of ``semistab.sublevel.plucker_evaluator``.  The oracle tests compare
 ``semistab.sublevel`` with it: rows built from the monomial table, the
-wedge norms and whole estimates (with ``gram_evaluator`` patched into the
-estimator).
+wedge norms, the rows of Lambda^p(omega) and whole estimates (with
+``gram_evaluator`` patched into the estimator).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -56,3 +61,11 @@ def gram_evaluator(M: PolyMatrix, omega):
     """callable mapping points (n, d) to the Gram-path wedge norms of M's rows."""
     rows_of = matrix_evaluator(M)
     return lambda pts: wedge_norm_batch(rows_of(pts), omega)
+
+
+def det_compound(q: int, p: int, cols, nonzero) -> np.ndarray:
+    """The rows ``nonzero`` (an (n, p) array of row sets) of the p x p minors
+    of the (q, q) array ``cols``, columns in combinations order."""
+    S = np.array(list(itertools.combinations(range(q), p)))
+    wedge = np.linalg.det(cols[nonzero[:, None, :, None], S[None, :, None, :]])
+    return wedge

@@ -126,3 +126,32 @@ def test_estimates_match_reference_line_oracle(monkeypatch):
         assert new.samples == old.samples
         assert new.value == pytest.approx(old.value, rel=1e-6)
         assert abs(new.value - math.pi) <= 0.10 * math.pi
+
+
+def _row_sets(M):
+    """The column subsets of M's nonzero maximal minors, in the minor table's order."""
+    key = (M.d, tuple(tuple(tuple(sorted(e.terms.items())) for e in row) for row in M.entries))
+    return sublevel._minor_table(key)[1]
+
+
+@pytest.mark.parametrize("q,rowsets,scale_maxes", [
+    # the line family's two row sets, in the order of its minors and reversed
+    (2, ((0,), (1,)), (0.0, 8.0)),
+    (2, ((1,), (0,)), (0.0, 8.0)),
+    (9, _row_sets(fx.example61_matrix()), (0.0, 2.0, 8.0)),
+    (5, ((0, 1, 2, 3, 4),), (0.0, 8.0)),
+    # no two row sets share a suffix, so no level reuses a minor
+    (6, ((2, 3, 5), (0, 1, 4), (1, 2, 3)), (0.0, 8.0)),
+], ids=["line", "line-reversed", "m61", "p=q", "no-shared-suffix"])
+def test_laplace_rows_match_det_of_each_block(q, rowsets, scale_maxes):
+    plan = sublevel._laplace_plan(q, rowsets)
+    nonzero = np.array(rowsets)
+    for scale_max in scale_maxes:
+        for k in range(20):
+            cols = sample_omega(880_000 + k, scale_max, q).columns
+            got = sublevel._compound(cols, plan)
+            want = ref.det_compound(q, nonzero.shape[1], cols, nonzero)
+            assert got.shape == want.shape
+            # Hadamard: each minor is at most the product of its rows' norms
+            bound = np.prod(np.linalg.norm(cols, axis=1)[nonzero], axis=1)
+            assert np.all(np.abs(got - want) <= 1e-15 * bound[:, None])

@@ -17,6 +17,7 @@ from semistab.polycore import (
     mi_factorial,
     fraction_from_json,
     fraction_to_json,
+    graded_basis,
     number_from_json,
     partial_derivative,
     polymatrix_from_json,
@@ -317,3 +318,17 @@ def test_singular_variable_change_is_scale_free():
     for C in singular:
         with pytest.raises(ValueError, match="singular"):
             GroupElement(eye(1), eye(1), C, volume_preserving=False)
+
+
+def test_monomials_are_the_powers_and_fill_out():
+    rng = np.random.default_rng(4)
+    for d in range(1, 5):
+        for D in range(6):
+            basis = graded_basis(d, D)
+            pts = rng.uniform(-2, 2, size=(33, d))
+            Z = basis.monomials(pts)
+            want = np.prod(pts[None] ** basis.exps[:, None], axis=2)
+            assert np.allclose(Z, want, rtol=1e-13, atol=0)
+            out = np.full_like(Z, np.nan)
+            assert basis.monomials(pts, out=out) is out
+            assert np.array_equal(out, Z)

@@ -1,9 +1,12 @@
+import gc
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -221,6 +224,47 @@ def test_plucker_norm_exact_where_the_gram_path_flags():
     est = estimate_integral(M, cap["weight_constant"], tau, box, omega, seed=seed,
                             n_samples=n)
     assert est.flagged == 0
+
+
+def _m61_evaluator():
+    return plucker_evaluator(fx.example61_matrix(), sample_omega(880_100, 8.0, 9))
+
+
+def test_evaluator_blocks_and_buffers_do_not_change_the_norms():
+    # one call over several blocks, blockwise calls of fresh evaluators, and
+    # a short call after a long one (stale buffer columns) agree bit for bit
+    pts = np.random.default_rng(5).uniform(-50, 50, size=(2 * sublevel.BLOCK + 17, 2))
+    evaluate = _m61_evaluator()
+    whole = evaluate(pts)
+    parts = [_m61_evaluator()(pts[i:i + sublevel.BLOCK])
+             for i in range(0, len(pts), sublevel.BLOCK)]
+    assert np.array_equal(whole, np.concatenate(parts))
+    assert np.array_equal(evaluate(pts[:5]), whole[:5])
+
+
+def test_evaluating_a_block_allocates_less_than_its_monomial_table():
+    # the monomial table and the GEMM output live in the evaluator's buffer
+    # (28 x 1,024 floats each on m61, 224 KiB)
+    evaluate = _m61_evaluator()
+    pts = np.random.default_rng(6).uniform(-50, 50, size=(sublevel.BLOCK, 2))
+    evaluate(pts)
+    tracemalloc.start()
+    try:
+        evaluate(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
+def test_a_dropped_evaluator_is_freed_without_the_collector():
+    # a closure in a reference cycle would keep its buffer until gc runs
+    gc.disable()
+    try:
+        alive = weakref.ref(_m61_evaluator())
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_build_sublevel_cap_check():
