@@ -290,7 +290,6 @@ class BlockDecomposition:
             D=[list(r) for r in obj["D"]],
             A=polymatrix_from_json(obj["A"]),
             B=polymatrix_from_json(obj["B"]),
-            zero_blocks={tuple(b) for b in obj.get("zero_blocks", [])},
         )
         sizes = dec.row_groups + dec.col_groups
         if not all(is_int(g) and g > 0 for g in sizes):
@@ -305,6 +304,13 @@ class BlockDecomposition:
                              f"{dec.q} x {dec.q}, the sizes of the groups")
         if dec.A.d != dec.B.d:
             raise ValueError(f"A is in {dec.A.d} variables and B in {dec.B.d}")
+        zero = obj.get("zero_blocks", [])
+        if not (isinstance(zero, list) and all(
+                isinstance(b, list) and len(b) == 2 and all(map(is_int, b))
+                and 0 <= b[0] < nI and 0 <= b[1] < nJ for b in zero)):
+            raise ValueError(f"zero_blocks must be [i, j] block indices, "
+                             f"0 <= i < {nI} and 0 <= j < {nJ}")
+        dec.zero_blocks = {tuple(b) for b in zero}
         return dec
 
 
@@ -697,8 +703,8 @@ def verify_block_decomposition(M, decomp: BlockDecomposition) -> VerifyReport:
 
     Verifies det A == det B == 1, blockwise diagonal vanishing to the
     declared formal degrees (every z-monomial of total degree < D_ij must be
-    absent), and separate monotonicity of D.  All violations are listed,
-    none raise.
+    absent, and every term of a declared zero block), and separate
+    monotonicity of D.  All violations are listed, none raise.
     """
     d = M.d
     det_ok = unimodular(d, decomp.A, decomp.B)
@@ -707,7 +713,7 @@ def verify_block_decomposition(M, decomp: BlockDecomposition) -> VerifyReport:
     ri, ci = group_offsets(decomp.row_groups), group_offsets(decomp.col_groups)
     for i in range(len(decomp.row_groups)):
         for j in range(len(decomp.col_groups)):
-            need = decomp.D[i][j]
+            need = decomp.degree(i, j)
             for r in range(ri[i], ri[i + 1]):
                 for c in range(ci[j], ci[j + 1]):
                     e = R.entries[r][c]

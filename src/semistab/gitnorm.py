@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lp import CertificateError, feasible_point, solve_eq_lp
+from .lp import CertificateError, feasible_point, integer_scale, solve_eq_lp
 from .polycore import (
     FloatRangeError,
     GradedBasis,
@@ -135,8 +135,7 @@ class Destabilizer:
         of E, compared exactly over one common positive denominator."""
         sigma = Fraction(sigma)
         w = [Fraction(v) for v in self.flat()] + [Fraction(self.margin)]
-        L = math.lcm(*(v.denominator for v in w))
-        W = [v.numerator * (L // v.denominator) for v in w]
+        W, _ = integer_scale(w)
         p, q = len(self.w_p), len(self.w_q)
         Wd = W[p + q:-1]
         # L sd w.(e^i; e^j; alpha - sigma 1_d) for sigma = sn / sd

@@ -1,5 +1,6 @@
 """Exact linear algebra: a fraction-free integer simplex with Bland's rule,
-and one sparse elimination kernel for rank, solve, nullspace, inverse and det.
+and Gauss-Jordan elimination on the same pivot for rank, solve, nullspace,
+inverse and det.
 
 Problems are solved in equality standard form
 
@@ -22,22 +23,29 @@ entries (the right-hand side under the key ``RHS``) over its own denominator
 d[i] > 0: its rational value is T_i / d[i].  D > 0 is the absolute
 determinant of the current basis in the integer start tableau
 [S A | I | S b], whose identity basis has D = 1, and T_i D / d[i] is row i of
-the dense Edmonds-Bareiss tableau over D, so every entry of it is a minor of
-the start tableau and an integer.  The reduced-cost rows are rows like any
-other.  A pivot on p = T[r][c] first brings row r, and each row with a
-nonzero in column c, to D by the rescale T_i D / d[i]; then every such row
-i != r becomes (p T_i - T_ic T_r) / D over p, row r stays over p, and D
-becomes p.  When p < 0 (a degenerate artificial pivoted out after phase I)
-the rewritten rows are negated and sit over -p.  Every other row keeps its
-integers and its d[i], since its rational value does not change; it is
-brought to D only when it is next rewritten, read for x, used for the
-Farkas vector or used in a cost row.  Bland's rule and the ratio test read
-stale rows as they are: a sign, a zero or a ratio within one row does not
-depend on its scale.  Each division, in a pivot or a rescale, is exact; it
-is checked anyway through the row sums, since floor division would round an
-inexact one silently.  In the destabilizer LPs most rows have a zero in
-the entering column of a pivot (about 70% on (5,2,3) forms), so most rows
-are left alone by it.
+the dense Edmonds-Bareiss tableau over D (Bareiss, Math. Comp. 22, 1968), so
+every entry of it is a minor of the start tableau and an integer.  The
+reduced-cost rows are rows like any other.  A pivot on p = T[r][c] first
+brings row r, and each row with a nonzero in column c, to D by the rescale
+T_i D / d[i]; then every such row i != r becomes (p T_i - T_ic T_r) / D over
+p, row r stays over p, and D becomes p.  When p < 0 (a degenerate artificial
+pivoted out after phase I) the rewritten rows are negated and sit over -p.
+Every other row keeps its integers and its d[i], since its rational value
+does not change; it is brought to D only when it is next rewritten, read for
+x, used for the Farkas vector or used in a cost row.  Bland's rule and the
+ratio test read stale rows as they are: a sign, a zero or a ratio within one
+row does not depend on its scale.  Each division, in a pivot or a rescale,
+is exact; it is checked anyway through the row sums, since floor division
+would round an inexact one silently.  In the destabilizer LPs most rows have
+a zero in the entering column of a pivot (about 70% on (5,2,3) forms), so
+most rows are left alone by it.  ``_gauss_jordan`` pivots the same way on
+the rows scaled to integers, with no identity: columns in increasing order,
+in column c on the first row at or below the next pivot position with a
+nonzero there.  A pivot row ends as d[i] times its row of the reduced row
+echelon form, which with its pivot columns is unique for a given row space,
+so the results are exactly those of dense Gauss-Jordan over Fractions.  A
+row swap and a negative pivot each flip the sign of the determinant, which
+is then +-D over the product of the row scales.
 
 Why the scales.  Row i, signed so that b_i >= 0, is scaled to integers by its
 own s_i > 0 (the lcm of its denominators), and its artificial keeps a unit
@@ -54,18 +62,6 @@ scale with artificial columns L e_k makes the divisions inexact, and unit
 artificial costs with per-row scales change the pivot path.  Callers may
 pass ints where their data are integers; ints and Fractions of equal value
 give the same scales and the same results.
-
-The elimination kernel.  ``_gauss_jordan`` keeps each row as {column: int},
-its nonzero entries only, scaled to integers and divided by their gcd.  The
-pivot in column c (columns in increasing order) is the first row at or below
-the next pivot position with a nonzero there.  A row with entry f is updated
-against pivot p only on the pivot row's entries, as (p/g) row - (f/g) pivot
-row with g = gcd(p, f), and divided by its gcd again.  Each kernel row is a
-rational multiple of a row of the reduced row echelon form, which with its
-pivot columns is unique for a given row space, so the results are exactly
-those of dense Gauss-Jordan over Fractions.  The jet systems of
-``blockdecomp`` are integer and a few percent dense: skipping zeros is the
-main saving, and integers beat Fractions by a further 1.3x there.
 """
 
 from __future__ import annotations
@@ -90,6 +86,13 @@ class LPResult:
 def _rational(v):
     """``v`` as an int or a Fraction (both carry numerator and denominator)."""
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def integer_scale(vals):
+    """(ints, L): the sequence of rationals ``vals`` (ints or Fractions)
+    times L, the lcm of their denominators, as ints; L = 1 when empty."""
+    L = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (L // v.denominator) for v in vals], L
 
 
 RHS = -1  # key of the right-hand side in a tableau row
@@ -178,8 +181,7 @@ def _cost_row(T, d, cost, basis_cost, D):
 
 def _objective_row(T, d, c, basis, D):
     """Reduced-cost row of the rational cost ``c``, scaled to integers."""
-    K = math.lcm(*(v.denominator for v in c))
-    cost = [v.numerator * (K // v.denominator) for v in c]
+    cost, _ = integer_scale(c)
     return _cost_row(T, d, {j: v for j, v in enumerate(cost) if v},
                      [cost[k] if k < len(c) else 0 for k in basis], D)
 
@@ -227,11 +229,10 @@ def solve_eq_lp(A, b, c, maximize: bool = False, c2=None) -> LPResult:
     sign = [-1 if v < 0 else 1 for v in b0]
     s, rows = [], []
     for i in range(m):
-        si = math.lcm(*(v.denominator for v in A0[i]), b0[i].denominator)
-        row = {j: sign[i] * v.numerator * (si // v.denominator)
-               for j, v in enumerate(A0[i]) if v}
-        if b0[i]:
-            row[RHS] = abs(b0[i].numerator) * (si // b0[i].denominator)
+        ints, si = integer_scale([*A0[i], b0[i]])
+        row = {j: sign[i] * v for j, v in enumerate(ints[:n]) if v}
+        if ints[n]:
+            row[RHS] = sign[i] * ints[n]
         rows.append(row)
         s.append(si)
 
@@ -284,59 +285,36 @@ def feasible_point(A, b) -> LPResult:
 
 
 def _gauss_jordan(rows):
-    """Fraction-free Gauss-Jordan on rows given as sequences or
+    """Gauss-Jordan by Edmonds-Bareiss pivots on rows given as sequences or
     ``{column: value}`` mappings of rationals.
 
     Returns (rows, pivot columns, (num, den)): one integer row per pivot, a
-    rational multiple of that row of the reduced form, and (num, den) with
-    det = den / num * (product of the pivots) for square full-rank input.
+    positive multiple of that row of the reduced form, and det = num / den
+    for square full-rank input.
     """
-    a, num, den = [], 1, 1
+    T, den = [], 1
     for row in rows:
         vals = {j: v for j, v in (row.items() if isinstance(row, dict)
                                   else enumerate(row)) if v}
-        s = math.lcm(*(v.denominator for v in vals.values()))
-        ints = {j: v.numerator * (s // v.denominator) for j, v in vals.items()}
-        g = math.gcd(*ints.values()) or 1
-        a.append({j: v // g for j, v in ints.items()})
-        num, den = num * s, den * g
-    m = len(a)
-    pivots = []
-    for c in sorted({j for row in a for j in row}):
-        r = len(pivots)
+        ints, s = integer_scale(vals.values())
+        T.append(dict(zip(vals, ints)))
+        den *= s
+    m = len(T)
+    d, basis, D, sign, r = [1] * m, [0] * m, 1, 1, 0
+    for c in sorted({j for row in T for j in row}):
         if r == m:
             break
-        i = next((i for i in range(r, m) if c in a[i]), None)
+        i = next((i for i in range(r, m) if c in T[i]), None)
         if i is None:
             continue
         if i != r:
-            a[r], a[i] = a[i], a[r]
-            num = -num
-        prow = a[r]
-        p = prow[c]
-        for i, row in enumerate(a):
-            f = row.get(c)
-            if f is None or i == r:
-                continue
-            g = math.gcd(p, f)
-            pg, fg = p // g, f // g
-            if pg != 1:
-                for k in row:
-                    row[k] *= pg
-                num *= pg
-            for k, v in prow.items():
-                x = row.get(k, 0) - fg * v
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-            g = math.gcd(*row.values())
-            if g > 1:
-                for k in row:
-                    row[k] //= g
-                den *= g
-        pivots.append(c)
-    return a[:len(pivots)], pivots, (num, den)
+            T[r], T[i], d[r], d[i] = T[i], T[r], d[i], d[r]
+            sign = -sign
+        if T[r][c] < 0:
+            sign = -sign
+        D = _pivot(T, d, basis, r, c, D)
+        r += 1
+    return T[:r], basis[:r], (sign * D, den)
 
 
 def exact_rref(rows):
@@ -379,21 +357,27 @@ def exact_nullspace(rows, n):
     return basis, pivots
 
 
-def exact_inverse(M):
-    """Inverse of a square rational matrix; ValueError when singular."""
+def echelon_frame(M):
+    """(E, pivot columns): the invertible E with E M the reduced row echelon
+    form of the rational matrix M, read off the reduced form of [M | I]."""
     n = len(M)
+    w = len(M[0]) if n else 0
     a, pivots, _ = _gauss_jordan(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)])
-    if pivots != list(range(n)):
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(M)])
+    return ([[Fraction(row.get(w + j, 0), row[c]) for j in range(n)]
+             for row, c in zip(a, pivots)], [c for c in pivots if c < w])
+
+
+def exact_inverse(M):
+    """Inverse of a square rational matrix, the frame of a full-rank M;
+    ValueError when singular."""
+    E, pivots = echelon_frame(M)
+    if pivots != list(range(len(M))):
         raise ValueError("singular matrix")
-    return [[Fraction(row.get(n + j, 0), row[c]) for j in range(n)]
-            for row, c in zip(a, pivots)]
+    return E
 
 
 def exact_det(M) -> Fraction:
     """Determinant of a square rational matrix."""
-    n = len(M)
-    a, pivots, (num, den) = _gauss_jordan(M)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(den * math.prod(row[c] for row, c in zip(a, pivots)), num)
+    _, pivots, (num, den) = _gauss_jordan(M)
+    return Fraction(num, den) if len(pivots) == len(M) else Fraction(0)

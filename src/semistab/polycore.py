@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lp import exact_det
+from .lp import exact_det, integer_scale
 
 SINGULAR_REL = 1e-12      # float C with sigma_min <= this * sigma_max is singular
 
@@ -435,7 +435,9 @@ def act_dense(basis: GradedBasis, T: np.ndarray, A, B, C) -> np.ndarray:
     den(T) den(A) den(B) den(C)^n."""
     A, B, C = (np.asarray(M, dtype=T.dtype) for M in (A, B, C))
     if T.dtype == object:
-        (T, dT), (A, dA), (B, dB), (C, dC) = map(_over_one_den, (T, A, B, C))
+        (T, dT), (A, dA), (B, dB), (C, dC) = (
+            (np.array(N, dtype=object).reshape(M.shape), L)
+            for M in (T, A, B, C) for N, L in [integer_scale(M.ravel())])
         den = np.array([dT * dA * dB * dC ** sum(a) for a in basis.alphas], dtype=object)
         return np.frompyfunc(Fraction, 2, 1)(_mix(T, A, B, basis.sym_power(C)), den)
     p, q, n = T.shape
@@ -443,13 +445,6 @@ def act_dense(basis: GradedBasis, T: np.ndarray, A, B, C) -> np.ndarray:
     bound = _mix(np.abs(T), np.abs(A), np.abs(B), basis.sym_power(np.abs(C)))
     cut = (n + p + q + basis.D) * np.finfo(float).eps * bound
     return np.where(np.abs(X) > cut, X, 0.0)
-
-
-def _over_one_den(M: np.ndarray):
-    """(N, den): integers N (an object array) and an int den with M = N / den."""
-    den = math.lcm(1, *(x.denominator for x in M.flat))
-    N = [x.numerator * (den // x.denominator) for x in M.flat]
-    return np.array(N, dtype=object).reshape(M.shape), den
 
 
 def act_group(P: PolyMatrix, g: GroupElement) -> PolyMatrix:

@@ -42,8 +42,8 @@ from .gitnorm import (
     sparse_criterion,
     theta_to_json,
 )
-from .lp import (CertificateError, exact_inverse, exact_nullspace, exact_rank,
-                 exact_rref)
+from .lp import (CertificateError, echelon_frame, exact_inverse, exact_nullspace,
+                 exact_rank, exact_rref, integer_scale)
 from .polycore import (
     FloatRangeError,
     GroupElement,
@@ -266,25 +266,10 @@ def _flattening(T, axis):
     return np.moveaxis(T, axis, 0).transpose(0, 2, 1).reshape(T.shape[axis], -1)
 
 
-def _echelon_frame(M):
-    """The invertible E with E M in reduced row echelon form, read off the
-    reduced form of [M | I]."""
-    n, m = M.shape
-    rows, _ = exact_rref(np.hstack([M, np.eye(n, dtype=object)]).tolist())
-    return [[row.get(m + c, 0) for c in range(n)] for row in rows]
-
-
-def _integral(v):
-    """The rationals v times the lcm of their denominators, as ints (object
-    arithmetic on ints is some twenty times faster than on Fractions)."""
-    s = math.lcm(*(Fraction(x).denominator for x in v))
-    return [int(x * s) for x in v]
-
-
 def _place(n, placed, rest):
     """n integral rows: ``placed[i]`` where given, else the next of ``rest``."""
     rest = iter(rest)
-    return np.array([_integral(placed[i] if i in placed else next(rest))
+    return np.array([integer_scale(placed[i] if i in placed else next(rest))[0]
                      for i in range(n)], dtype=object)
 
 
@@ -309,10 +294,10 @@ def pencil_destabilizer(P: PolyMatrix, sigma):
         return None
     units = [tuple(u) for u in np.eye(P.d, dtype=int).tolist()]
     coeffs = [e.coeff(u) for row in P.entries for e in row for u in units]
-    T = np.array(_integral(coeffs), dtype=object).reshape(P.p, P.q, P.d)
+    T = np.array(integer_scale(coeffs)[0], dtype=object).reshape(P.p, P.q, P.d)
     flat = [_flattening(T, a) for a in range(3)]
     full = [exact_rank(M.tolist()) == n for M, n in zip(flat, T.shape)]
-    frames = [np.eye(n, dtype=object) if ok else _echelon_frame(M)
+    frames = [np.eye(n, dtype=object) if ok else echelon_frame(M)[0]
               for M, n, ok in zip(flat, T.shape, full)]
     if all(full):
         a = next((a for a, n in enumerate(T.shape) if n == T.size // n - 1), None)
@@ -322,7 +307,7 @@ def pencil_destabilizer(P: PolyMatrix, sigma):
         ns, nf = T.shape[s], T.shape[f]
         M = flat[a]
         ker, _ = exact_nullspace(M.tolist(), ns * nf)
-        K = np.array(_integral(ker[0]), dtype=object).reshape(ns, nf)
+        K = np.array(integer_scale(ker[0])[0], dtype=object).reshape(ns, nf)
         R, piv = exact_rref(K.tolist())
         m = min(ns, nf)
         # K = sum_k K[:, piv_k] (x) R_k: row s-m+k of G_s is (-1)^k K[:, piv_k]
@@ -332,8 +317,8 @@ def pencil_destabilizer(P: PolyMatrix, sigma):
                            exact_nullspace(K.T.tolist(), ns)[0])
         frames[f] = _place(nf, {nf - 1 - k: [row.get(j, 0) for j in range(nf)]
                                 for k, row in enumerate(R)},
-                           np.delete(np.eye(nf, dtype=int), piv, 0))
-        frames[a] = _echelon_frame(M @ np.kron(frames[s], frames[f]).T)
+                           np.delete(np.eye(nf, dtype=object), piv, 0))
+        frames[a] = echelon_frame(M @ np.kron(frames[s], frames[f]).T)[0]
     g = GroupElement(*frames, volume_preserving=False)
     dest = find_destabilizer(support_set(act_group(P, g)), sigma)
     return None if dest is None else (g, dest)

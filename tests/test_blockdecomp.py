@@ -24,6 +24,7 @@ from semistab.polycore import (
     Poly,
     PolyMatrix,
     act_group,
+    grlex_key,
     polymatrix_from_json,
     polymatrix_to_json,
 )
@@ -147,6 +148,30 @@ def test_verify_tampered_degree_fails():
     assert any(v[0] == (1, 1) and sum(v[2]) == 2 for v in rep.violations)
 
 
+def test_verify_false_zero_block_fails():
+    # a declared zero block was once checked only below its sentinel degree,
+    # so m61 with block (0, 0) declared zero passed, although tile_map zeroes
+    # that block and the full tile map at t0 = 0 then differs in 2 entries
+    obj = json.loads((FIXTURES / "m61_decomp.json").read_text())
+    M = polymatrix_from_json(obj["matrix"])
+    true = BlockDecomposition.from_json(obj["decomposition"])
+    bad = BlockDecomposition.from_json(dict(obj["decomposition"], zero_blocks=[[0, 0]]))
+    assert verify_block_decomposition(M, true).ok
+    rep = verify_block_decomposition(M, bad)
+    assert not rep.ok and rep.det_ok and rep.monotone_ok
+    # one violation per nonzero entry of the block: its first term in grlex order
+    R = reduced_matrix(M, true)
+    assert rep.violations == [
+        ((0, 0), (0, 0), min(R.entries[r][c].terms, key=grlex_key)[M.d:], (r, c))
+        for r in range(2) for c in range(4) if R.entries[r][c].terms]
+    assert len(rep.violations) == 2
+    full, t0 = Tile((0, 1), (0, 2)), [F(0)] * M.d
+    diff = [(x, y) for a, b in zip(tile_map(M, true, full, t0).entries,
+                                   tile_map(M, bad, full, t0).entries)
+            for x, y in zip(a, b) if x != y]
+    assert len(diff) == 2
+
+
 def test_verify_scaled_A_fails_determinant():
     M, dec = fx.intro_decomposition()
     A2 = PolyMatrix([[e.scale(2) for e in row] for row in dec.A.entries])
@@ -210,6 +235,8 @@ def test_tile_map_over_a_zero_block():
     assert tile_map(M, dec, Tile((0, 1), (0, 1)), [F(2)]) == PolyMatrix(
         [[one, o, s(1)], [o, Poly.constant(1, 4), o]])
     assert tile_map(M, dec, Tile((1, 1), (1, 1)), [F(2)]) == PolyMatrix([[o]])
+    # a true zero block has no term to violate it
+    assert verify_block_decomposition(M, dec).ok
 
 
 def test_tile_map_63_full_tile_matches_display():

@@ -50,6 +50,22 @@ def test_blockdecomp_verify_intro(tmp_path):
     assert "0 1 1" in proc.stdout and "0 2 3" in proc.stdout
 
 
+def test_blockdecomp_verify_fails_a_false_zero_block(tmp_path):
+    # once "verification PASS": block (0, 0) of m61 declared zero was checked
+    # only below its sentinel degree
+    with open(fx("m61_decomp.json")) as fh:
+        problem = json.load(fh)
+    problem["decomposition"]["zero_blocks"] = [[0, 0]]
+    path, out = tmp_path / "m.json", tmp_path / "r.json"
+    path.write_text(json.dumps(problem))
+    proc = run_cli("blockdecomp", "--verify", str(path), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" in proc.stdout and "PASS" not in proc.stdout
+    report = json.loads(out.read_text())
+    assert not report["ok"]
+    assert [v["block"] for v in report["violations"]] == [[0, 0], [0, 0]]
+
+
 def test_blockdecomp_eliminate_m61(tmp_path):
     out = tmp_path / "d.json"
     proc = run_cli("blockdecomp", "--input", fx("m61.json"), "--out", str(out))

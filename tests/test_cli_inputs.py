@@ -236,6 +236,17 @@ def test_group_size_true_is_an_input_error(tmp_path, command, fixture):
     assert_one_error_line(*run_on_decomposition(tmp_path, command, fixture, edit))
 
 
+@DECOMPOSITION_COMMANDS
+@pytest.mark.parametrize("blocks", [[[7, 9], [0]], [[0, 3]], [[2, 0]], [[-1, 0]],
+                                    [[0, True]], [[0, 0.0]], [[0, 0, 0]], [0], "x", {}])
+def test_zero_block_that_is_not_a_block_index_pair_is_an_input_error(tmp_path, command,
+                                                                     fixture, blocks):
+    # [[7, 9], [0]] once verified PASS on m61
+    def edit(dec):
+        dec["zero_blocks"] = blocks
+    assert_one_error_line(*run_on_decomposition(tmp_path, command, fixture, edit))
+
+
 @pytest.mark.parametrize("tau,flag", [
     ({"num": 0, "den": 1}, []), ({"num": -1, "den": 2}, []), ({"num": 2, "den": 0}, []),
     ({"num": 10 ** 400, "den": 1}, []), ({"num": 1, "den": 2}, ["--tau", "0"])])

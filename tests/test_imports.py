@@ -4,8 +4,9 @@ name it imports, every private module-level function or class is used
 somewhere in the package, every option of the public interface is set by
 some caller, every public function, class and method has a caller outside
 the unit tests, every function the benchmark traces still exists, every
-verdict detail is a stage text the benchmark can parse, the package has no
-``assert`` statement and only the CLI prints."""
+verdict detail is a stage text the benchmark can parse, only ``lp`` scales
+rationals to integers over an lcm, the package has no ``assert`` statement
+and only the CLI prints."""
 
 import ast
 import importlib
@@ -312,6 +313,25 @@ def test_every_verdict_detail_is_a_known_stage():
                if not (d in known or isinstance(d, tuple)
                        and d[0].startswith("best upper bound "))]
     assert details and unknown == []
+
+
+def lcm_calls(source: str) -> list:
+    """Line numbers of the calls to ``lcm``, as ``math.lcm`` or bare, in
+    ``source``."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)
+            and (getattr(n.func, "attr", None) or getattr(n.func, "id", None)) == "lcm"]
+
+
+def test_lcm_calls_finds_each_kind():
+    src = "import math\nfrom math import lcm\nmath.lcm(2, 3)\nx = lcm(4)\nf(math.lcm)\n"
+    assert lcm_calls(src) == [3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_lp_scales_rationals_to_integers(path):
+    # lp.integer_scale scales a rational vector over the lcm of its
+    # denominators; no module keeps its own copy of it
+    assert lcm_calls(path.read_text()) == [] or path.name == "lp.py"
 
 
 def asserts_and_prints(source: str) -> tuple:

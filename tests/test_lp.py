@@ -235,22 +235,31 @@ def test_integer_kernel_matches_reference_on_support_lps(monkeypatch):
 def test_integer_kernel_matches_reference_at_certify_size(monkeypatch):
     """Destabilizer LPs on castling-frame supports of seeded (5,2,3) forms:
     28 x 47 tableaux and 56 pivots each, where most rows have a zero
-    in the entering column and are brought up to date only when next read."""
-    shapes, pivots, rescales = [], Counter(), Counter()
+    in the entering column and are brought up to date only when next read.
+    Pivots and rescales are counted only while ``solve_eq_lp`` runs: the
+    frame search around the LPs pivots through the same ``_pivot`` in
+    Gauss-Jordan elimination."""
+    shapes, pivots, rescales, in_lp = [], Counter(), Counter(), [False]
 
     def both(A, b, c, maximize=False, c2=None):
-        got = solve_eq_lp(A, b, c, maximize=maximize, c2=c2)
+        in_lp[0] = True
+        try:
+            got = solve_eq_lp(A, b, c, maximize=maximize, c2=c2)
+        finally:
+            in_lp[0] = False
         assert _fields(got) == _fields(
             _reference_lexicographic(A, b, c, maximize, c2))
         shapes.append((len(A), len(A[0])))
         return got
 
     def pivot(T, d, *args, orig=lp._pivot):
-        pivots[len(shapes)] += 1
+        if in_lp[0]:
+            pivots[len(shapes)] += 1
         return orig(T, d, *args)
 
     def rescale(T, d, i, D, orig=lp._rescale):
-        rescales[d[i] != D] += 1  # True: a stale row
+        if in_lp[0]:
+            rescales[d[i] != D] += 1  # True: a stale row
         return orig(T, d, i, D)
 
     monkeypatch.setattr(lp, "_pivot", pivot)
