@@ -20,16 +20,14 @@ them, the degree-grid check :func:`degrees_monotone` and the block order
 :func:`least_z_order`; :mod:`semistab.radon` verifies its moment families
 with the same functions.  All elimination decisions are exact.
 
-Two elimination strategies are tried in order:
-
-* flow: when every s-partial of every column is a constant linear
-  combination of columns (nilpotently), the whole column reduction is the
-  polynomial flow B(t) = prod_k exp(-t_k G_k);
-* greedy: order-raising column/row operations found by solving exact linear
-  systems on diagonal jets.
-
-Both are followed by greedy sweeps, so the flow case also gets its constant
-regrouping.
+Elimination starts from the flow when it exists: when every s-partial of
+every column is a constant linear combination of columns (nilpotently), the
+whole column reduction is the polynomial flow B(t) = prod_k exp(-t_k G_k).
+One greedy sweep follows in every case, so the flow case also gets its
+constant regrouping.  It raises vanishing orders of rows by adding
+multiples of rows of the same order, with coefficients found by exact
+linear solves on diagonal jets: first the columns, as the rows of the
+transposes with ops in t, then the rows with ops in s.
 """
 
 from __future__ import annotations
@@ -420,8 +418,8 @@ def _exp_flow(generators, d: int, q: int) -> PolyMatrix:
 
 
 def _jet(entries, m: int, d: int):
-    """Order-m diagonal jet of labelled entries (a column labelled by row,
-    or a row by column): {(label, z-beta): s-poly coeff}."""
+    """Order-m diagonal jet of labelled entries (a row's, by column):
+    {(label, z-beta): s-poly coeff}."""
     jet = {}
     for label, e in entries:
         for a, c in z_homogeneous_part(e, d, m).terms.items():
@@ -463,79 +461,43 @@ def _s_monomials(degbound: int, d: int):
             yield combo
 
 
-def _greedy_columns(R: PolyMatrix, B: PolyMatrix, d: int, degbound: int):
-    """Raise column vanishing orders in place; records the ops into B."""
-    q = R.q
-    changed_any = False
-    progress = True
+def _transpose(X: PolyMatrix) -> PolyMatrix:
+    return PolyMatrix([list(col) for col in zip(*X.entries)])
+
+
+def _column_groups(R: PolyMatrix) -> list:
+    """R's columns grouped by vanishing order, in increasing order."""
+    orders = [least_z_order(R, range(R.p), [j]) for j in range(R.q)]
+    return [[j for j in range(R.q) if orders[j] == v] for v in sorted(set(orders))]
+
+
+def _raise_rows(R: PolyMatrix, W: PolyMatrix, groups, first: int, lift, d: int,
+                degbound: int) -> bool:
+    """Raise the vanishing orders of R's rows in place; records the ops into W.
+
+    For each column group from the last down to ``first`` and each row i of
+    order m on it, the pivots are the other rows of order m there whose
+    orders on every other group are at least row i's.  When coefficients f
+    (polynomials in s of degree <= degbound) kill the order-m jet of row i
+    on the group, row i gains lift(f, d) times each pivot row in R and f
+    times it in W, which raises its order on the group.  Sweeps until no row
+    rises and returns whether one did.
+    """
+    profile = lambda i: tuple(least_z_order(R, [i], g) for g in groups)
+    profiles = [profile(i) for i in range(R.p)]
+    changed, progress = False, True
     while progress:
         progress = False
-        orders = [least_z_order(R, range(R.p), [j]) for j in range(q)]
-        for j in range(q):
-            m = orders[j]
-            if m is math.inf:
-                continue
-            m = int(m)
-            pivots = [j2 for j2 in range(q) if j2 != j and orders[j2] == m]
-            if not pivots:
-                continue
-            target, *piv_jets = [
-                _jet(((i, R.entries[i][c]) for i in range(R.p)), m, d)
-                for c in [j, *pivots]]
-            fs = _solve_jet_kill(target, piv_jets, d, degbound)
-            if fs is None:
-                continue
-            if all(f.is_zero() for f in fs):
-                continue
-            for f, j2 in zip(fs, pivots):
-                if f.is_zero():
-                    continue
-                f2 = inflate_t(f, d)  # the op coefficient is a function of t
-                for i in range(R.p):
-                    R.entries[i][j] = R.entries[i][j] + f2 * R.entries[i][j2]
-                for i in range(B.p):
-                    B.entries[i][j] = B.entries[i][j] + f * B.entries[i][j2]
-            neworder = least_z_order(R, range(R.p), [j])
-            if neworder > m:
-                progress = True
-                changed_any = True
-                orders[j] = neworder
-            # a solvable kill always raises the order; if not, undo is not
-            # needed because the jet solve guarantees cancellation at order m
-    return changed_any
-
-
-def _runs(values):
-    """Lengths of the runs of equal consecutive values."""
-    return [len(list(run)) for _, run in itertools.groupby(values)]
-
-
-def _greedy_rows(R: PolyMatrix, A: PolyMatrix, d: int, degbound: int):
-    """Raise within-column-group row orders using rows of compatible profile."""
-    p = R.p
-    col_orders = [least_z_order(R, range(p), [j]) for j in range(R.q)]
-    order_vals = sorted({o for o in col_orders})
-    groups = [[j for j in range(R.q) if col_orders[j] == v] for v in order_vals]
-    changed_any = False
-    progress = True
-    while progress:
-        progress = False
-        profiles = [
-            tuple(least_z_order(R, [i], g) for g in groups) for i in range(p)
-        ]
-        for gi in range(len(groups) - 1, 0, -1):
+        for gi in range(len(groups) - 1, first - 1, -1):
             cols = groups[gi]
-            for i in range(p):
+            for i in range(R.p):
                 m = profiles[i][gi]
-                if m is math.inf:
+                if m == math.inf:
                     continue
-                m = int(m)
-                pivots = [
-                    i2 for i2 in range(p)
-                    if i2 != i and profiles[i2][gi] == m
-                    and all(profiles[i2][g2] >= profiles[i][g2]
-                            for g2 in range(len(groups)) if g2 != gi)
-                ]
+                # a pivot has order m on this group too, so comparing whole
+                # profiles compares the other groups
+                pivots = [i2 for i2 in range(R.p) if i2 != i and profiles[i2][gi] == m
+                          and all(a >= b for a, b in zip(profiles[i2], profiles[i]))]
                 if not pivots:
                     continue
                 target, *piv_jets = [
@@ -547,19 +509,29 @@ def _greedy_rows(R: PolyMatrix, A: PolyMatrix, d: int, degbound: int):
                 for f, i2 in zip(fs, pivots):
                     if f.is_zero():
                         continue
-                    f2 = inflate_s(f, d)  # row ops use functions of s
-                    for j in range(R.q):
-                        R.entries[i][j] = R.entries[i][j] + f2 * R.entries[i2][j]
-                    for j in range(A.q):
-                        A.entries[i][j] = A.entries[i][j] + f * A.entries[i2][j]
-                if least_z_order(R, [i], cols) > m:
-                    progress = True
-                    changed_any = True
-                    profiles = [
-                        tuple(least_z_order(R, [i3], g) for g in groups)
-                        for i3 in range(p)
-                    ]
-    return changed_any
+                    for X, c in ((R, lift(f, d)), (W, f)):
+                        X.entries[i] = [e + c * e2 for e, e2 in
+                                        zip(X.entries[i], X.entries[i2])]
+                # only row i moved, so the other profiles stand
+                profiles[i] = profile(i)
+                if profiles[i][gi] > m:
+                    progress = changed = True
+    return changed
+
+
+def _sort_rows(X: PolyMatrix, W: PolyMatrix, key) -> list:
+    """New X and W with their rows sorted by key, ties by index, and their
+    degree caps read off the entries, which the sweep edits in place; an odd
+    permutation also negates the last row of each, so determinants stay."""
+    perm = sorted(range(X.p), key=lambda i: (key[i], i))
+    odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+    out = []
+    for Y in (X, W):
+        rows = [Y.entries[i] for i in perm]
+        if odd:
+            rows[-1] = [e.scale(-1) for e in rows[-1]]
+        out.append(PolyMatrix(rows))
+    return out
 
 
 def eliminate(M: PolyMatrix):
@@ -571,8 +543,11 @@ def eliminate(M: PolyMatrix):
     groups by order profile).
 
     The flow of the constant closure generators is used when the closure
-    system solves with nilpotent generators; the greedy strategy needs no
-    closure hypothesis and runs in either case.
+    system solves with nilpotent generators.  Then one greedy sweep, which
+    needs no closure hypothesis, alternates two passes until neither raises
+    an order: the columns, as the rows of the transposes of R and B with ops
+    in t, and the rows of R and A within each column group but the first,
+    with ops in s.
     """
     if not M.exact:
         raise ValueError("eliminate needs exact coefficients")
@@ -588,52 +563,26 @@ def eliminate(M: PolyMatrix):
     R = reduced_product(A, M, B)
 
     for _ in range(8):
-        c1 = _greedy_columns(R, B, d, degbound)
-        c2 = _greedy_rows(R, A, d, degbound)
-        if not (c1 or c2):
+        RT, BT = _transpose(R), _transpose(B)
+        cols = _raise_rows(RT, BT, [range(p)], 0, inflate_t, d, degbound)
+        R, B = _transpose(RT), _transpose(BT)
+        rows = _raise_rows(R, A, _column_groups(R), 1, inflate_s, d, degbound)
+        if not (cols or rows):
             break
 
     # sort columns by vanishing order, rows by their order profile
-    col_orders = [least_z_order(R, range(p), [j]) for j in range(q)]
-    cperm = sorted(range(q), key=lambda j: (col_orders[j], j))
-    _apply_col_perm(R, cperm)
-    _apply_col_perm(B, cperm)
-    col_orders = [col_orders[j] for j in cperm]
-    col_groups = _runs(col_orders)
-
-    off = group_offsets(col_groups)
-    group_cols = [list(range(off[k], off[k + 1])) for k in range(len(col_groups))]
-    profiles = [tuple(least_z_order(R, [i], g) for g in group_cols)
-                for i in range(p)]
-    rperm = sorted(range(p), key=lambda i: (profiles[i], i))
-    _apply_row_perm(R, rperm)
-    _apply_row_perm(A, rperm)
-    profiles = [profiles[i] for i in rperm]
-    row_groups = _runs(profiles)
+    RT, BT = _transpose(R), _transpose(B)
+    RT, BT = _sort_rows(RT, BT, [least_z_order(RT, [j], range(p)) for j in range(q)])
+    R, B = _transpose(RT), _transpose(BT)
+    groups = _column_groups(R)
+    profiles = [tuple(least_z_order(R, [i], g) for g in groups) for i in range(p)]
+    R, A = _sort_rows(R, A, profiles)
+    col_groups = [len(g) for g in groups]
+    row_groups = [len(list(run)) for _, run in itertools.groupby(sorted(profiles))]
 
     D, zero_blocks = vanishing_degrees(R, row_groups, col_groups)
     decomp = BlockDecomposition(row_groups, col_groups, D, A, B, zero_blocks)
     return A, B, R, decomp
-
-
-def _perm_sign(perm) -> int:
-    """(-1)^(number of inversions)."""
-    return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
-
-
-def _apply_col_perm(X: PolyMatrix, perm):
-    sign = _perm_sign(perm)
-    for i in range(X.p):
-        X.entries[i] = [X.entries[i][j] for j in perm]
-        if sign < 0:
-            X.entries[i][-1] = X.entries[i][-1].scale(-1)
-
-
-def _apply_row_perm(X: PolyMatrix, perm):
-    sign = _perm_sign(perm)
-    X.entries = [X.entries[i] for i in perm]
-    if sign < 0:
-        X.entries[-1] = [e.scale(-1) for e in X.entries[-1]]
 
 
 # -- degrees, verification, tiles --------------------------------------------------

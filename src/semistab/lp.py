@@ -370,7 +370,9 @@ def echelon_frame(M):
 
 def exact_inverse(M):
     """Inverse of a square rational matrix, the frame of a full-rank M;
-    ValueError when singular."""
+    ValueError when singular or not square."""
+    if any(len(row) != len(M) for row in M):
+        raise ValueError("inverse of a nonsquare matrix")
     E, pivots = echelon_frame(M)
     if pivots != list(range(len(M))):
         raise ValueError("singular matrix")
@@ -378,6 +380,8 @@ def exact_inverse(M):
 
 
 def exact_det(M) -> Fraction:
-    """Determinant of a square rational matrix."""
+    """Determinant of a square rational matrix; ValueError when not square."""
+    if any(len(row) != len(M) for row in M):
+        raise ValueError("determinant of a nonsquare matrix")
     _, pivots, (num, den) = _gauss_jordan(M)
     return Fraction(num, den) if len(pivots) == len(M) else Fraction(0)

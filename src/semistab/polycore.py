@@ -239,6 +239,9 @@ class GroupElement:
         self.A = _as_matrix(self.A)
         self.B = _as_matrix(self.B)
         self.C = _as_matrix(self.C)
+        for name, M in (("A", self.A), ("B", self.B), ("C", self.C)):
+            if not _is_square(M):
+                raise ValueError(f"{name} is not square")
         if not _invertible(self.C):
             raise ValueError("C is numerically singular")
         if self.volume_preserving:
@@ -249,6 +252,13 @@ class GroupElement:
 
     def det_C(self) -> float:
         return _num_det(self.C)
+
+
+def _is_square(M) -> bool:
+    """Whether M, as :func:`_as_matrix` returns it, is a square matrix."""
+    if isinstance(M, np.ndarray):
+        return M.ndim == 2 and M.shape[0] == M.shape[1]
+    return all(len(row) == len(M) for row in M)
 
 
 def _num_det(M) -> float:

@@ -68,6 +68,16 @@ def test_eliminate_example61_reproduces_display():
     assert verify_block_decomposition(M, dec).ok
 
 
+def test_eliminate_witnesses_carry_their_degree():
+    # the sweep edits entries in place; A kept the degree cap 0 of the
+    # identity it started from (its entries have degree 1 on m61), and
+    # act_group on it raised KeyError
+    A, B, R, _ = eliminate(fx.example61_matrix())
+    assert [X.degree_cap for X in (A, B, R)] == [X.degree() for X in (A, B, R)] == [1, 3, 3]
+    assert act_group(A, GroupElement(np.eye(4), np.eye(4), np.eye(2),
+                                     volume_preserving=False)) == A
+
+
 def test_eliminate_m61_reproduces_fixture_bytes():
     # A, B, D, the groups and the zero blocks, not only D: every solve in
     # the elimination is exact, so the shipped decomposition must come back

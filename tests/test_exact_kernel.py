@@ -148,6 +148,19 @@ def test_det_tracks_swaps_and_scales():
         assert exact_det(M) == ref.exact_det(M)
 
 
+def test_det_and_inverse_refuse_a_nonsquare_matrix():
+    # the kernel reduces any shape; a wide matrix read as square gave the 2x2
+    # identity for its inverse and 2 for its determinant, a tall one
+    # "singular matrix" and 0
+    wide, tall = [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]
+    for M in (wide, [[1, 0, 0], [0, 2, 0]], tall, [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="nonsquare"):
+            exact_det(M)
+        with pytest.raises(ValueError, match="nonsquare"):
+            exact_inverse(M)
+    assert exact_inverse([]) == [] and exact_det([]) == 1
+
+
 @cases(WITH_COLUMNS)
 def test_solve_matches_dense_reference(M):
     rng = random.Random(len(M) * 1000 + len(M[0]))

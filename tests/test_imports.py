@@ -5,8 +5,9 @@ somewhere in the package, every option of the public interface is set by
 some caller, every public function, class and method has a caller outside
 the unit tests, every function the benchmark traces still exists, every
 verdict detail is a stage text the benchmark can parse, only ``lp`` scales
-rationals to integers over an lcm, the package has no ``assert`` statement
-and only the CLI prints."""
+rationals to integers over an lcm, one function of the package solves for
+order-raising ops, the package has no ``assert`` statement and only the CLI
+prints."""
 
 import ast
 import importlib
@@ -332,6 +333,41 @@ def test_only_lp_scales_rationals_to_integers(path):
     # lp.integer_scale scales a rational vector over the lcm of its
     # denominators; no module keeps its own copy of it
     assert lcm_calls(path.read_text()) == [] or path.name == "lp.py"
+
+
+def callers(source: str, name: str) -> list:
+    """The module-level functions, and the methods as ``Class.method``, of
+    ``source`` that call ``name``, as a bare name or as an attribute."""
+    def calls(node):
+        return any(isinstance(n, ast.Call) and name in (getattr(n.func, "attr", None),
+                                                        getattr(n.func, "id", None))
+                   for n in ast.walk(node))
+
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and calls(node):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{fn.name}" for fn in node.body
+                    if isinstance(fn, ast.FunctionDef) and calls(fn)]
+    return out
+
+
+def test_callers_finds_each_kind():
+    src = ("def a():\n    return m.f(1)\n"
+           "def b():\n    g = f\n    return g()\n"
+           "class K:\n    def c(self):\n        return [f(x) for x in y]\n"
+           "f(0)\n")
+    assert callers(src, "f") == ["a", "K.c"]
+
+
+def test_one_function_solves_for_order_raising_ops():
+    # the column and the row pass of eliminate are one sweep, the column
+    # pass run on the transposes; a second caller of the jet solve would be
+    # a second copy of that sweep
+    found = [f"{p.stem}.{fn}" for p in MODULES
+             for fn in callers(p.read_text(), "_solve_jet_kill")]
+    assert found == ["blockdecomp._raise_rows"]
 
 
 def asserts_and_prints(source: str) -> tuple:

@@ -107,6 +107,20 @@ def test_act_group_shape_mismatch():
                                   [[1, 0], [0, 1]]))
 
 
+def test_group_element_refuses_a_nonsquare_matrix():
+    # a 2 x 3 variable change was accepted, and act_group read only its first
+    # two columns: x + 2y stayed x + 2y
+    P = PolyMatrix([[Poly(2, {(1, 0): 1, (0, 1): 2})]])
+    wide = [[1, 0, 0], [0, 1, 0]]
+    for C in (np.array(wide, dtype=float), wide):
+        with pytest.raises(ValueError, match="C is not square"):
+            act_group(P, GroupElement([[1]], [[1]], C, volume_preserving=False))
+    with pytest.raises(ValueError, match="A is not square"):
+        GroupElement([[1, 0]], [[1]], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="B is not square"):
+        GroupElement(np.eye(1), np.ones((1, 1, 1)), np.eye(2), volume_preserving=False)
+
+
 def test_hs_norm_examples():
     P = PolyMatrix([[Poly(2, {(2, 0): 1})], [Poly(2, {(0, 2): 1})]])
     assert hs_norm(P) == pytest.approx(2.0, abs=1e-15)
