@@ -27,7 +27,8 @@ One greedy sweep follows in every case, so the flow case also gets its
 constant regrouping.  It raises vanishing orders of rows by adding
 multiples of rows of the same order, with coefficients found by exact
 linear solves on diagonal jets: first the columns, as the rows of the
-transposes with ops in t, then the rows with ops in s.
+transposes with ops in t, then the rows with ops in s.  The flow's closure
+systems and the jet systems are one sparse exact solve.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .polycore import (
     PolyMatrix,
     _is_exact_scalar,
     fraction_to_json,
+    graded_basis,
     grlex_key,
     is_int,
     partial_derivative,
@@ -315,102 +317,66 @@ class BlockDecomposition:
 # -- flow elimination ----------------------------------------------------------------
 
 
-def _columns_as_vectors(M: PolyMatrix):
-    return [[M.entries[i][j] for i in range(M.p)] for j in range(M.q)]
+def _solve_linear_combo(vectors, target):
+    """Coefficients x with sum x_i vectors_i = target, exact; None if none.
+    Vectors and target are sparse ``{key: value}`` mappings with hashable
+    keys, one equation per key; the rows come from one pass over the
+    vectors' nonzeros."""
+    rows = {key: {} for key in target}
+    for i, v in enumerate(vectors):
+        for key, c in v.items():
+            rows.setdefault(key, {})[i] = c
+    return exact_solve(list(rows.values()), [target.get(key, 0) for key in rows],
+                       len(vectors))
 
 
-def _solve_constant_closure(M: PolyMatrix):
-    """Find constant G_k with d/ds_k M = M G_k for each k, preferring to
-    express derivatives through columns of strictly lower degree (that choice
-    makes the generators nilpotent when it exists).  Returns None if some
-    derivative is not a constant combination of the columns, or if some
-    generator is not nilpotent."""
-    p, q, d = M.p, M.q, M.d
-    cols = _columns_as_vectors(M)
-    degs = [max((e.degree() for e in col), default=-1) for col in cols]
-    monos = {a for col in cols for e in col for a in e.terms}
-    # include first-derivative monomials so an unclosed system shows up as
-    # infeasible rather than as a missing basis element
-    for a in list(monos):
-        for k in range(d):
-            if a[k] > 0:
-                monos.add(tuple(v - 1 if m == k else v for m, v in enumerate(a)))
-    monomials = sorted(monos, key=grlex_key)
-    mon_index = {a: ix for ix, a in enumerate(monomials)}
+def _flow(M: PolyMatrix):
+    """B(t) = prod_k exp(-t_k G_k) for constant G_k with d/ds_k M = M G_k;
+    None when some G_k does not exist or is not nilpotent.
 
-    def col_vector(col):
-        return {i * len(monomials) + mon_index[a]: c
-                for i, e in enumerate(col) for a, c in e.terms.items()}
-
-    col_vecs = [col_vector(c) for c in cols]
-    generators = []
+    Each column's s_k-partial is solved for as a constant combination of the
+    columns of strictly lower degree first (that choice makes G_k nilpotent
+    when it exists), then of all the other columns, with one equation per
+    (row, monomial): a monomial of the partial that no column has makes the
+    system inconsistent.  The series of exp(-t_k G_k) stops at the first
+    zero power of G_k; G_k^q != 0 means B is not polynomial.
+    """
+    q, d = M.q, M.d
+    cols = list(zip(*M.entries))
+    vector = lambda col: {(i, a): c for i, e in enumerate(col) for a, c in e.terms.items()}
+    vecs, degs = [vector(col) for col in cols], [max(e.degree() for e in col) for col in cols]
+    B = PolyMatrix.identity(q, d)
     for k in range(d):
         ek = tuple(1 if j == k else 0 for j in range(d))
         G = [[Fraction(0)] * q for _ in range(q)]
         for j in range(q):
-            dcol = [partial_derivative(e, ek) for e in cols[j]]
-            if all(e.is_zero() for e in dcol):
+            target = vector(partial_derivative(e, ek) for e in cols[j])
+            if not target:
                 continue
-            target = col_vector(dcol)
-            # candidate pivots: strictly lower degree first, then everything
             lower = [j2 for j2 in range(q) if degs[j2] < degs[j]]
             for use in (lower, [j2 for j2 in range(q) if j2 != j]):
-                sol = _solve_linear_combo([col_vecs[j2] for j2 in use], target)
+                sol = _solve_linear_combo([vecs[j2] for j2 in use], target)
                 if sol is not None:
                     break
             else:
                 return None
             for coef, j2 in zip(sol, use):
                 G[j2][j] = coef
-        generators.append(G)
-    # nilpotency (G^q = 0): required so the flow stays polynomial
-    for G in generators:
-        power = G
-        for _ in range(M.q):
-            if not any(v for row in power for v in row):
-                break
-            power = _mat_mul_frac(power, G)
-        else:
-            return None
-    return generators
-
-
-def _solve_linear_combo(vectors, target):
-    """Coefficients x with sum x_i vectors_i = target, exact; None if none.
-    Vectors and target are sparse ``{index: value}`` mappings."""
-    keys = set(target).union(*vectors)
-    rows = [{j: v[i] for j, v in enumerate(vectors) if i in v} for i in keys]
-    return exact_solve(rows, [target.get(i, 0) for i in keys], len(vectors))
-
-
-def _mat_mul_frac(X, Y):
-    n, k, m = len(X), len(Y), len(Y[0])
-    return [[sum(X[i][l] * Y[l][j] for l in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
-def _exp_flow(generators, d: int, q: int) -> PolyMatrix:
-    """B(t) = prod_k exp(-t_k G_k); polynomial because each G_k is nilpotent."""
-    B = PolyMatrix.identity(q, d)
-    for k, G in enumerate(generators):
-        ek = tuple(1 if j == k else 0 for j in range(d))
-        term = [[Fraction(1 if i == j else 0) for j in range(q)] for i in range(q)]
         entries = PolyMatrix.identity(q, d).entries
-        power = term
-        fact = 1
+        power, fact = [[Fraction(int(i == j)) for j in range(q)] for i in range(q)], 1
         for n in range(1, q + 1):
-            power = _mat_mul_frac(power, G)
+            power = [[sum(row[l] * G[l][j] for l in range(q)) for j in range(q)]
+                     for row in power]
             fact *= n
             if all(v == 0 for row in power for v in row):
                 break
             mono = tuple(n * e for e in ek)
-            for i in range(q):
-                for j in range(q):
-                    c = power[i][j] * Fraction((-1) ** n, fact)
-                    if c:
-                        entries[i][j] = entries[i][j] + Poly(d, {mono: c})
-        E = PolyMatrix(entries)
-        B = pm_mul(B, E)
+            for i, j in itertools.product(range(q), repeat=2):
+                if c := power[i][j] * Fraction((-1) ** n, fact):
+                    entries[i][j] = entries[i][j] + Poly(d, {mono: c})
+        else:
+            return None
+        B = pm_mul(B, PolyMatrix(entries))
     return B
 
 
@@ -430,35 +396,19 @@ def _jet(entries, m: int, d: int):
 
 def _solve_jet_kill(target_jet, pivot_jets, d: int, degbound: int):
     """Polynomial coefficients f (one per pivot, degree <= degbound in s)
-    with sum_p f_p . jet_p = -target; None if impossible."""
-    smonos = sorted(_s_monomials(degbound, d), key=grlex_key)
-    ns = len(smonos)
-    rows, rhs = [], []
-    for key in set(target_jet).union(*pivot_jets):
-        # one sparse equation per s-monomial of the products; unknown
-        # pi * ns + gi is the coefficient of s^smonos[gi] in f_pi
-        eqs: dict = {}
-        for pi, jet in enumerate(pivot_jets):
-            for sg, c in jet.get(key, {}).items():
-                for gi, g in enumerate(smonos):
-                    row = eqs.setdefault(tuple(x + y for x, y in zip(sg, g)), {})
-                    row[pi * ns + gi] = row.get(pi * ns + gi, 0) + c
-        base = target_jet.get(key, {})
-        for mono in set(eqs) | set(base):
-            rows.append(eqs.get(mono, {}))
-            rhs.append(-base.get(mono, 0))
-    sol = exact_solve(rows, rhs, ns * len(pivot_jets))
+    with sum_p f_p . jet_p = -target; None if impossible.  Unknown pi * ns + gi
+    is the coefficient in f_pi of the gi-th s-monomial s^g; its vector is s^g jet_pi."""
+    smonos = graded_basis(d, degbound).alphas
+    vectors = [{(key, tuple(x + y for x, y in zip(sa, g))): c
+                for key, spoly in jet.items() for sa, c in spoly.items()}
+               for jet in pivot_jets for g in smonos]
+    target = {(key, sa): -c for key, spoly in target_jet.items() for sa, c in spoly.items()}
+    sol = _solve_linear_combo(vectors, target)
     if sol is None:
         return None
+    ns = len(smonos)
     return [Poly(d, dict(zip(smonos, sol[pi * ns:(pi + 1) * ns])))
             for pi in range(len(pivot_jets))]
-
-
-def _s_monomials(degbound: int, d: int):
-    ranges = [range(degbound + 1)] * d
-    for combo in itertools.product(*ranges):
-        if sum(combo) <= degbound:
-            yield combo
 
 
 def _transpose(X: PolyMatrix) -> PolyMatrix:
@@ -542,12 +492,13 @@ def eliminate(M: PolyMatrix):
     decomposition read off from it (column groups by vanishing order, row
     groups by order profile).
 
-    The flow of the constant closure generators is used when the closure
-    system solves with nilpotent generators.  Then one greedy sweep, which
-    needs no closure hypothesis, alternates two passes until neither raises
-    an order: the columns, as the rows of the transposes of R and B with ops
-    in t, and the rows of R and A within each column group but the first,
-    with ops in s.
+    B starts as the flow (:func:`_flow`) when the constant closure
+    generators exist and are nilpotent, else as the identity.  Then one
+    greedy sweep, which needs no closure hypothesis, alternates two passes
+    until neither raises an order: the columns, as the rows of the
+    transposes of R and B with ops in t, and the rows of R and A within
+    each column group but the first, with ops in s.  The closure and the
+    jet systems share one sparse solve, :func:`_solve_linear_combo`.
     """
     if not M.exact:
         raise ValueError("eliminate needs exact coefficients")
@@ -555,11 +506,7 @@ def eliminate(M: PolyMatrix):
     degbound = max(M.degree(), 1)
 
     A = PolyMatrix.identity(p, d)
-    generators = _solve_constant_closure(M)
-    if generators is not None:
-        B = _exp_flow(generators, d, q)
-    else:
-        B = PolyMatrix.identity(q, d)
+    B = _flow(M) or PolyMatrix.identity(q, d)
     R = reduced_product(A, M, B)
 
     for _ in range(8):
@@ -712,32 +659,15 @@ def _tile_block(R: PolyMatrix, decomp: BlockDecomposition, tile: Tile, t0) -> Po
 
 
 def useful_tiles(decomp: BlockDecomposition) -> list:
-    """All interval-product tiles whose immediately-following formal degrees
-    strictly dominate the adjacent in-tile ones.  The full tile always
+    """All interval-product tiles (iL..iR) x (jL..jR) whose formal degrees
+    rise strictly across their far boundary: each block below the last row
+    exceeds the block above it, and each block right of the last column the
+    block left of it, where that row or column exists.  The full tile always
     qualifies."""
-    nI = len(decomp.row_groups)
-    nJ = len(decomp.col_groups)
-    out = []
-    for iL in range(nI):
-        for iR in range(iL, nI):
-            for jL in range(nJ):
-                for jR in range(jL, nJ):
-                    iR2 = min(iR + 1, nI - 1)
-                    jR2 = min(jR + 1, nJ - 1)
-                    after = [
-                        (i, j)
-                        for i in range(iL, iR2 + 1)
-                        for j in range(jL, jR2 + 1)
-                        if not (i <= iR and j <= jR)
-                    ]
-                    ok = True
-                    for (i, j) in after:
-                        if iL <= i - 1 <= iR and jL <= j <= jR:
-                            if not decomp.degree(i, j) > decomp.D[i - 1][j]:
-                                ok = False
-                        if iL <= i <= iR and jL <= j - 1 <= jR:
-                            if not decomp.degree(i, j) > decomp.D[i][j - 1]:
-                                ok = False
-                    if ok:
-                        out.append(Tile((iL, iR), (jL, jR)))
-    return out
+    nI, nJ = len(decomp.row_groups), len(decomp.col_groups)
+    deg, D = decomp.degree, decomp.D
+    return [Tile((iL, iR), (jL, jR))
+            for iL in range(nI) for iR in range(iL, nI)
+            for jL in range(nJ) for jR in range(jL, nJ)
+            if (iR + 1 == nI or all(deg(iR + 1, j) > D[iR][j] for j in range(jL, jR + 1)))
+            and (jR + 1 == nJ or all(deg(i, jR + 1) > D[i][jR] for i in range(iL, iR + 1)))]

@@ -19,6 +19,7 @@ that infimum is decided three ways, in increasing order of effort:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -750,31 +751,21 @@ def sparse_criterion(P: PolyMatrix, sigma) -> SparseVerdict:
     p, q, d = P.p, P.q, P.d
 
     slices: dict[tuple, list] = {}
-    for i in range(p):
-        for j in range(q):
-            for a in P.entries[i][j].terms:
+    for i, row in enumerate(P.entries):
+        for j, e in enumerate(row):
+            for a in e.terms:
                 slices.setdefault(a, []).append((i, j))
     for a, cells in slices.items():
-        rows = [i for i, _ in cells]
-        cols = [j for _, j in cells]
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        if any(len(set(ks)) < len(cells) for ks in zip(*cells)):
             return SparseVerdict(False, False,
                                  reason=f"monomial {a} collides in a row or column")
-    for i in range(p):
-        for j in range(q):
-            alphas = list(P.entries[i][j].terms)
-            for x in range(len(alphas)):
-                for y in range(x + 1, len(alphas)):
-                    a1, a2 = alphas[x], alphas[y]
-                    diff = [u - v for u, v in zip(a1, a2)]
-                    pos = [k for k, v in enumerate(diff) if v > 0]
-                    neg = [k for k, v in enumerate(diff) if v < 0]
-                    if (len(pos) == 1 and len(neg) == 1
-                            and diff[pos[0]] == 1 and diff[neg[0]] == -1):
-                        return SparseVerdict(
-                            False, False,
-                            reason=f"entry ({i},{j}) has adjacent multiindices "
-                                   f"{a1} and {a2}")
+    for i, row in enumerate(P.entries):
+        for j, e in enumerate(row):
+            for a1, a2 in itertools.combinations(e.terms, 2):
+                if sorted(u - v for u, v in zip(a1, a2) if u != v) == [-1, 1]:
+                    return SparseVerdict(
+                        False, False,
+                        reason=f"entry ({i},{j}) has adjacent multiindices {a1} and {a2}")
 
     # barycentric weights theta with the largest floor eps >= 0; the LP is
     # infeasible exactly when the barycenter is outside the support hull

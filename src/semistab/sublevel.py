@@ -185,15 +185,18 @@ def plucker_evaluator(M: PolyMatrix, omega):
     call evaluates BLOCK points at a time: the table of monomials and its
     GEMM with R are written into one buffer the evaluator allocates once.
     Squares are taken of R / 2^r, max |R / 2^r| < 1.  omega: OmegaBasis or
-    a (q, q) array whose columns are the basis vectors.
+    a (q, q) array whose columns are the basis vectors; ValueError for
+    another shape.
     """
+    cols = omega.columns if isinstance(omega, OmegaBasis) else np.asarray(omega, dtype=float)
+    if cols.shape != (M.q, M.q):
+        raise ValueError(f"omega is {cols.shape}, not {M.q} x {M.q}")
     # keyed by M's terms, as a PolyMatrix is not hashable
     table = _minor_table((M.d, tuple(tuple(tuple(sorted(e.terms.items())) for e in row)
                                      for row in M.entries)))
     if table is None:
         return lambda pts: np.zeros(len(np.atleast_2d(pts)))
     basis, nonzero, C, e = table
-    cols = omega.columns if isinstance(omega, OmegaBasis) else np.asarray(omega, dtype=float)
     R = np.linalg.qr((C @ _compound(cols, _laplace_plan(M.q, nonzero))).T, mode="r")
     r = math.frexp(np.abs(R).max())[1]
     R = np.ldexp(R, -r)
@@ -275,7 +278,8 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
     weight : callable | float
         Nonnegative weight w(t); a scalar means a finite constant weight.
     domain : sequence of (lo, hi)
-        Axis-aligned box.
+        Axis-aligned box: M.d finite intervals with lo < hi, else
+        ValueError.
     stratified : bool
         False: plain Monte Carlo over ``n_samples`` points of Philox streams
         keyed by ``seed``, with the sample standard error.  True: the
@@ -298,6 +302,8 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
             raise ValueError(f"a constant weight must be finite and nonnegative: {wconst}")
         weight = lambda pts: np.full(len(pts), wconst)
     dom = tuple((float(lo), float(hi)) for lo, hi in domain)
+    if len(dom) != M.d or not all(-math.inf < lo < hi < math.inf for lo, hi in dom):
+        raise ValueError(f"domain needs {M.d} finite intervals [lo, hi], lo < hi")
     f = _integrand_factory(plucker_evaluator(M, omega), weight, tau)
     if stratified:
         value, err, used, flagged = _cubature(f, dom, budget_factor * n_samples)

@@ -18,12 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 
+from flow_reference import _exp_flow, _solve_constant_closure, _solve_jet_kill
 from semistab.blockdecomp import (
     BlockDecomposition,
-    _exp_flow,
     _jet,
-    _solve_constant_closure,
-    _solve_jet_kill,
     group_offsets,
     inflate_s,
     inflate_t,

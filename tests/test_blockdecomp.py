@@ -1,9 +1,11 @@
 import json
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 
+import tiles_reference
 from semistab import fixtures as fx
 from semistab.blockdecomp import (
     BlockDecomposition,
@@ -334,6 +336,18 @@ def test_useful_tiles_intro():
     assert ((0, 1), (0, 0)) in have  # D_01 = 1 > 0 and D_11 = 2 > 0
 
 
+def test_useful_tiles_matches_reference_on_random_grids():
+    # degree grids up to 5 x 5 with zero blocks; the witnesses play no part
+    rng = random.Random(1)
+    for _ in range(3000):
+        nI, nJ = rng.randint(1, 5), rng.randint(1, 5)
+        D = [[rng.randint(0, 4) for _ in range(nJ)] for _ in range(nI)]
+        zero = {(i, j) for i in range(nI) for j in range(nJ) if rng.random() < 0.2}
+        dec = BlockDecomposition([1] * nI, [1] * nJ, D, None, None, zero)
+        assert ([(t.I, t.J) for t in useful_tiles(dec)]
+                == [(t.I, t.J) for t in tiles_reference.useful_tiles(dec)])
+
+
 # -- Prop 9-style generic fixtures ---------------------------------------------------------
 
 
@@ -343,7 +357,7 @@ def _random_flow_fixture(rng, p, q, d, deg=3):
     for i in range(q):
         for j in range(i + 1, q):
             N[i][j] = F(int(rng.integers(-3, 4)))
-    from semistab.blockdecomp import _mat_mul_frac
+    from flow_reference import _mat_mul_frac
 
     def poly_in_N(coeffs):
         out = [[F(1 if i == j else 0) * coeffs[0] for j in range(q)]
@@ -363,7 +377,7 @@ def _random_flow_fixture(rng, p, q, d, deg=3):
                for i in range(p)]
     M = PolyMatrix(entries)
     # K(s) = prod exp(s_k G_k) applied on the right, truncated by nilpotency
-    from semistab.blockdecomp import _exp_flow
+    from flow_reference import _exp_flow
 
     Kneg = _exp_flow(gens, d, q)  # prod exp(-s_k G_k)
     # substitute s -> -s to get K(s)

@@ -370,6 +370,13 @@ def test_one_function_solves_for_order_raising_ops():
     assert found == ["blockdecomp._raise_rows"]
 
 
+def test_blockdecomp_solves_through_one_helper():
+    # the flow's closure systems and the jet systems are one sparse solve;
+    # a second caller of exact_solve would build its equations its own way
+    assert callers((SRC / "blockdecomp.py").read_text(), "exact_solve") == [
+        "_solve_linear_combo"]
+
+
 def asserts_and_prints(source: str) -> tuple:
     """Line numbers of the ``assert`` statements and of the calls to
     ``print`` in ``source``."""

@@ -20,6 +20,7 @@ from semistab.gitnorm import find_destabilizer, git_norm
 from semistab.lp import exact_det
 from semistab.polycore import Poly, PolyMatrix, support_set
 from semistab.sublevel import (
+    OmegaBasis,
     TilePlanWeight,
     estimate_integral,
     plucker_evaluator,
@@ -326,6 +327,21 @@ def test_estimator_rejects_bad_tau():
     with pytest.raises(ValueError):
         estimate_integral(fx.line_family(), 1.0, 0, [(0, 1)],
                           fx.anisotropic_omega(1.0))
+
+
+def test_estimator_rejects_a_domain_that_is_not_its_box():
+    # on the line family a 2-d box and a reversed interval once gave 14.70
+    # and -1.57 (seed 0, 100,000 samples), and no interval an IndexError
+    line, om = fx.line_family(), fx.anisotropic_omega(1.0)
+    for domain in ([(-10, 10), (0, 5)], [(1, -1)], [], [(0, math.inf)]):
+        with pytest.raises(ValueError, match="1 finite intervals"):
+            estimate_integral(line, 1.0, 2, domain, om, n_samples=100)
+
+
+def test_plucker_evaluator_rejects_omega_of_the_wrong_size():
+    # a 3 x 3 basis for q = 2 once had its leading 2 x 2 block read
+    with pytest.raises(ValueError, match="not 2 x 2"):
+        plucker_evaluator(fx.line_family(), OmegaBasis(np.eye(3), np.zeros(3)))
 
 
 def test_estimator_rejects_bad_sample_counts():
