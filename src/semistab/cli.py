@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -48,7 +47,7 @@ from .radon import (
     model_exponents,
     semistability_verdict,
 )
-from .sublevel import estimate_integral, sample_omega
+from .sublevel import estimate_integral, integral_inputs, sample_omega
 from .tileplan import solve_plan, tile_point
 
 
@@ -75,12 +74,14 @@ def parse_rational(text: str) -> Fraction:
 
 def _load(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         raise InputError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path}: the top level is not a JSON object")
     return obj
@@ -107,8 +108,11 @@ def _emit(report: dict, out: str | None):
     text = json.dumps(json.loads(text, parse_constant=lambda _: None),
                       sort_keys=True, indent=2, allow_nan=False)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a directory, in a missing directory, unwritable
+            raise InputError(str(exc)) from exc
     return text
 
 
@@ -268,16 +272,10 @@ def cmd_sublevel(args) -> int:
     obj = _load(args.input)
     try:
         M = _matrix_from(obj["matrix"], args.input)
-        domain = [tuple(float(number_from_json(x)) for x in iv) for iv in obj["domain"]]
-        if len(domain) != M.d or not all(
-                len(iv) == 2 and -math.inf < iv[0] < iv[1] < math.inf for iv in domain):
-            raise ValueError(f"domain needs {M.d} finite intervals [lo, hi], lo < hi")
-        tau = float(args.tau if args.tau is not None else fraction_from_json(obj["tau"]))
-        if not tau > 0:
-            raise ValueError("tau must be positive")
-        weight = float(number_from_json(obj.get("weight", 1)))
-        if not weight >= 0:
-            raise ValueError("weight must be nonnegative")
+        weight, tau, domain = integral_inputs(
+            M, number_from_json(obj.get("weight", 1)),
+            args.tau if args.tau is not None else fraction_from_json(obj["tau"]),
+            [[number_from_json(x) for x in iv] for iv in obj["domain"]])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"{args.input}: not a sublevel problem "
                          f"({type(exc).__name__}: {exc})") from exc

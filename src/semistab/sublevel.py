@@ -26,22 +26,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .blockdecomp import (
-    BlockDecomposition,
-    Tile,
-    _tile_block,
-    maximal_minors,
-    reduced_matrix,
-    tile_map,
-)
+from .blockdecomp import BlockDecomposition, _tile_block, maximal_minors, reduced_matrix
 from .gitnorm import git_norm, haar_orthogonal
-from .polycore import Poly, PolyMatrix, act_dense, to_dense
+from .polycore import Poly, PolyMatrix, to_dense
 
 
 @dataclass
@@ -266,6 +259,24 @@ def _integrand_factory(norm_of, weight, tau: float):
     return f
 
 
+def integral_inputs(M, weight, tau, domain) -> tuple:
+    """(weight, tau, box) of :func:`estimate_integral` as floats, else
+    ValueError: tau finite and positive, a constant weight finite and
+    nonnegative, and the box M.d finite intervals [lo, hi] with lo < hi."""
+    tau = float(tau)
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive: {tau}")
+    if not callable(weight):
+        weight = float(weight)
+        if not 0 <= weight < math.inf:
+            raise ValueError(f"a constant weight must be finite and nonnegative: {weight}")
+    dom = tuple(tuple(map(float, iv)) for iv in domain)
+    if len(dom) != M.d or not all(len(iv) == 2 and -math.inf < iv[0] < iv[1] < math.inf
+                                  for iv in dom):
+        raise ValueError(f"domain needs {M.d} finite intervals [lo, hi], lo < hi")
+    return weight, tau, dom
+
+
 def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
                       n_samples: int = 100_000, stratified: bool = False,
                       budget_factor: int = 32) -> IntegralEstimate:
@@ -277,9 +288,11 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
         Row family u(t); its norm is :func:`plucker_evaluator`'s.
     weight : callable | float
         Nonnegative weight w(t); a scalar means a finite constant weight.
+    tau : float
+        Finite and positive.
     domain : sequence of (lo, hi)
-        Axis-aligned box: M.d finite intervals with lo < hi, else
-        ValueError.
+        Axis-aligned box: M.d finite intervals with lo < hi.  Inputs
+        outside these ranges raise ValueError (:func:`integral_inputs`).
     stratified : bool
         False: plain Monte Carlo over ``n_samples`` points of Philox streams
         keyed by ``seed``, with the sample standard error.  True: the
@@ -291,19 +304,11 @@ def estimate_integral(M, weight, tau, domain, omega, seed: int = 0,
     ``samples`` counts integrand evaluations.  Points where the norm
     vanishes under positive weight count 0 and are counted in ``flagged``.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     if n_samples < 1 or budget_factor < 1:
         raise ValueError("n_samples and budget_factor must be at least 1")
-    tau = float(tau)
+    weight, tau, dom = integral_inputs(M, weight, tau, domain)
     if not callable(weight):
-        wconst = float(weight)
-        if not 0 <= wconst < math.inf:
-            raise ValueError(f"a constant weight must be finite and nonnegative: {wconst}")
-        weight = lambda pts: np.full(len(pts), wconst)
-    dom = tuple((float(lo), float(hi)) for lo, hi in domain)
-    if len(dom) != M.d or not all(-math.inf < lo < hi < math.inf for lo, hi in dom):
-        raise ValueError(f"domain needs {M.d} finite intervals [lo, hi], lo < hi")
+        weight = lambda pts, w=weight: np.full(len(pts), w)
     f = _integrand_factory(plucker_evaluator(M, omega), weight, tau)
     if stratified:
         value, err, used, flagged = _cubature(f, dom, budget_factor * n_samples)
@@ -462,78 +467,3 @@ class TilePlanWeight:
             t0 = [Fraction(x).limit_denominator(10**6) for x in t]
             out[k] = self._value_at(t0)
         return out
-
-
-# -- hypothesis probing ----------------------------------------------------------------
-
-
-@dataclass
-class NondegReport:
-    samples: list
-    min_ratio: float
-
-
-def probe_nondegeneracy(M, decomp: BlockDecomposition, t0, sigma, w_value,
-                        M_samples: int = 10, seed: int = 0,
-                        destabilizer=None, flow_steps: int = 0,
-                        tile: Tile | None = None,
-                        degree_override: int | None = None) -> NondegReport:
-    """Numeric probe of the derivative lower-bound hypothesis at one point.
-
-    For each sampled invertible matrix Mx (Haar-ish with random log-scales;
-    plus exponentials of a supplied destabilizer direction), evaluates
-
-        RHS(Mx) = (sum over blocks, |alpha| = D_ij of
-                   |u_row . (Mx d)^alpha v_col|^2 / alpha!)^(1/2)
-
-    as the alpha!-weighted norm of the group action of Mx on the tile map
-    (:func:`semistab.blockdecomp.tile_map`) at t0, and reports
-    RHS / (|det Mx|^sigma w_value^sigma) per sample plus the minimum.
-
-    ``tile`` (the full tile by default) restricts the block sum (used to
-    exhibit instability of a degenerate subtile) and ``degree_override``
-    replaces every block's formal degree (lowering degrees yields a coarser
-    but still valid decomposition, which is how a homogeneous subtile is
-    probed on its own).
-    A destabilizer contributes samples (exp(k w_d); row/column rescalings
-    exp(k w_p), exp(k w_q) applied to the adapted factorization, indexed
-    within the tile) for k = 1 .. flow_steps.
-    """
-    d = M.d
-    sigma, w_value = float(sigma), float(w_value)
-    if tile is None:
-        tile = Tile((0, len(decomp.row_groups) - 1), (0, len(decomp.col_groups) - 1))
-    if degree_override is not None:
-        decomp = replace(decomp, D=[[degree_override] * len(row) for row in decomp.D])
-    # the variable change keeps degrees, so the block sum is over every monomial
-    basis, T = to_dense(tile_map(M, decomp, tile, t0))
-    p, q = T.shape[:2]
-    samples = []
-
-    def record(desc, Mx, row_scale=(), col_scale=()):
-        det = abs(float(np.linalg.det(np.asarray(Mx, dtype=float))))
-        rs, cs = np.ones(p), np.ones(q)
-        rs[:len(row_scale)], cs[:len(col_scale)] = row_scale, col_scale
-        X = act_dense(basis, T, np.eye(p), np.eye(q), Mx) * np.outer(rs, cs)[:, :, None]
-        val = math.sqrt(float((basis.fac * X ** 2).sum()))
-        denom = det ** sigma * w_value ** sigma
-        ratio = math.inf if denom == 0 else val / denom
-        samples.append({"sample": desc, "rhs": val, "det": det, "ratio": ratio})
-
-    record("identity", np.eye(d))
-    rng = np.random.default_rng(seed)
-    for k in range(max(0, M_samples - 1)):
-        O1 = haar_orthogonal(rng, d)
-        O2 = haar_orthogonal(rng, d)
-        w = rng.uniform(-2, 2, size=d)
-        Mx = O1 @ np.diag(np.exp(w)) @ O2
-        record(f"random-{k}", Mx)
-    if destabilizer is not None and flow_steps > 0:
-        wp = np.array([float(x) for x in destabilizer.w_p])
-        wq = np.array([float(x) for x in destabilizer.w_q])
-        wd = np.array([float(x) for x in destabilizer.w_d])
-        for k in range(1, flow_steps + 1):
-            Mx = np.diag(np.exp(k * wd))
-            record(f"destabilizer-{k}", Mx,
-                   row_scale=np.exp(k * wp), col_scale=np.exp(k * wq))
-    return NondegReport(samples, min(s["ratio"] for s in samples))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tiles_reference
 from semistab import fixtures as fx
@@ -268,6 +269,14 @@ def test_tile_map_63_full_tile_matches_display():
         [o, o, o, one, z3.scale(-1), o, z1.scale(-1), Poly(d, {(1, 0, 1): 1})],
     ])
     assert P == expect
+
+
+@pytest.mark.parametrize("t0", [[F(0)], [F(0)] * 3])
+def test_tile_map_rejects_a_point_of_the_wrong_dimension(t0):
+    M = fx.example61_matrix()
+    _, _, _, dec = eliminate(M)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        tile_map(M, dec, Tile((0, 1), (0, 0)), t0)
 
 
 def test_tile_map_commutes_with_in_group_remix():

@@ -193,6 +193,22 @@ def test_top_level_that_is_not_an_object_is_an_input_error(tmp_path, command, to
     assert_one_error_line(*run_main(command + [str(path)]))
 
 
+T2 = os.path.join(FIXTURES, "t2.json")
+
+
+@pytest.mark.parametrize("input_, out", [
+    (".", None), ("latin1.json", None), (T2, "."), (T2, "no/report.json")],
+    ids=["input-directory", "input-not-utf8", "out-directory", "out-in-missing-directory"])
+def test_file_that_cannot_be_read_or_written_is_an_input_error(tmp_path, input_, out):
+    # each once ended in a traceback: IsADirectoryError, UnicodeDecodeError,
+    # and for --out IsADirectoryError and FileNotFoundError after the summary
+    (tmp_path / "latin1.json").write_bytes(b'{"name": "\xe9"}')
+    argv = ["hsnorm", "--input", str(tmp_path / input_)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert_one_error_line(*run_main(argv))
+
+
 @pytest.mark.parametrize("domain", [[], [[0.0]], [[0.0, 1.0, 2.0]], [[1.0, 0.0]],
                                     [[0.0, 0.0]], [[-1.0, 1.0], [-1.0, 1.0]]])
 def test_sublevel_domain_is_validated(tmp_path, domain):

@@ -10,6 +10,12 @@ sparse matrices, [I | N(s)] with N of powers of one variable (rows of equal orde
 the columns of N give the row pass its work) and derivative frames of a
 monomial curve (which have a flow), and adds a linear multiple of one row
 to another in half of them.
+
+Those matrices cannot tell which solution an underdetermined jet system
+gets, so the corpus also holds denser draws (p in {2, 3}, q up to p + 3, a
+unit leading diagonal and entries of up to three terms of degree <= 3) and
+``JET_ORDER``, one such matrix found by a draw: with the jet solve's unknowns
+in reverse order, ``eliminate`` gives it another B and R.
 """
 
 import itertools
@@ -76,14 +82,38 @@ def random_incidence(rng):
     return PolyMatrix(rows)
 
 
+def dense_incidence(rng):
+    p, d = rng.randint(2, 3), rng.randint(1, 2)
+    q = rng.randint(p + 1, p + 3)
+    monos = [a for a in itertools.product(range(4), repeat=d) if sum(a) <= 3]
+    coef = lambda: rng.choice([1, -1, 2, -2, 3, -3])
+    return PolyMatrix([[Poly.constant(d, 1) if i == j else
+                        Poly(d, {rng.choice(monos): coef() for _ in range(rng.randint(0, 3))})
+                        for j in range(q)] for i in range(p)])
+
+
+def _s(*terms):
+    return Poly(1, {(k,): c for k, c in terms})
+
+
+# [[1, s, 0, -s^2, 0], [2s^3 - 3s^2, 1, 2s - s^3, -3s^3 - 3s^2 - 3, -3s^3 - 3]]:
+# D = [[0, 1]], row groups [2], column groups [3, 2]
+JET_ORDER = PolyMatrix([
+    [_s((0, 1)), _s((1, 1)), _s(), _s((2, -1)), _s()],
+    [_s((3, 2), (2, -3)), _s((0, 1)), _s((1, 2), (3, -1)), _s((3, -3), (2, -3), (0, -3)),
+     _s((3, -3), (0, -3))]])
+
+
 def corpus(n=60, seed=20261020):
+    """n sparse draws, then n // 2 dense draws, then ``JET_ORDER``."""
     rng = random.Random(seed)
     out = []
-    while len(out) < n:
-        M = random_incidence(rng)
-        if bd.has_generic_rank_p(M):
-            out.append(M)
-    return out
+    for draw, count in ((random_incidence, n), (dense_incidence, n + n // 2)):
+        while len(out) < count:
+            M = draw(rng)
+            if bd.has_generic_rank_p(M):
+                out.append(M)
+    return out + [JET_ORDER]
 
 
 def as_json(result) -> str:
