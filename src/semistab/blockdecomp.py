@@ -28,7 +28,9 @@ constant regrouping.  It raises vanishing orders of rows by adding
 multiples of rows of the same order, with coefficients found by exact
 linear solves on diagonal jets: first the columns, as the rows of the
 transposes with ops in t, then the rows with ops in s.  The flow's closure
-systems and the jet systems are one sparse exact solve.
+systems and the jet systems are one sparse exact solve; most have no
+solution, and one whose target has a term that no vector reaches is settled
+without elimination.
 """
 
 from __future__ import annotations
@@ -57,43 +59,52 @@ from .polycore import (
 # -- bivariate helpers ------------------------------------------------------------
 
 
+def _lift(P: Poly, d: int, terms: dict) -> Poly:
+    """The lift of P to (s, z) with ``terms``; ValueError unless P is in d vars."""
+    if P.dim != d:
+        raise ValueError(f"a poly in {P.dim} variables lifted as one in {d}")
+    return Poly._of(2 * d, terms, P.exact)
+
+
 def inflate_s(P: Poly, d: int) -> Poly:
     """Poly in s (d vars) -> poly in (s, z) (2d vars), constant in z."""
-    return Poly(2 * d, {a + (0,) * d: c for a, c in P.terms.items()}, exact=P.exact)
+    return _lift(P, d, {a + (0,) * d: c for a, c in P.terms.items()})
 
 
 def inflate_z(P: Poly, d: int) -> Poly:
     """Poly in z (d vars) -> poly in (s, z) (2d vars), constant in s."""
-    return Poly(2 * d, {(0,) * d + a: c for a, c in P.terms.items()}, exact=P.exact)
+    return _lift(P, d, {(0,) * d + a: c for a, c in P.terms.items()})
 
 
 def inflate_t(P: Poly, d: int) -> Poly:
-    """Poly in t (d vars) -> poly in (s, z) via t = s + z."""
-    out = Poly(2 * d, {}, exact=P.exact)
+    """Poly in t (d vars) -> poly in (s, z) via t = s + z: c t^a is the sum of
+    c C(a, b) s^b z^(a-b), b <= a, with the sums by Pascal's rule and the
+    term order (b descending) of the product by each s_k + z_k in turn."""
+    out = {}
     for a, c in P.terms.items():
-        mono = Poly.constant(2 * d, c)
-        for k, e in enumerate(a):
-            if e:
-                sk = tuple(1 if j == k else 0 for j in range(2 * d))
-                zk = tuple(1 if j == d + k else 0 for j in range(2 * d))
-                form = Poly(2 * d, {sk: 1, zk: 1})
-                for _ in range(e):
-                    mono = mono * form
-        out = out + mono
-    return out
+        parts = [((), (), c)]
+        for e in a:
+            parts = [(sb + (b,), zb + (e - b,), row[b]) for sb, zb, v in parts
+                     for row in [_pascal_row(v, e)] for b in range(e, -1, -1)]
+        out.update((sb + zb, v) for sb, zb, v in parts)
+    return _lift(P, d, out)
+
+
+def _pascal_row(c, e: int) -> list:
+    """[c C(e, b) for b = 0..e], each entry the sum of the two above it."""
+    row = [c]
+    for _ in range(e):
+        row = [row[0], *(x + y for x, y in zip(row, row[1:])), row[-1]]
+    return row
 
 
 def z_order(P: Poly, d: int) -> int:
     """Least total z-degree with a nonzero coefficient; -1 for the zero poly."""
-    if P.is_zero():
-        return -1
-    return min(sum(a[d:]) for a in P.terms)
+    return min((sum(a[d:]) for a in P.terms), default=-1)
 
 
 def z_degree(P: Poly, d: int) -> int:
-    if P.is_zero():
-        return -1
-    return max(sum(a[d:]) for a in P.terms)
+    return max((sum(a[d:]) for a in P.terms), default=-1)
 
 
 def least_z_order(R: PolyMatrix, rows, cols):
@@ -102,12 +113,6 @@ def least_z_order(R: PolyMatrix, rows, cols):
     d = R.d // 2
     return min((z_order(R.entries[r][c], d) for r in rows for c in cols
                 if not R.entries[r][c].is_zero()), default=math.inf)
-
-
-def z_homogeneous_part(P: Poly, d: int, deg: int) -> Poly:
-    return Poly(2 * d,
-                {a: c for a, c in P.terms.items() if sum(a[d:]) == deg},
-                exact=P.exact)
 
 
 def specialize_s(P: Poly, t0) -> Poly:
@@ -138,17 +143,9 @@ def diagonal_shift(P: Poly, s0) -> Poly:
 def pm_mul(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
     if X.q != Y.p:
         raise ValueError("shape mismatch in polynomial matrix product")
-    rows = []
-    for i in range(X.p):
-        row = []
-        for j in range(Y.q):
-            acc = Poly.zero(X.d)
-            for k in range(X.q):
-                if not X.entries[i][k].is_zero() and not Y.entries[k][j].is_zero():
-                    acc = acc + X.entries[i][k] * Y.entries[k][j]
-            row.append(acc)
-        rows.append(row)
-    return PolyMatrix(rows)
+    cols = list(zip(*Y.entries))
+    return PolyMatrix([[sum((x * y for x, y in zip(row, col) if x.terms and y.terms),
+                            Poly.zero(X.d)) for col in cols] for row in X.entries])
 
 
 def reduced_product(A: PolyMatrix, M: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
@@ -321,11 +318,14 @@ def _solve_linear_combo(vectors, target):
     """Coefficients x with sum x_i vectors_i = target, exact; None if none.
     Vectors and target are sparse ``{key: value}`` mappings with hashable
     keys, one equation per key; the rows come from one pass over the
-    vectors' nonzeros."""
+    vectors' nonzeros.  A nonzero target value on a key that no vector has
+    (the equation 0 = c) settles the system as inconsistent without elimination."""
     rows = {key: {} for key in target}
     for i, v in enumerate(vectors):
         for key, c in v.items():
             rows.setdefault(key, {})[i] = c
+    if any(c and not rows[key] for key, c in target.items()):
+        return None
     return exact_solve(list(rows.values()), [target.get(key, 0) for key in rows],
                        len(vectors))
 
@@ -364,8 +364,9 @@ def _flow(M: PolyMatrix):
                 G[j2][j] = coef
         entries = PolyMatrix.identity(q, d).entries
         power, fact = [[Fraction(int(i == j)) for j in range(q)] for i in range(q)], 1
+        support = [[l for l in range(q) if G[l][j]] for j in range(q)]
         for n in range(1, q + 1):
-            power = [[sum(row[l] * G[l][j] for l in range(q)) for j in range(q)]
+            power = [[sum(row[l] * G[l][j] for l in support[j]) for j in range(q)]
                      for row in power]
             fact *= n
             if all(v == 0 for row in power for v in row):
@@ -388,17 +389,23 @@ def _jet(entries, m: int, d: int):
     {(label, z-beta): s-poly coeff}."""
     jet = {}
     for label, e in entries:
-        for a, c in z_homogeneous_part(e, d, m).terms.items():
-            spoly = jet.setdefault((label, a[d:]), {})
-            spoly[a[:d]] = spoly.get(a[:d], 0) + c
+        for a, c in e.terms.items():
+            if sum(a[d:]) == m:
+                jet.setdefault((label, a[d:]), {})[a[:d]] = c
     return jet
 
 
 def _solve_jet_kill(target_jet, pivot_jets, d: int, degbound: int):
     """Polynomial coefficients f (one per pivot, degree <= degbound in s)
     with sum_p f_p . jet_p = -target; None if impossible.  Unknown pi * ns + gi
-    is the coefficient in f_pi of the gi-th s-monomial s^g; its vector is s^g jet_pi."""
-    smonos = graded_basis(d, degbound).alphas
+    is the coefficient in f_pi of the gi-th s-monomial s^g; its vector is s^g jet_pi.
+    A target term that no vector has settles the system before any is built."""
+    basis = graded_basis(d, degbound)
+    reached = lambda key, sa: any(tuple(x - y for x, y in zip(sa, sb)) in basis.index
+                                  for jet in pivot_jets for sb in jet.get(key, ()))
+    if not all(reached(key, sa) for key, spoly in target_jet.items() for sa in spoly):
+        return None
+    smonos = basis.alphas
     vectors = [{(key, tuple(x + y for x, y in zip(sa, g))): c
                 for key, spoly in jet.items() for sa, c in spoly.items()}
                for jet in pivot_jets for g in smonos]
@@ -558,14 +565,9 @@ def vanishing_degrees(R: PolyMatrix, row_groups, col_groups):
             else:
                 D[i][j] = order
     for (i, j) in zero_blocks:
-        degs = [
-            z_degree(R.entries[r][c], d)
-            for r in range(ri[i], ri[i + 1]) for c in range(R.q)
-        ] + [
-            z_degree(R.entries[r][c], d)
-            for c in range(ci[j], ci[j + 1]) for r in range(R.p)
-        ]
-        D[i][j] = 1 + max([dg for dg in degs if dg >= 0], default=0)
+        cells = [(r, c) for r in range(ri[i], ri[i + 1]) for c in range(R.q)]
+        cells += [(r, c) for c in range(ci[j], ci[j + 1]) for r in range(R.p)]
+        D[i][j] = 1 + max(0, *(z_degree(R.entries[r][c], d) for r, c in cells))
     return D, zero_blocks
 
 

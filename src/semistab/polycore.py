@@ -101,6 +101,16 @@ class Poly:
         self.terms = terms
         self.exact = exact
 
+    @staticmethod
+    def _of(dim: int, terms: dict, *exact: bool) -> "Poly":
+        """Arithmetic's result ``terms`` on valid operands of the kinds ``exact``:
+        of one kind, only its zeros go; mixed, the validating constructor."""
+        if len(set(exact)) > 1:
+            return Poly(dim, terms, exact=False)
+        P = object.__new__(Poly)
+        P.dim, P.terms, P.exact = dim, {a: c for a, c in terms.items() if c}, exact[0]
+        return P
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -129,11 +139,7 @@ class Poly:
         return self.terms.get(tuple(alpha), Fraction(0) if self.exact else 0.0)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
+        return isinstance(other, Poly) and (self.dim, self.terms) == (other.dim, other.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -152,10 +158,10 @@ class Poly:
         out = dict(self.terms)
         for a, c in other.terms.items():
             out[a] = out.get(a, 0) + c
-        return Poly(self.dim, out, exact=self.exact and other.exact)
+        return Poly._of(self.dim, out, self.exact, other.exact)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.dim, {a: -c for a, c in self.terms.items()}, exact=self.exact)
+        return Poly._of(self.dim, {a: -c for a, c in self.terms.items()}, self.exact)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -163,8 +169,9 @@ class Poly:
     def scale(self, c) -> "Poly":
         if c == 0:
             return Poly.zero(self.dim)
-        exact = self.exact and _is_exact_scalar(c)
-        return Poly(self.dim, {a: v * c for a, v in self.terms.items()}, exact=exact)
+        # a scalar of neither kind (a numpy float, say) counts as mixed
+        kind = True if _is_exact_scalar(c) else False if type(c) is float else None
+        return Poly._of(self.dim, {a: v * c for a, v in self.terms.items()}, self.exact, kind)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.dim != other.dim:
@@ -174,16 +181,13 @@ class Poly:
             for b, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(a, b))
                 out[key] = out.get(key, 0) + ca * cb
-        return Poly(self.dim, out, exact=self.exact and other.exact)
+        return Poly._of(self.dim, out, self.exact, other.exact)
 
     # -- restricted views ----------------------------------------------------
 
     def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly(
-            self.dim,
-            {a: c for a, c in self.terms.items() if mi_order(a) == degree},
-            exact=self.exact,
-        )
+        return Poly._of(self.dim, {a: c for a, c in self.terms.items()
+                                   if mi_order(a) == degree}, self.exact)
 
 
 # -- operations on polynomials ------------------------------------------------
@@ -194,18 +198,10 @@ def partial_derivative(P: Poly, alpha) -> Poly:
     alpha = tuple(alpha)
     if len(alpha) != P.dim:
         raise ValueError("dimension mismatch")
-    out: dict = {}
-    for a, c in P.terms.items():
-        if any(x < y for x, y in zip(a, alpha)):
-            continue
-        fac = 1
-        new = []
-        for x, y in zip(a, alpha):
-            new.append(x - y)
-            for j in range(y):
-                fac *= x - j
-        out[tuple(new)] = out.get(tuple(new), 0) + c * fac
-    return Poly(P.dim, out, exact=P.exact)
+    # a -> a - alpha is one to one, and d^alpha z^a = a!/(a - alpha)! z^(a - alpha)
+    out = {tuple(x - y for x, y in zip(a, alpha)): c * math.prod(map(math.perm, a, alpha))
+           for a, c in P.terms.items() if all(x >= y for x, y in zip(a, alpha))}
+    return Poly._of(P.dim, out, P.exact)
 
 
 # -- matrices ------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tiles_reference
+from semistab import blockdecomp as bd
 from semistab import fixtures as fx
 from semistab.blockdecomp import (
     BlockDecomposition,
@@ -22,6 +23,7 @@ from semistab.blockdecomp import (
     vanishing_degrees,
     verify_block_decomposition,
 )
+from semistab.lp import exact_solve
 from semistab.polycore import (
     GroupElement,
     Poly,
@@ -112,6 +114,52 @@ def test_eliminate_refuses_nothing_but_flags_unclosed_flow():
     M = PolyMatrix([[Poly.constant(1, 1), Poly(1, {(3,): 1})]])
     A, B, R, dec = eliminate(M)
     assert verify_block_decomposition(M, dec).ok
+
+
+# -- the sparse solve's screen ---------------------------------------------------------------
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The calls the sparse solve makes to lp.exact_solve, counted."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact_solve(*args)
+
+    monkeypatch.setattr(bd, "exact_solve", counted)
+    return calls
+
+
+def test_screen_settles_an_orphan_target_without_elimination(solves):
+    # nothing has the key "c", so the equation there reads 0 = 3
+    assert bd._solve_linear_combo([{"a": 1}, {"a": 2, "b": 1}], {"a": 1, "c": 3}) is None
+    assert solves == []
+
+
+def test_screen_ignores_an_orphan_key_with_zero_target(solves):
+    vectors = [{"a": 1, "b": 1}, {"b": 1, "c": 1}]
+    assert bd._solve_linear_combo(vectors, {"a": 3, "b": 5, "c": 2, "e": 0}) == [3, 2]
+    assert len(solves) == 1
+
+
+def test_feasible_solve_keeps_its_solution(solves):
+    # underdetermined: the free variable of the fourth vector is zero, the
+    # solution the solve gave before the screen
+    vectors = [{"a": 1, "b": 1}, {"b": 1, "c": 1}, {"a": 1, "c": 1},
+               {"a": 2, "b": 1, "c": 1}, {"d": F(1, 2)}]
+    x = bd._solve_linear_combo(vectors, {"a": 3, "b": 5, "c": 4, "d": 1})
+    assert x == [2, 3, 1, 0, 2] and all(type(v) is F for v in x)
+    assert len(solves) == 1
+
+
+def test_eliminate_m61_eliminates_only_consistent_systems(solves):
+    # 62 systems were eliminated before the screens; 50 of them had no solution
+    M = polymatrix_from_json(json.loads((FIXTURES / "m61.json").read_text()))
+    eliminate(M)
+    assert len(solves) == 10
+    assert all(exact_solve(*args) is not None for args in solves)
 
 
 # -- vanishing degrees ------------------------------------------------------------------
