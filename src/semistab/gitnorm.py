@@ -741,6 +741,25 @@ def find_destabilizer(E: SupportSet, sigma, sigma_uniform: bool = False):
     return dest
 
 
+def _sparse_obstruction(P: PolyMatrix) -> str | None:
+    """Why P breaks the sparse conditions (a monomial twice in one row or
+    column of its slice, or adjacent multiindices inside one entry), or None."""
+    slices: dict[tuple, list] = {}
+    for i, row in enumerate(P.entries):
+        for j, e in enumerate(row):
+            for a in e.terms:
+                slices.setdefault(a, []).append((i, j))
+    for a, cells in slices.items():
+        if any(len(set(ks)) < len(cells) for ks in zip(*cells)):
+            return f"monomial {a} collides in a row or column"
+    for i, row in enumerate(P.entries):
+        for j, e in enumerate(row):
+            for a1, a2 in itertools.combinations(e.terms, 2):
+                if sorted(u - v for u, v in zip(a1, a2) if u != v) == [-1, 1]:
+                    return f"entry ({i},{j}) has adjacent multiindices {a1} and {a2}"
+    return None
+
+
 def sparse_criterion(P: PolyMatrix, sigma) -> SparseVerdict:
     """Positivity by sparsity: one nonzero per row/column in each monomial
     slice, no adjacent multiindices inside one entry, and a rational convex
@@ -749,23 +768,8 @@ def sparse_criterion(P: PolyMatrix, sigma) -> SparseVerdict:
         raise ValueError("sparse criterion needs exact coefficients")
     sigma = Fraction(sigma)
     p, q, d = P.p, P.q, P.d
-
-    slices: dict[tuple, list] = {}
-    for i, row in enumerate(P.entries):
-        for j, e in enumerate(row):
-            for a in e.terms:
-                slices.setdefault(a, []).append((i, j))
-    for a, cells in slices.items():
-        if any(len(set(ks)) < len(cells) for ks in zip(*cells)):
-            return SparseVerdict(False, False,
-                                 reason=f"monomial {a} collides in a row or column")
-    for i, row in enumerate(P.entries):
-        for j, e in enumerate(row):
-            for a1, a2 in itertools.combinations(e.terms, 2):
-                if sorted(u - v for u, v in zip(a1, a2) if u != v) == [-1, 1]:
-                    return SparseVerdict(
-                        False, False,
-                        reason=f"entry ({i},{j}) has adjacent multiindices {a1} and {a2}")
+    if (reason := _sparse_obstruction(P)) is not None:
+        return SparseVerdict(False, False, reason=reason)
 
     # barycentric weights theta with the largest floor eps >= 0; the LP is
     # infeasible exactly when the barycenter is outside the support hull
@@ -789,6 +793,20 @@ def sparse_criterion(P: PolyMatrix, sigma) -> SparseVerdict:
         return SparseVerdict(True, False, reason="barycenter outside support hull")
     return SparseVerdict(True, True, theta=dict(zip(E.triples, res.x[:n])),
                          strictly_positive_theta=res.objective > 0)
+
+
+def sparse_theta_holds(P: PolyMatrix, sigma, theta: dict) -> bool:
+    """Exact re-check of a positive sparse verdict: P meets the sparse
+    conditions, theta >= 0 weighs exactly P's support triples, and it
+    satisfies the rows of ``balanced_rows``: sum theta = 1 and
+    sum theta x = the balanced target at sigma."""
+    E = support_set(P)
+    if (_sparse_obstruction(P) is not None or set(theta) != set(E.triples)
+            or any(t < 0 for t in theta.values())):
+        return False
+    A, b = balanced_rows(E.weight_points(), (E.p, E.q, E.d), E.p, E.q, Fraction(sigma))
+    w = [theta[t] for t in E.triples]
+    return all(sum(a * t for a, t in zip(row, w)) == rhs for row, rhs in zip(A, b))
 
 
 def feasible_sigma_interval(E: SupportSet):

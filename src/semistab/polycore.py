@@ -94,7 +94,7 @@ class Poly:
         if exact is None:
             exact = all(_is_exact_scalar(c) for c in terms.values())
         cast = _as_fraction if exact else float
-        terms = {a: cast(c) for a, c in terms.items() if c != 0}
+        terms = {a: v for a, c in terms.items() if c and (v := cast(c))}
         for a in terms:
             if len(a) != dim or any(k < 0 for k in a):
                 raise ValueError(f"bad multiindex {a} for dim {dim}")

@@ -11,8 +11,9 @@ z-linear matrix encoding of the form.
 
 Verdicts are certificate-backed: positive comes with a sparse convex-weight
 certificate or a converged critical point, unstable with a rational frame
-plus a diagonal destabilizer that is re-verified exactly.  Everything else
-is reported as undetermined, with the best numeric evidence attached.
+plus a diagonal destabilizer.  The verdict runs ``STAGES`` in order, and
+every exact certificate, the sparse weights included, is checked again before
+it is reported; anything else is undetermined, with the best numeric evidence.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .blockdecomp import (
     inflate_s,
     inflate_z,
     reduced_product,
-    specialize_s,
     unimodular,
     z_degree,
 )
@@ -40,6 +40,7 @@ from .gitnorm import (
     git_norm,
     minimize_diagonal,
     sparse_criterion,
+    sparse_theta_holds,
     theta_to_json,
 )
 from .lp import (CertificateError, echelon_frame, exact_inverse, exact_nullspace,
@@ -181,6 +182,15 @@ class PositiveCertificate:
     value: float
     theta: dict | None = None
     foc_residual: float = 0.0
+    sigma: Fraction | None = None
+
+    @property
+    def exact(self) -> bool:  # a critical point is floats, with no exact claim
+        return self.kind == "sparse"
+
+    def reverify(self, P: PolyMatrix) -> bool:
+        """Exact re-check of the sparse weights theta on P at sigma."""
+        return sparse_theta_holds(P, self.sigma, self.theta)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "value": self.value,
@@ -190,25 +200,7 @@ class PositiveCertificate:
         return out
 
 
-# -- incidence and curvature ---------------------------------------------------------
-
-
-def build_incidence(prob: RadonProblem) -> PolyMatrix:
-    """M_ij = d phi^i / d x_j, exact, in the combined (x, t) variables.
-
-    x is a frozen parameter block; specialize with
-    :func:`specialize_incidence` to obtain a matrix in the active variables.
-    """
-    x_units = np.eye(prob.n + prob.nt, dtype=int).tolist()[:prob.n]
-    return PolyMatrix([[partial_derivative(f, e) for e in x_units] for f in prob.phi])
-
-
-def specialize_incidence(prob: RadonProblem, x0) -> PolyMatrix:
-    """Freeze x = x0; the result is a k x n matrix in the t variables."""
-    if len(x0) != prob.n:
-        raise ValueError("x0 must have length n")
-    return PolyMatrix([[specialize_s(e, x0) for e in row]
-                       for row in build_incidence(prob).entries])
+# -- curvature forms -----------------------------------------------------------------
 
 
 def curvature_form(prob: RadonProblem, z0) -> CurvatureForm:
@@ -327,65 +319,71 @@ def pencil_destabilizer(P: PolyMatrix, sigma):
 # -- the verdict ------------------------------------------------------------------------
 
 
-def semistability_verdict(Q: CurvatureForm, restarts: int = 64,
-                          seed: int = 0) -> SemistabilityVerdict:
-    """Decide semistability of a curvature form, with certificates.
-
-    Pipeline: sparse criterion at sigma = 1/(t-kernel dimension); the exact
-    flattening frames of :func:`pencil_destabilizer`, which decide every
-    rank-deficient form and every castling shape p = qd - 1 with q != d (and
-    its permutations), and cost three exact ranks when neither applies; the
-    exact identity-frame destabilizer; and finally the deterministic
-    critical-point search of ``git_norm`` (at most 200 inner solves),
-    whose converged critical points of positive value count as positive.
-    A FloatRangeError makes the sparse bound inf and the search undetermined.
-    ``restarts`` and ``seed`` have no effect: the search is deterministic,
-    and they are accepted only so that existing callers keep working.
-    """
-    sigma = Fraction(1, Q.shape[2])
-    P = Q.to_polymatrix()
+def _zero_stage(P: PolyMatrix, sigma):
     if P.is_zero():
-        return SemistabilityVerdict(
-            "unstable", UnstableCertificate(None, None, exact=True, sigma=sigma),
-            0.0, "zero form")
-    if P.exact:
-        sv = sparse_criterion(P, sigma)
-        if sv.applicable and sv.positive:
-            try:
-                value = minimize_diagonal(P, sigma).value
-            except FloatRangeError:  # the bound is lost, not the certificate
-                value = math.inf
-            return SemistabilityVerdict(
-                "positive",
-                PositiveCertificate("sparse", value, theta=sv.theta),
-                value, "sparse criterion")
-        got = pencil_destabilizer(P, sigma)
-        if got is not None:
-            g, dest = got
-            cert = UnstableCertificate(g, dest, exact=True, sigma=sigma)
-            if not cert.reverify(P):
-                raise CertificateError("pencil certificate fails reverify")
-            return SemistabilityVerdict("unstable", cert, 0.0,
-                                        "pencil-reduction destabilizer")
-        dest = find_destabilizer(support_set(P), sigma)
-        if dest is not None:
-            cert = UnstableCertificate(None, dest, exact=True, sigma=sigma)
-            return SemistabilityVerdict("unstable", cert, 0.0,
-                                        "identity-frame destabilizer")
+        cert = UnstableCertificate(None, None, exact=True, sigma=sigma)
+        return SemistabilityVerdict("unstable", cert, 0.0, "zero form")
+
+
+def _sparse_stage(P: PolyMatrix, sigma):
+    if P.exact and (sv := sparse_criterion(P, sigma)).positive:
+        try:
+            value = minimize_diagonal(P, sigma).value
+        except FloatRangeError:  # the bound is lost, not the certificate
+            value = math.inf
+        cert = PositiveCertificate("sparse", value, theta=sv.theta, sigma=sigma)
+        return SemistabilityVerdict("positive", cert, value, "sparse criterion")
+
+
+def _pencil_stage(P: PolyMatrix, sigma):
+    if P.exact and (got := pencil_destabilizer(P, sigma)) is not None:
+        cert = UnstableCertificate(*got, exact=True, sigma=sigma)
+        return SemistabilityVerdict("unstable", cert, 0.0, "pencil-reduction destabilizer")
+
+
+def _identity_frame_stage(P: PolyMatrix, sigma):
+    if P.exact and (dest := find_destabilizer(support_set(P), sigma)) is not None:
+        cert = UnstableCertificate(None, dest, exact=True, sigma=sigma)
+        return SemistabilityVerdict("unstable", cert, 0.0, "identity-frame destabilizer")
+
+
+def _search_stage(P: PolyMatrix, sigma):
     try:
         est = git_norm(P, sigma, budget=200)
     except FloatRangeError as exc:
         return SemistabilityVerdict("undetermined", None, math.inf,
                                     f"best upper bound {math.inf}: {exc}")
     if est.status == "converged" and est.value > 0:
-        return SemistabilityVerdict(
-            "positive",
-            PositiveCertificate("critical", est.value,
-                                foc_residual=est.foc_residual),
-            est.value, "converged critical point")
-    return SemistabilityVerdict(
-        "undetermined", None, est.value,
-        f"best upper bound {est.value:.3e}, status {est.status}")
+        cert = PositiveCertificate("critical", est.value, foc_residual=est.foc_residual)
+        return SemistabilityVerdict("positive", cert, est.value, "converged critical point")
+    return SemistabilityVerdict("undetermined", None, est.value,
+                                f"best upper bound {est.value:.3e}, status {est.status}")
+
+
+# the verdict's stages in order, as (name, stage): a stage maps (P, sigma) to a
+# verdict, or to None when it cannot decide; the float search always decides
+STAGES = (("zero", _zero_stage), ("sparse", _sparse_stage), ("pencil", _pencil_stage),
+          ("identity-frame", _identity_frame_stage), ("search", _search_stage))
+
+
+def semistability_verdict(Q: CurvatureForm, restarts: int = 64,
+                          seed: int = 0) -> SemistabilityVerdict:
+    """Decide semistability of a curvature form, with certificates.
+
+    Returns the first decision of ``STAGES`` at sigma = 1/(t-kernel
+    dimension).  Every exact certificate, the sparse theta included, is
+    checked again here first, and a failed check raises CertificateError
+    naming the stage.  ``restarts`` and ``seed`` have no effect: the search
+    is deterministic, and they are accepted only so that callers keep working.
+    """
+    sigma = Fraction(1, Q.shape[2])
+    P = Q.to_polymatrix()
+    for name, stage in STAGES:
+        if (verdict := stage(P, sigma)) is not None:
+            cert = verdict.certificate
+            if getattr(cert, "exact", False) and not cert.reverify(P):
+                raise CertificateError(f"{name} certificate fails reverify")
+            return verdict
 
 
 # -- exponents -----------------------------------------------------------------------

@@ -4,10 +4,12 @@ name it imports, every private module-level function or class is used
 somewhere in the package, every option of the public interface is set by
 some caller, every public function, class and method has a caller outside
 the unit tests, every function the benchmark traces still exists, every
-verdict detail is a stage text the benchmark can parse, only ``lp`` scales
-rationals to integers over an lcm, one function of the package solves for
-order-raising ops, the package has no ``assert`` statement and only the CLI
-prints."""
+verdict detail is a stage text the benchmark can parse, the verdict's exact
+stages carry the benchmark's stage names, only ``lp`` scales rationals to
+integers over an lcm, one function of the package solves for order-raising
+ops, the verdict rechecks its certificates in one place, the sparse
+conditions have one home, the package has no ``assert`` statement and only
+the CLI prints."""
 
 import ast
 import importlib
@@ -251,7 +253,6 @@ def test_every_public_name_has_a_caller():
     # acceptance suite; a name that only its own unit tests call is dead
     allowed = {
         "polycore.hs_norm_sq_exact": "the exact norm of ROADMAP item 1's critical-point check",
-        "radon.specialize_incidence": "the paper's incidence matrix M(t) at a fixed x",
         "radon.CurvatureForm.transformed": "moves the forms of ROADMAP item 1's corpus",
     }
     callers = [p.read_text() for p in [*sorted((ROOT / "perfbench").rglob("*.py")),
@@ -315,6 +316,17 @@ def test_every_verdict_detail_is_a_known_stage():
     assert details and unknown == []
 
 
+def test_exact_stage_names_are_benchmark_stage_names():
+    # the names of radon.STAGES can become the verdict's stage field as they
+    # are; the search stage reports two stages of the benchmark, critical
+    # and undetermined
+    from semistab.radon import STAGES
+
+    known = {stage for _, stage in spans_constant("STAGES")}
+    names = [name for name, _ in STAGES]
+    assert names[-1] == "search" and set(names[:-1]) <= known
+
+
 def lcm_calls(source: str) -> list:
     """Line numbers of the calls to ``lcm``, as ``math.lcm`` or bare, in
     ``source``."""
@@ -374,6 +386,19 @@ def test_blockdecomp_solves_through_one_helper():
     # a second caller of exact_solve would build its equations its own way
     assert callers((SRC / "blockdecomp.py").read_text(), "exact_solve") == [
         "_solve_linear_combo"]
+
+
+def test_verdict_rechecks_in_one_place():
+    # every certificate the verdict returns is rechecked by the loop over
+    # its stages; a stage that rechecked its own would be a second place
+    assert callers((SRC / "radon.py").read_text(), "reverify") == ["semistability_verdict"]
+
+
+def test_sparse_conditions_have_one_home():
+    # the collision and adjacency conditions the criterion tests are the ones
+    # its recheck tests again
+    assert callers((SRC / "gitnorm.py").read_text(), "_sparse_obstruction") == [
+        "sparse_criterion", "sparse_theta_holds"]
 
 
 def asserts_and_prints(source: str) -> tuple:

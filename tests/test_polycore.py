@@ -33,6 +33,17 @@ def substitute(P, C):
     return act_group(PolyMatrix([[P]]), g).entries[0][0]
 
 
+def test_float_poly_drops_a_coefficient_that_underflows_to_zero():
+    # the zeros were dropped before the cast, so 10^-400 was kept as 0.0
+    P = Poly(1, {(0,): F(1, 10 ** 400)}, exact=False)
+    assert P.terms == {} and P.is_zero() and P.degree() == -1
+
+
+def test_mixed_sum_drops_an_exact_term_that_underflows_to_zero():
+    P = Poly(1, {(1,): F(1, 10 ** 400)}) + Poly(1, {(0,): 1.0})
+    assert P.terms == {(0,): 1.0} and not P.exact and P.degree() == 0
+
+
 def test_partial_derivative_basic():
     P = Poly(2, {(2, 1): 1})  # z1^2 z2
     assert partial_derivative(P, (2, 0)) == Poly(2, {(0, 1): 2})

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,22 +9,22 @@ import pytest
 
 import curvature_reference as ref
 import pencil_reference as pencil_ref
+from semistab import radon
 from semistab.blockdecomp import has_generic_rank_p
-from semistab.polycore import Poly, PolyMatrix, act_group, support_set
+from semistab.lp import CertificateError
+from semistab.polycore import Poly, PolyMatrix, act_group, partial_derivative, support_set
 from semistab.radon import (
     CurvatureForm,
     NonTransverse,
     RadonProblem,
     UnstableCertificate,
     balanced_check,
-    build_incidence,
     curvature_form,
     model_exponents,
     moment_family_type1,
     moment_family_type2,
     pencil_destabilizer,
     semistability_verdict,
-    specialize_incidence,
     verify_radon_decomposition,
 )
 
@@ -33,37 +34,6 @@ def parabola_problem():
     phi = Poly(3, {(0, 1, 0): 1, (2, 0, 0): F(-1, 2), (1, 0, 1): 1,
                    (0, 0, 2): F(-1, 2)})
     return RadonProblem(2, 2, 1, [phi])
-
-
-# -- incidence ---------------------------------------------------------------------
-
-
-def test_build_incidence_curve():
-    # phi = x1 s + x2 s^2/2 + x3: M = [s, s^2/2, 1]
-    phi = Poly(4, {(1, 0, 0, 1): 1, (0, 1, 0, 2): F(1, 2), (0, 0, 1, 0): 1})
-    prob = RadonProblem(3, 2, 1, [phi])
-    M = specialize_incidence(prob, [F(0), F(0), F(0)])
-    assert M.entries[0][0] == Poly(1, {(1,): 1})
-    assert M.entries[0][1] == Poly(1, {(2,): F(1, 2)})
-    assert M.entries[0][2] == Poly.constant(1, 1)
-
-
-def test_build_incidence_parabola():
-    M = build_incidence(parabola_problem())
-    # d phi / d x1 = -(x1 - t), d phi / d x2 = 1
-    assert M.entries[0][0] == Poly(3, {(1, 0, 0): -1, (0, 0, 1): 1})
-    assert M.entries[0][1] == Poly.constant(3, 1)
-
-
-def test_build_incidence_matches_gradient_family():
-    # the translation-invariant family built from {2} in one variable:
-    # phi = x1 - x2 t reproduces the 1 x 2 data [1, -t]
-    phi = Poly(3, {(1, 0, 0): 1, (0, 1, 1): -1})
-    prob = RadonProblem(2, 2, 1, [phi])
-    M = specialize_incidence(prob, [F(0), F(0)])
-    M2, _, _, _, _, _ = moment_family_type2([(2,)])
-    assert M.entries[0][0] == M2.entries[0][0]
-    assert M.entries[0][1] == M2.entries[0][1]
 
 
 # -- curvature forms -----------------------------------------------------------------
@@ -436,9 +406,10 @@ def test_radon_verify_detects_perturbation():
 
 
 def test_prop9_generic_first_order_block():
-    # defining maps phi_i = sum_j M_ij(t) x_j built over a derivative-closed
-    # family: eliminate yields the coarse two-group decomposition with
-    # D = [0, 1] and a trailing group of dimension q - p
+    # the incidence matrices M(t) of defining maps phi_i = sum_j M_ij(t) x_j
+    # built over a derivative-closed family: eliminate yields the coarse
+    # two-group decomposition with D = [0, 1] and a trailing group of
+    # dimension q - p
     from flow_reference import _exp_flow, _mat_mul_frac
     from semistab.blockdecomp import eliminate, verify_block_decomposition, pm_mul
 
@@ -471,24 +442,8 @@ def test_prop9_generic_first_order_block():
         K = PolyMatrix([[Poly(nt, {a: (c if sum(a) % 2 == 0 else -c)
                                    for a, c in e.terms.items()})
                          for e in row] for row in Kneg.entries])
-        Mmat = pm_mul(PolyMatrix([[Poly.constant(nt, v) for v in row]
-                                  for row in M0]), K)
-        # wrap as a defining map: phi_i = sum_j M_ij(t) x_j + x_{n-k+i}
-        nv = n + nt
-        phi = []
-        for i in range(k):
-            terms = {}
-            for j in range(n):
-                for a, c in Mmat.entries[i][j].terms.items():
-                    key = [0] * nv
-                    key[j] = 1
-                    for l in range(nt):
-                        key[n + l] = a[l]
-                    terms[tuple(key)] = terms.get(tuple(key), 0) + c
-            phi.append(Poly(nv, terms))
-        prob = RadonProblem(n, n1, k, phi)
-        M = specialize_incidence(prob, [F(0)] * n)
-        assert M.entries == Mmat.entries
+        M = pm_mul(PolyMatrix([[Poly.constant(nt, v) for v in row]
+                               for row in M0]), K)
         if not has_generic_rank_p(M):
             continue
         trials += 1
@@ -501,11 +456,14 @@ def test_prop9_generic_first_order_block():
 
 
 def test_radon_problem_jacobian_rank_invariant():
+    # the x-Jacobian d phi / d x_j of phi in the variables (x1, x2, t)
+    x_jacobian = lambda phi: PolyMatrix([[partial_derivative(phi, e)
+                                          for e in ([1, 0, 0], [0, 1, 0])]])
     phi = Poly(3, {(0, 1, 0): 1, (2, 0, 0): F(-1, 2), (1, 0, 1): 1})
-    assert has_generic_rank_p(build_incidence(RadonProblem(2, 2, 1, [phi])))
+    assert has_generic_rank_p(x_jacobian(phi))
     # a map whose x-Jacobian is identically rank-deficient
     degenerate = Poly(3, {(0, 0, 2): 1})
-    assert not has_generic_rank_p(build_incidence(RadonProblem(2, 2, 1, [degenerate])))
+    assert not has_generic_rank_p(x_jacobian(degenerate))
 
 
 def test_radon_problem_shape_validation():
@@ -558,12 +516,15 @@ def test_flattening_verdicts_solve_one_lp(monkeypatch, name):
     assert calls == [True]
 
 
+# a triangular 3x3x3 form with an identity-frame destabilizer of margin 1/2
+TRIANGULAR_T = [[[0, 3, 1], [0, 0, 1], [5, 0, 0]], [[3, 3, 5], [5, 3, 0], [0, 0, 0]],
+                [[1, 0, 0], [1, 0, 0], [0, 0, 0]]]
+
+
 def test_full_rank_form_without_castling_axis_reaches_identity_frame(monkeypatch):
     # 3x3x3 has no castling axis and every flattening of T has rank 3, so
     # the flattening stage declines after three exact ranks and no LP
-    T = [[[0, 3, 1], [0, 0, 1], [5, 0, 0]], [[3, 3, 5], [5, 3, 0], [0, 0, 0]],
-         [[1, 0, 0], [1, 0, 0], [0, 0, 0]]]
-    Q = CurvatureForm([[[F(v) for v in row] for row in plane] for plane in T])
+    Q = CurvatureForm([[[F(v) for v in row] for row in plane] for plane in TRIANGULAR_T])
     P = Q.to_polymatrix()
     calls = _count_lps(monkeypatch)
     assert pencil_destabilizer(P, F(1, 3)) is None
@@ -757,3 +718,62 @@ def test_positive_form_scaled_past_the_float_masses_keeps_its_value():
         v = semistability_verdict(CurvatureForm(T))
         assert (v.state, v.value_bound) == ("undetermined", math.inf)
         assert v.detail.startswith("best upper bound inf")
+
+
+# -- the verdict's stages ---------------------------------------------------------------
+
+
+# per stage: a form it decides, with the state and detail of its verdict
+STAGE_FORMS = {
+    "zero": ([[[0]]], "unstable", "zero form"),
+    "sparse": ([[[1]]], "positive", "sparse criterion"),
+    "pencil": (random_form(random.Random(1), (5, 2, 3)), "unstable",
+               "pencil-reduction destabilizer"),
+    "identity-frame": (TRIANGULAR_T, "unstable", "identity-frame destabilizer"),
+    "search": ([[[1.0]]], "positive", "converged critical point"),
+}
+
+
+@pytest.mark.parametrize("name", STAGE_FORMS)
+def test_each_stage_decides_its_form(name):
+    # the verdict never reaches the identity frame on the benchmark's forms,
+    # so this is that stage's only run; each exact certificate rechecks, and
+    # the verdict decides the form at the same stage
+    form, state, detail = STAGE_FORMS[name]
+    Q = CurvatureForm(form)
+    P = Q.to_polymatrix()
+    v = dict(radon.STAGES)[name](P, F(1, Q.shape[2]))
+    assert (v.state, v.detail) == (state, detail)
+    assert v.certificate.exact == (name != "search")
+    assert name == "search" or v.certificate.reverify(P)
+    assert semistability_verdict(Q).to_json() == v.to_json()
+
+
+# one z_l per cell, l = (i + j) mod 3: the sparse theta is 1/9 on every cell,
+# and the weights v(i, j) = (1, -1, 0)[(i - j) mod 3] sum to 0 over each row,
+# column and slice, so 1/9 + 2/9 v meets every equation with entries -1/9
+LATIN = [[[int(l == (i + j) % 3) for l in range(3)] for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("tamper", ["entry", "negative", "outside_support", "not_sparse"])
+def test_tampered_sparse_theta_raises(monkeypatch, tamper):
+    Q = CurvatureForm(LATIN)
+    assert semistability_verdict(Q).detail == "sparse criterion"
+    sv = radon.sparse_criterion(Q.to_polymatrix(), F(1, 3))
+    theta = dict(sv.theta)
+    assert set(theta.values()) == {F(1, 9)}
+    if tamper == "entry":
+        theta[(0, 0, (1, 0, 0))] += F(1, 9)
+    elif tamper == "negative":
+        theta = {(i, j, a): t + F(2, 9) * (1, -1, 0)[(i - j) % 3]
+                 for (i, j, a), t in theta.items()}
+    elif tamper == "outside_support":
+        theta[(0, 0, (0, 1, 0))] = F(0)
+    else:
+        # z1 + z2 has adjacent multiindices, yet theta = (1/2, 1/2) on its
+        # support meets every equation
+        Q = CurvatureForm([[[1, 1]]])
+        theta = {(0, 0, (1, 0)): F(1, 2), (0, 0, (0, 1)): F(1, 2)}
+    monkeypatch.setattr(radon, "sparse_criterion", lambda P, sigma: replace(sv, theta=theta))
+    with pytest.raises(CertificateError, match="sparse"):
+        semistability_verdict(Q)

@@ -16,9 +16,10 @@ workloads and the run length are BENCHMARK.json's ``workloads`` and
 The result is ``BENCH_<label>.json`` at the root of the repository: for
 each workload and each end-to-end metric of BENCHMARK.json,
 both sides' runs with their median and quartiles (inclusive method), the
-share of pairs in which the change is better (ties count for neither) and
-the change's median over the parent's; and the report and LP digests each
-side printed.  Only the standard library is used; nothing under
+share of pairs in which the change is better (ties count for neither), the
+change's median over the parent's and a ``label`` against the metric's
+``bound`` (see :func:`label`); and the report and LP digests each side
+printed.  Only the standard library is used; nothing under
 ``perfbench/`` is imported or written.
 """
 
@@ -93,6 +94,22 @@ def spread(runs: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
+def label(par: list, chg: list, better: str, bound: float) -> str:
+    """One metric's runs against its relative ``bound``: ``worse`` when the
+    change's median is worse than the parent's by more than the bound times
+    the parent's median; else ``unresolved`` when the parent's interquartile
+    range exceeds the bound times its median, unless every change run beats
+    every parent run; else ``within_bound``."""
+    sign = 1 if better == "higher" else -1
+    mp, mc = statistics.median(par), statistics.median(chg)
+    if sign * (mp - mc) > bound * abs(mp):
+        return "worse"
+    q1, _, q3 = statistics.quantiles(par, n=4, method="inclusive")
+    if q3 - q1 > bound * abs(mp) and min(sign * c for c in chg) <= max(sign * p for p in par):
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(results: dict, end_to_end: list, n: int) -> dict:
     """The per-metric comparison of one workload's pairs."""
     metrics = {}
@@ -105,7 +122,8 @@ def summarize(results: dict, end_to_end: list, n: int) -> dict:
         metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                          "parent": spread(par), "change": spread(chg),
                          "change_wins": f"{wins}/{n}",
-                         "change_over_parent": mc / mp if mp else None}
+                         "change_over_parent": mc / mp if mp else None,
+                         "label": label(par, chg, m["better"], m["bound"])}
     digests = {side: sorted({"report %s / lp %s" % r["digests"] for r in runs})
                for side, runs in results.items()}
     return {"pairs": n,
