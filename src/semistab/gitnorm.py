@@ -52,7 +52,6 @@ FOC_TARGET_REL = 1e-9      # converged: criticality residual <= this * value^2
 GRAD_TOL = 1e-10           # on the gradient of the log of the diagonal objective
 MAX_ITER = 200
 POLISH_STEPS = 30
-POLISH_REACH = 4.0         # largest log-scale of one polish step
 TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
@@ -475,13 +474,13 @@ def _newton_direction(basis: GradedBasis, T: np.ndarray, VU: np.ndarray,
 def kempf_ness_polish(basis: GradedBasis, T: np.ndarray, sigma: float):
     """At most POLISH_STEPS geodesic Newton steps (:func:`_newton_direction`)
     on |det C|^(-2 sigma) ||rho_(A,B,C) T||^2 over the full group, from the
-    identity.  A step longer than entries of 1 is cut back to them and then
-    doubled, up to POLISH_REACH, while the value falls; any step is halved
-    until the value falls.  Returns the element h, |det h_3|^(-sigma) rho_h T
-    and how the descent ended: "critical" (residual at most FOC_TARGET_REL
-    times the value squared), "drift-to-zero" (a log singular value of h
-    past DRIFT_WALL, or h_3 numerically singular), "moved" (out of steps)
-    or "stuck" (no step lowered the value).
+    identity.  A step longer than entries of 1 is cut back to them, and any
+    step is halved until the value falls.  Returns the element h,
+    |det h_3|^(-sigma) rho_h T and how the descent ended: "critical"
+    (residual at most FOC_TARGET_REL times the value squared),
+    "drift-to-zero" (a log singular value of h past DRIFT_WALL, or h_3
+    numerically singular), "moved" (out of steps) or "stuck" (no step
+    lowered the value).
     """
     p, q, _ = T.shape
     d = basis.d
@@ -503,14 +502,9 @@ def kempf_ness_polish(basis: GradedBasis, T: np.ndarray, sigma: float):
         X = _newton_direction(basis, T, VU, U)
         reach = max(np.abs(Xk).max(initial=0.0) for Xk in X)
         if reach > 1.0:
-            # a flat direction: steps of entries 1, doubled while the value falls
+            # a flat direction: cut back to a step of entries 1
             X = [Xk / reach for Xk in X]
         t, (E, Tt, ft) = 1.0, trial(X, 1.0)
-        while reach > 1.0 and ft < f and 2.0 * t <= POLISH_REACH:
-            E2, T2, f2 = trial(X, 2.0 * t)
-            if not f2 < ft:
-                break
-            t, E, Tt, ft = 2.0 * t, E2, T2, f2
         while ft > f * (1 + 1e-12) and t > 1e-9:
             t *= 0.5
             E, Tt, ft = trial(X, t)
@@ -651,8 +645,8 @@ def polytope_membership(E: SupportSet, sigma) -> MembershipResult:
     """Exact membership of the balanced barycenter in the support hull.
 
     Returns barycentric weights on success; on failure, a separating
-    functional (w1; w2; w3) with w.point < w.target - gap for every support
-    point, gap > 0.
+    functional (w1; w2; w3) with w.point <= w.target - gap for every support
+    point, gap > 0, where the worst point meets it with equality.
     """
     sigma = Fraction(sigma)
     p, q, d = E.p, E.q, E.d
@@ -665,8 +659,7 @@ def polytope_membership(E: SupportSet, sigma) -> MembershipResult:
         return MembershipResult(member=True, theta=res.x)
     y = res.farkas
     w = y[:p + q + d]
-    target = [Fraction(1, p)] * p + [Fraction(1, q)] * q + [sigma] * d
-    wt = sum(wi * ti for wi, ti in zip(w, target))
+    wt = sum(wi * ti for wi, ti in zip(w, b[:-1]))
     worst = max(
         sum(wi * pi for wi, pi in zip(w, pt)) for pt in E.weight_points()
     )

@@ -9,8 +9,9 @@ Problems are solved in equality standard form
 with rational data.  Instances here are small (tens of rows and columns), so
 Bland's anti-cycling rule is plenty.  Infeasible problems return a Farkas
 certificate y with y.A <= 0 componentwise and y.b > 0, which is what turns
-"not a member" into a separating functional; it is checked exactly before it
-is returned.
+"not a member" into a separating functional.  It is the phase-I dual
+c_B B^-1: one exact solve on the final basis B, after phase I has run once,
+and it is checked exactly before it is returned.
 
 A second cost c2 is minimized over the optimal face of c in the same
 tableau.  At the phase-II optimum, with reduced costs r >= 0, that face is
@@ -32,13 +33,13 @@ p, row r stays over p, and D becomes p.  When p < 0 (a degenerate artificial
 pivoted out after phase I) the rewritten rows are negated and sit over -p.
 Every other row keeps its integers and its d[i], since its rational value
 does not change; it is brought to D only when it is next rewritten, read for
-x, used for the Farkas vector or used in a cost row.  Bland's rule and the
-ratio test read stale rows as they are: a sign, a zero or a ratio within one
-row does not depend on its scale.  Each division, in a pivot or a rescale,
-is exact; it is checked anyway through the row sums, since floor division
-would round an inexact one silently.  In the destabilizer LPs most rows have
-a zero in the entering column of a pivot (about 70% on (5,2,3) forms), so
-most rows are left alone by it.  ``_gauss_jordan`` pivots the same way on
+x or used in a cost row.  Bland's rule and the ratio test read stale rows as
+they are: a sign, a zero or a ratio within one row does not depend on its
+scale.  Each division, in a pivot or a rescale, is exact; it is checked
+anyway through the row sums, since floor division would round an inexact
+one silently.  In the destabilizer LPs most rows have a zero in the
+entering column of a pivot (about 70% on (5,2,3) forms), so most rows are
+left alone by it.  ``_gauss_jordan`` pivots the same way on
 the rows scaled to integers, with no identity: columns in increasing order,
 in column c on the first row at or below the next pivot position with a
 nonzero there.  A pivot row ends as d[i] times its row of the reduced row
@@ -49,19 +50,20 @@ is then +-D over the product of the row scales.
 
 Why the scales.  Row i, signed so that b_i >= 0, is scaled to integers by its
 own s_i > 0 (the lcm of its denominators), and its artificial keeps a unit
-column.  That is the positive change of variables a'_i = s_i a_i, under which
-each tableau row and column is a positive multiple of the one over Fractions:
-signs, ratios and ties, hence Bland's pivot path, are unchanged as long as
-the phase-I objective sum_i a_i is kept.  Scaled by L = lcm(s), it gives
+column, which never enters and so is not carried in the tableau.  That is
+the positive change of variables a'_i = s_i a_i, under which each tableau
+row and column is a positive multiple of the one over Fractions: signs,
+ratios and ties, hence Bland's pivot path, are unchanged as long as the
+phase-I objective sum_i a_i is kept.  Scaled by L = lcm(s), it gives
 artificial k the cost L / s_k.  Phase-II costs are scaled to integers by one
 positive factor, ratios are compared by cross-multiplying, and the Farkas
-vector is un-scaled as y_k = sign_k s_k y'_k / (D L).  The per-row
-denominators d[i] are a second positive row scale of the same kind, so they
-too leave the pivot path alone.  Two shortcuts change results: one global
-scale with artificial columns L e_k makes the divisions inexact, and unit
-artificial costs with per-row scales change the pivot path.  Callers may
-pass ints where their data are integers; ints and Fractions of equal value
-give the same scales and the same results.
+vector is un-scaled as y_k = sign_k s_k y'_k / L.  The per-row denominators
+d[i] are a second positive row scale of the same kind, so they too leave the
+pivot path alone.  Two shortcuts change results: one global scale with
+artificial columns L e_k makes the divisions inexact, and unit artificial
+costs with per-row scales change the pivot path.  Callers may pass ints
+where their data are integers; ints and Fractions of equal value give the
+same scales and the same results.
 """
 
 from __future__ import annotations
@@ -186,32 +188,16 @@ def _objective_row(T, d, c, basis, D):
                      [cost[k] if k < len(c) else 0 for k in basis], D)
 
 
-def _phase_one(rows, n, art_cost, artificials):
-    """Phase-I tableau from the scaled sparse rows, with denominators, basis
-    and D at its optimum; the unit artificial columns are carried only when
-    ``artificials``."""
-    m = len(rows)
-    T = [{**row, n + i: 1} if artificials else dict(row) for i, row in enumerate(rows)]
-    d = [1] * m
-    basis = [n + i for i in range(m)]
-    cost = {n + i: k for i, k in enumerate(art_cost)} if artificials else {}
-    T.append(_cost_row(T, d, cost, art_cost, 1))
-    d.append(1)
-    _, D = _simplex_core(T, d, basis, 1, n)
-    T.pop()
-    d.pop()
-    return T, d, basis, D
-
-
-def _farkas_vector(T, d, basis, n, sign, s, D):
-    """Phase-I dual y = c_B B^-1, un-scaled and in the caller's row signs."""
-    L = math.lcm(*s)
-    rows = [(_rescale(T, d, i, D), j) for i, j in enumerate(basis) if j >= n]
-    y = []
-    for k, sk in enumerate(s):
-        yk = sum(L // s[j - n] * row.get(n + k, 0) for row, j in rows)
-        y.append(Fraction(sign[k] * sk * yk, D * L))
-    return y
+def _farkas_vector(rows, basis, n, sign, s, L):
+    """Phase-I dual y = c_B B^-1, un-scaled and in the caller's row signs:
+    one exact solve of B^T y' = c_B on the final basis B of the scaled rows,
+    where artificial k is the unit column e_k at cost L / s_k."""
+    cols = [{j - n: 1} if j >= n else {i: row[j] for i, row in enumerate(rows) if j in row}
+            for j in basis]
+    y = exact_solve(cols, [L // s[j - n] if j >= n else 0 for j in basis], len(s))
+    if y is None:
+        raise CertificateError("singular phase-I basis")
+    return [sign[k] * sk * yk / L for k, (sk, yk) in enumerate(zip(s, y))]
 
 
 def solve_eq_lp(A, b, c, maximize: bool = False, c2=None) -> LPResult:
@@ -238,13 +224,13 @@ def solve_eq_lp(A, b, c, maximize: bool = False, c2=None) -> LPResult:
 
     # phase I: drive artificials to zero; artificial k costs lcm(s) / s_k
     L = math.lcm(*s)
-    art_cost = [L // si for si in s]
-    T, d, basis, D = _phase_one(rows, n, art_cost, False)
+    T, d, basis = [dict(row) for row in rows], [1] * m, [n + i for i in range(m)]
+    T.append(_cost_row(T, d, {}, [L // si for si in s], 1))
+    d.append(1)
+    _, D = _simplex_core(T, d, basis, 1, n)
+    del T[-1], d[-1]
     if any(T[i].get(RHS, 0) > 0 for i, j in enumerate(basis) if j >= n):
-        # artificial columns never steer a pivot, so a replay that carries
-        # them ends in the same basis, with D B^-1 in those columns
-        T, d, basis, D = _phase_one(rows, n, art_cost, True)
-        y = _farkas_vector(T, d, basis, n, sign, s, D)
+        y = _farkas_vector(rows, basis, n, sign, s, L)
         yA = [sum(y[i] * A0[i][j] for i in range(m)) for j in range(n)]
         yb = sum(y[i] * b0[i] for i in range(m))
         if not (yb > 0 and all(v <= 0 for v in yA)):

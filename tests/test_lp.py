@@ -192,6 +192,27 @@ def test_integer_kernel_matches_fraction_reference():
     assert min(seen[s] for s in ("optimal", "infeasible", "unbounded")) >= 30
 
 
+def test_phase_one_runs_once_without_artificial_columns(monkeypatch):
+    """One ``_simplex_core`` call per phase, and no tableau row ever holds a
+    key n..n+m-1 of an artificial column."""
+    calls = []
+
+    def core(T, d, basis, D, n, face=False, orig=lp._simplex_core):
+        assert not any(n <= k < n + len(basis) for row in T for k in row)
+        calls.append(face)
+        return orig(T, d, basis, D, n, face)
+
+    monkeypatch.setattr(lp, "_simplex_core", core)
+    assert feasible_point([[1, 1]], [-1]).status == "infeasible"
+    assert calls == [False]
+    calls.clear()
+    A, b, c = [[1, 1, 1, 0], [1, 0, 0, 1]], [2, F(3, 2)], [1, 1, 0, 0]
+    assert solve_eq_lp(A, b, c, maximize=True, c2=[1, 0, 0, 0]).status == "optimal"
+    assert calls == [False, False, True]
+    for A, b, c, maximize in _oracle_corpus(360, seed=2407):
+        solve_eq_lp(A, b, c, maximize=maximize)
+
+
 def _reference_lexicographic(A, b, c, maximize, c2):
     """The two-LP pipeline: optimize c, then minimize c2 from scratch with
     c.x pinned to its optimum."""
