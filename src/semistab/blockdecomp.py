@@ -12,13 +12,14 @@ Internally bivariate objects live as polynomials in 2d variables: the first
 d are s, the last d are z.  This module owns that layout: the embeddings
 :func:`inflate_s`, :func:`inflate_z` and :func:`inflate_t`, the
 specialisation :func:`specialize_s` at a point s = t0, the translation
-:func:`diagonal_shift` built from the two, the product
-:func:`reduced_product`, the maximal minors :func:`maximal_minors` (the one
-polynomial-determinant kernel; :mod:`semistab.sublevel` reads its Plücker
+:func:`diagonal_shift` built from the two, the product :func:`pm_mul` and
+:func:`reduced_product` on it, the maximal minors :func:`maximal_minors` (the
+one polynomial-determinant kernel; :mod:`semistab.sublevel` reads its Plücker
 coordinates from it), the determinant-one check :func:`unimodular` built on
 them, the degree-grid check :func:`degrees_monotone` and the block order
 :func:`least_z_order`; :mod:`semistab.radon` verifies its moment families
-with the same functions.  All elimination decisions are exact.
+with the same functions.  The product and the minors visit nonzero entries
+only.  All elimination decisions are exact.
 
 Elimination starts from the flow when it exists: when every s-partial of
 every column is a constant linear combination of columns (nilpotently), the
@@ -35,6 +36,7 @@ without elimination.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -46,6 +48,7 @@ from .polycore import (
     Poly,
     PolyMatrix,
     _is_exact_scalar,
+    _mul_terms,
     fraction_to_json,
     graded_basis,
     grlex_key,
@@ -140,18 +143,57 @@ def diagonal_shift(P: Poly, s0) -> Poly:
     return specialize_s(inflate_t(P, P.dim), s0)
 
 
+def _int_terms(P: Poly) -> dict:
+    """P's terms, an exact P's integral Fractions as ints (faster products)."""
+    return {a: c.numerator if P.exact and c.denominator == 1 else c
+            for a, c in P.terms.items()}
+
+
 def pm_mul(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
+    """X Y over the nonzero entries only: row i's entries x = X[i][k], k
+    increasing, against the entries y of Y's row k.  Each output entry is one
+    term dict, to which each product x y (x's terms outer, its zeros dropped)
+    is added in place, a key that sums to 0 leaving at once: the terms, in
+    order, of the chain of ``Poly`` sums.  Exact entries carry integral
+    Fractions as ints (:func:`_int_terms`) and give Fractions back; a product
+    or sum of an exact and a float side is float, and such a sum casts every
+    term to float and drops the zeros, as the validating constructor does.
+    """
     if X.q != Y.p:
         raise ValueError("shape mismatch in polynomial matrix product")
-    cols = list(zip(*Y.entries))
-    return PolyMatrix([[sum((x * y for x, y in zip(row, col) if x.terms and y.terms),
-                            Poly.zero(X.d)) for col in cols] for row in X.entries])
+    d = X.d
+    nonzero = lambda Z: [[(j, e.exact, _int_terms(e)) for j, e in enumerate(row) if e.terms]
+                         for row in Z.entries]
+    xs, ys = nonzero(X), nonzero(Y)
+    if d != Y.d and any(ys[k] for row in xs for k, _, _ in row):
+        raise ValueError("dimension mismatch")
+    rows = []
+    for xrow in xs:
+        sums, exact = [{} for _ in range(Y.q)], [True] * Y.q
+        for k, x_exact, x in xrow:
+            for j, y_exact, y in ys[k]:
+                acc = sums[j]
+                for a, c in _mul_terms(x, y).items():
+                    if c:
+                        if v := acc.get(a, 0) + c:
+                            acc[a] = v
+                        else:
+                            del acc[a]
+                if exact[j] != (x_exact and y_exact):
+                    sums[j] = {a: f for a, c in acc.items() if (f := float(c))}
+                exact[j] = exact[j] and x_exact and y_exact
+        rows.append([Poly._of(d, {a: Fraction(c) if type(c) is int else c
+                                  for a, c in acc.items()}, kind)
+                     for acc, kind in zip(sums, exact)])
+    return PolyMatrix(rows)
 
 
 def reduced_product(A: PolyMatrix, M: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     """A(s) M(s) B(s + z) as a bivariate matrix: A and M in s, B in t."""
     d = M.d
-    lift = lambda X, f: PolyMatrix([[f(e, d) for e in row] for row in X.entries])
+    zero = Poly.zero(2 * d)
+    lift = lambda X, f: PolyMatrix([[f(e, d) if e.terms else zero for e in row]
+                                    for row in X.entries])
     return pm_mul(pm_mul(lift(A, inflate_s), lift(M, inflate_s)), lift(B, inflate_t))
 
 
@@ -160,39 +202,52 @@ def maximal_minors(M: PolyMatrix) -> dict:
 
     Laplace expansion along each next row, over the minors of the rows
     above: ring operations only, so the minors are exact for an exact M and
-    float otherwise.  The minors of the rows above are kept as term dicts
-    (integral Fractions as ints, which multiply faster), and a zero entry of
-    the row or a zero minor above adds no work.  p > q has no maximal minor.
+    float otherwise.  Only the nonzero minors of the rows above are kept,
+    as term dicts (integral Fractions as ints, which multiply faster), and
+    only the column subsets that one of them and a nonzero entry of the row
+    reach are expanded, in combinations order: a zero entry of the row or
+    a zero minor above adds no work.  p > q has no maximal minor.
     """
     exact = M.exact
     minors = {(): {(0,) * M.d: 1}}
     for k, row in enumerate(M.entries):
         below, minors = minors, {}
-        # (terms, terms negated) of each entry; an empty entry is zero
-        signed = []
-        for e in row:
-            terms = {a: c.numerator if exact and c.denominator == 1 else c
-                     for a, c in e.terms.items()}
-            signed.append((terms, {a: -c for a, c in terms.items()}))
-        for S in itertools.combinations(range(M.q), k + 1):
+        # (terms, terms negated) of each nonzero entry, by column
+        signed = {j: (terms, {a: -c for a, c in terms.items()}) for j, e in enumerate(row)
+                  if e.terms for terms in [_int_terms(e)]}
+        # T + {j} for each nonzero minor T above and nonzero entry j, as a sorted tuple
+        reached = {T[:i] + (j,) + T[i:] for T in below for j in signed if j not in T
+                   for i in [bisect.bisect(T, j)]}
+        for S in sorted(reached):
             out = {}
             for i, j in enumerate(S):
-                if not signed[j][0] or not (sub := below[S[:i] + S[i + 1:]]):
+                if j not in signed or not (sub := below.get(S[:i] + S[i + 1:])):
                     continue
                 for a, ca in signed[j][(k - i) % 2].items():
                     for b, cb in sub.items():
                         ab = tuple(x + y for x, y in zip(a, b))
                         out[ab] = out[ab] + ca * cb if ab in out else ca * cb
-            minors[S] = {a: c for a, c in out.items() if c}
-    return {S: Poly(M.d, terms, exact=exact) for S, terms in minors.items()}
+            if out := {a: c for a, c in out.items() if c}:
+                minors[S] = out
+    return {S: Poly(M.d, minors.get(S, {}), exact=exact)
+            for S in itertools.combinations(range(M.q), M.p)}
 
 
 def unimodular(d: int, *Xs: PolyMatrix) -> bool:
     """Whether each X (polynomials in d variables) has determinant 1: its one
-    maximal minor; ValueError for a nonsquare X."""
+    maximal minor, expanded with the sparsest rows first (ties by index),
+    times the sign of that row order.  ValueError for a nonsquare X and for
+    an X in another number of variables."""
     if any(X.p != X.q for X in Xs):
         raise ValueError("determinant of a nonsquare matrix")
-    return all(maximal_minors(X)[tuple(range(X.q))] == Poly.constant(d, 1) for X in Xs)
+    if any(X.p and X.d != d for X in Xs):
+        raise ValueError(f"a matrix in other than {d} variables")
+    for X in Xs:
+        perm, odd = _sorting_permutation([sum(1 for e in row if e.terms) for row in X.entries])
+        det = maximal_minors(PolyMatrix([X.entries[i] for i in perm]))[tuple(range(X.q))]
+        if det != Poly.constant(X.d, (-1) ** odd):
+            return False
+    return True
 
 
 def degrees_monotone(grid) -> bool:
@@ -476,12 +531,18 @@ def _raise_rows(R: PolyMatrix, W: PolyMatrix, groups, first: int, lift, d: int,
     return changed
 
 
+def _sorting_permutation(key) -> tuple:
+    """(the indices of ``key`` sorted by it, ties by index; 1 if that
+    permutation is odd, else 0)."""
+    perm = sorted(range(len(key)), key=lambda i: (key[i], i))
+    return perm, sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+
+
 def _sort_rows(X: PolyMatrix, W: PolyMatrix, key) -> list:
     """New X and W with their rows sorted by key, ties by index, and their
     degree caps read off the entries, which the sweep edits in place; an odd
     permutation also negates the last row of each, so determinants stay."""
-    perm = sorted(range(X.p), key=lambda i: (key[i], i))
-    odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+    perm, odd = _sorting_permutation(key)
     out = []
     for Y in (X, W):
         rows = [Y.entries[i] for i in perm]

@@ -176,12 +176,8 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, 0) + ca * cb
-        return Poly._of(self.dim, out, self.exact, other.exact)
+        return Poly._of(self.dim, _mul_terms(self.terms, other.terms),
+                        self.exact, other.exact)
 
     # -- restricted views ----------------------------------------------------
 
@@ -191,6 +187,17 @@ class Poly:
 
 
 # -- operations on polynomials ------------------------------------------------
+
+
+def _mul_terms(P: dict, Q: dict) -> dict:
+    """The product of two term dicts, P's terms outer and Q's inner, with
+    the zeros of its sums kept: the one term-product loop."""
+    out: dict = {}
+    for a, ca in P.items():
+        for b, cb in Q.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
 
 
 def partial_derivative(P: Poly, alpha) -> Poly:

@@ -17,11 +17,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import det_reference as ref  # noqa: E402
-from semistab import fixtures as fx  # noqa: E402
-from semistab import radon  # noqa: E402
-from semistab.blockdecomp import eliminate, maximal_minors, unimodular  # noqa: E402
+from semistab.blockdecomp import maximal_minors, unimodular  # noqa: E402
 from semistab.polycore import Poly, PolyMatrix  # noqa: E402
-from test_family_builder import FAMILIES  # noqa: E402
+from test_minors_kernel import shipped_witnesses  # noqa: E402
 
 
 @st.composite
@@ -42,17 +40,6 @@ def square_matrices(draw):
 @given(X=square_matrices())
 def test_full_minor_equals_the_bareiss_determinant(X):
     assert maximal_minors(X)[tuple(range(X.q))] == ref.pm_det(X)
-
-
-def shipped_witnesses():
-    """(d, A, B) of every shipped decomposition and moment family."""
-    _, _, _, m61 = eliminate(fx.example61_matrix())
-    decs = [m61, fx.example63_decomposition()[1], fx.intro_decomposition()[1]]
-    out = [(dec.d, dec.A, dec.B) for dec in decs]
-    for builder, args in FAMILIES:
-        M, A, B, *_ = getattr(radon, builder)(*args)
-        out.append((M.d, A, B))
-    return out
 
 
 def test_shipped_witnesses_have_the_bareiss_determinant():

@@ -7,8 +7,9 @@ the unit tests, every function the benchmark traces still exists, every
 verdict detail is a stage text the benchmark can parse, the verdict's exact
 stages carry the benchmark's stage names, only ``lp`` scales rationals to
 integers over an lcm, one function of the package solves for order-raising
-ops, the verdict rechecks its certificates in one place, the sparse
-conditions have one home, the package has no ``assert`` statement and only
+ops, one function multiplies polynomial matrices and one expands
+polynomial determinants, the verdict rechecks its certificates in one
+place, the sparse conditions have one home, the package has no ``assert`` statement and only
 the CLI prints."""
 
 import ast
@@ -386,6 +387,16 @@ def test_blockdecomp_solves_through_one_helper():
     # a second caller of exact_solve would build its equations its own way
     assert callers((SRC / "blockdecomp.py").read_text(), "exact_solve") == [
         "_solve_linear_combo"]
+
+
+def test_one_product_and_one_determinant_kernel():
+    # reduced_product and the flow's exponential share the one sparse
+    # product; the determinant-one check and the Plücker table share the
+    # one Laplace expansion
+    found = lambda name: [f"{p.stem}.{fn}" for p in MODULES
+                          for fn in callers(p.read_text(), name)]
+    assert found("pm_mul") == ["blockdecomp.reduced_product", "blockdecomp._flow"]
+    assert found("maximal_minors") == ["blockdecomp.unimodular", "sublevel._minor_table"]
 
 
 def test_verdict_rechecks_in_one_place():

@@ -9,7 +9,7 @@ would show), and the same ``exact`` flag.  The cases are seeded random exact
 and float polynomials in 1-4 variables, sums that cancel to 0 and products
 that underflow to -0.0, mixed exact and float operands, and
 ``reduced_product`` on every shipped fixture matrix with the witnesses that
-``eliminate`` gives it.
+``eliminate`` gives it; and what the products refuse.
 """
 
 import random
@@ -104,6 +104,12 @@ def test_cancelling_sums_and_underflow_match_reference():
         X, Y = PolyMatrix([[s + unit, -s, s]]), PolyMatrix([[unit], [unit], [unit]])
         assert matrix_image(bd.pm_mul(X, Y)) == matrix_image(ref.pm_mul(X, Y))
         assert list(bd.pm_mul(X, Y).entries[0][0].terms) == [(0,), (1,)]
+    # an exact sum turned float by a float product: its term 10^-400
+    # underflows to 0.0 and goes, as in the validating constructor
+    tiny, s = Poly(1, {(0,): F(1, 10**400), (2,): 3}), Poly(1, {(1,): 1.0})
+    X, Y = PolyMatrix([[tiny, s]]), PolyMatrix([[Poly.constant(1, 1)], [Poly.constant(1, 1.0)]])
+    assert matrix_image(bd.pm_mul(X, Y)) == matrix_image(ref.pm_mul(X, Y))
+    assert list(bd.pm_mul(X, Y).entries[0][0].terms.items()) == [((2,), 3.0), ((1,), 1.0)]
 
 
 def test_mixed_operands_keep_the_validating_constructor():
@@ -133,6 +139,21 @@ def test_pm_mul_matches_reference_on_random_matrices(kind):
         d, p, k, q = (rng.randint(1, 3) for _ in range(4))
         X, Y = random_matrix(rng, p, k, d, kind), random_matrix(rng, k, q, d, kind)
         assert matrix_image(bd.pm_mul(X, Y)) == matrix_image(ref.pm_mul(X, Y))
+
+
+def test_products_refuse_what_the_reference_refuses():
+    one, one2, zero = Poly.constant(1, 1), Poly.constant(2, 1), Poly.zero(1)
+    for mul in (Poly.__mul__, ref.mul):
+        with pytest.raises(ValueError, match="dimension"):
+            mul(one, one2)
+    for mul in (bd.pm_mul, ref.pm_mul):
+        with pytest.raises(ValueError, match="shape"):
+            mul(PolyMatrix([[one, one]]), PolyMatrix([[one]]))
+        # entries in other numbers of variables: refused once a product forms
+        with pytest.raises(ValueError, match="dimension"):
+            mul(PolyMatrix([[zero, one]]), PolyMatrix([[one2], [one2]]))
+    X, Y = PolyMatrix([[zero, one]]), PolyMatrix([[one2], [Poly.zero(2)]])
+    assert matrix_image(bd.pm_mul(X, Y)) == matrix_image(ref.pm_mul(X, Y))
 
 
 @pytest.mark.parametrize("name, M", SHIPPED, ids=[name for name, _ in SHIPPED])
