@@ -18,8 +18,8 @@ one polynomial-determinant kernel; :mod:`semistab.sublevel` reads its Plücker
 coordinates from it), the determinant-one check :func:`unimodular` built on
 them, the degree-grid check :func:`degrees_monotone` and the block order
 :func:`least_z_order`; :mod:`semistab.radon` verifies its moment families
-with the same functions.  The product and the minors visit nonzero entries
-only.  All elimination decisions are exact.
+with the same functions.  The product, which takes exact operands only, and
+the minors visit nonzero entries only.  All elimination decisions are exact.
 
 Elimination starts from the flow when it exists: when every s-partial of
 every column is a constant linear combination of columns (nilpotently), the
@@ -150,28 +150,29 @@ def _int_terms(P: Poly) -> dict:
 
 
 def pm_mul(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
-    """X Y over the nonzero entries only: row i's entries x = X[i][k], k
-    increasing, against the entries y of Y's row k.  Each output entry is one
-    term dict, to which each product x y (x's terms outer, its zeros dropped)
-    is added in place, a key that sums to 0 leaving at once: the terms, in
-    order, of the chain of ``Poly`` sums.  Exact entries carry integral
-    Fractions as ints (:func:`_int_terms`) and give Fractions back; a product
-    or sum of an exact and a float side is float, and such a sum casts every
-    term to float and drops the zeros, as the validating constructor does.
+    """X Y over the nonzero entries only, which must be exact (ValueError
+    otherwise): row i's entries x = X[i][k], k increasing, against the
+    entries y of Y's row k.  Each output entry is one term dict, to which
+    each product x y (x's terms outer, its zeros dropped) is added in place,
+    a key that sums to 0 leaving at once: the terms, in order, of the chain
+    of ``Poly`` sums.  Integral Fractions are carried as ints
+    (:func:`_int_terms`) and turned back into Fractions.
     """
     if X.q != Y.p:
         raise ValueError("shape mismatch in polynomial matrix product")
+    if not all(e.exact for Z in (X, Y) for row in Z.entries for e in row if e.terms):
+        raise ValueError("the polynomial matrix product needs exact operands")
     d = X.d
-    nonzero = lambda Z: [[(j, e.exact, _int_terms(e)) for j, e in enumerate(row) if e.terms]
+    nonzero = lambda Z: [[(j, _int_terms(e)) for j, e in enumerate(row) if e.terms]
                          for row in Z.entries]
     xs, ys = nonzero(X), nonzero(Y)
-    if d != Y.d and any(ys[k] for row in xs for k, _, _ in row):
+    if d != Y.d and any(ys[k] for row in xs for k, _ in row):
         raise ValueError("dimension mismatch")
     rows = []
     for xrow in xs:
-        sums, exact = [{} for _ in range(Y.q)], [True] * Y.q
-        for k, x_exact, x in xrow:
-            for j, y_exact, y in ys[k]:
+        sums = [{} for _ in range(Y.q)]
+        for k, x in xrow:
+            for j, y in ys[k]:
                 acc = sums[j]
                 for a, c in _mul_terms(x, y).items():
                     if c:
@@ -179,17 +180,15 @@ def pm_mul(X: PolyMatrix, Y: PolyMatrix) -> PolyMatrix:
                             acc[a] = v
                         else:
                             del acc[a]
-                if exact[j] != (x_exact and y_exact):
-                    sums[j] = {a: f for a, c in acc.items() if (f := float(c))}
-                exact[j] = exact[j] and x_exact and y_exact
         rows.append([Poly._of(d, {a: Fraction(c) if type(c) is int else c
-                                  for a, c in acc.items()}, kind)
-                     for acc, kind in zip(sums, exact)])
+                                  for a, c in acc.items()}, True)
+                     for acc in sums])
     return PolyMatrix(rows)
 
 
 def reduced_product(A: PolyMatrix, M: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
-    """A(s) M(s) B(s + z) as a bivariate matrix: A and M in s, B in t."""
+    """A(s) M(s) B(s + z) as a bivariate matrix: A and M in s, B in t, all
+    exact (the product refuses floats with ValueError)."""
     d = M.d
     zero = Poly.zero(2 * d)
     lift = lambda X, f: PolyMatrix([[f(e, d) if e.terms else zero for e in row]
@@ -539,8 +538,7 @@ def _sorting_permutation(key) -> tuple:
 
 
 def _sort_rows(X: PolyMatrix, W: PolyMatrix, key) -> list:
-    """New X and W with their rows sorted by key, ties by index, and their
-    degree caps read off the entries, which the sweep edits in place; an odd
+    """New X and W with their rows sorted by key, ties by index; an odd
     permutation also negates the last row of each, so determinants stay."""
     perm, odd = _sorting_permutation(key)
     out = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -87,19 +88,25 @@ def _load(path: str) -> dict:
     return obj
 
 
-def _matrix_from(obj: dict, path: str) -> PolyMatrix:
+@contextmanager
+def _reading(path: str, what: str):
+    """The one boundary for malformed file content: an error of parsing or
+    checking it becomes the input error ``<path>: not <what> (<Type>: <exc>)``."""
     try:
+        yield
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError,
+            NonTransverse) as exc:
+        raise InputError(f"{path}: not {what} ({type(exc).__name__}: {exc})") from exc
+
+
+def _matrix_from(obj: dict, path: str) -> PolyMatrix:
+    with _reading(path, "a polynomial matrix"):
         return polymatrix_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: not a polynomial matrix: {exc}") from exc
 
 
 def _decomposition_from(obj: dict, path: str) -> BlockDecomposition:
-    try:
+    with _reading(path, "a block decomposition"):
         return BlockDecomposition.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: not a block decomposition "
-                         f"({type(exc).__name__}: {exc})") from exc
 
 
 def _emit(report: dict, out: str | None):
@@ -200,11 +207,9 @@ def _incidence_from(obj: dict, path: str) -> PolyMatrix:
 def cmd_blockdecomp(args) -> int:
     if args.verify:
         obj = _load(args.verify)
-        try:
+        with _reading(args.verify, "a matrix with its block decomposition"):
             M = _incidence_from(obj["matrix"], args.verify)
             decomp = _decomposition_from(obj["decomposition"], args.verify)
-        except KeyError as exc:
-            raise InputError(f"{args.verify}: missing field {exc}") from exc
         if (decomp.p, decomp.q, decomp.d) != (M.p, M.q, M.d):
             raise InputError(
                 f"{args.verify}: the decomposition is for {decomp.p} x {decomp.q} "
@@ -238,7 +243,7 @@ def cmd_tiles(args) -> int:
 
 def cmd_plan(args) -> int:
     obj = _load(args.input)
-    try:
+    with _reading(args.input, "a tile plan problem"):
         decomp = _decomposition_from(obj["decomposition"], args.input)
         tiles = [(Tile(tuple(e["I"]), tuple(e["J"])), fraction_from_json(e["sigma"]))
                  for e in obj["tiles"]]
@@ -246,9 +251,6 @@ def cmd_plan(args) -> int:
         sigma = args.sigma
         if sigma is None and "sigma" in obj:
             sigma = number_from_json(obj["sigma"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{args.input}: not a tile plan problem "
-                         f"({type(exc).__name__}: {exc})") from exc
     plan = solve_plan(pts, decomp.p, decomp.q, sigma=sigma)
     if plan is None:
         _table([["plan", "infeasible"]])
@@ -270,15 +272,12 @@ def cmd_sublevel(args) -> int:
         # omega k and its Philox streams are keyed by seed + k
         raise InputError("--seed must be at least 0, and --seed + --omegas - 1 below 2**128")
     obj = _load(args.input)
-    try:
+    with _reading(args.input, "a sublevel problem"):
         M = _matrix_from(obj["matrix"], args.input)
         weight, tau, domain = integral_inputs(
             M, number_from_json(obj.get("weight", 1)),
             args.tau if args.tau is not None else fraction_from_json(obj["tau"]),
             [[number_from_json(x) for x in iv] for iv in obj["domain"]])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"{args.input}: not a sublevel problem "
-                         f"({type(exc).__name__}: {exc})") from exc
     n_omegas = args.omegas
     rows = [["omega", "estimate", "stderr"]]
     report = {"tau": tau, "omegas": [], "max_estimate": 0.0}
@@ -307,7 +306,7 @@ def cmd_sublevel(args) -> int:
 def _form_from(obj: dict, path: str) -> CurvatureForm:
     """The curvature form of a tensor file, or of a problem file with phi
     at its ``point`` (the origin by default)."""
-    try:
+    with _reading(path, "a curvature form problem"):
         if "tensor" in obj:
             return CurvatureForm([[[fraction_from_json(v) for v in row]
                                    for row in plane] for plane in obj["tensor"]])
@@ -315,9 +314,6 @@ def _form_from(obj: dict, path: str) -> CurvatureForm:
             prob = RadonProblem.from_json(obj)
             point = obj.get("point", [0] * (prob.n + prob.nt))
             return curvature_form(prob, [number_from_json(v) for v in point])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, NonTransverse) as exc:
-        raise InputError(f"{path}: not a curvature form problem "
-                         f"({type(exc).__name__}: {exc})") from exc
     raise InputError(f"{path}: need a tensor or a problem with phi")
 
 
@@ -342,16 +338,13 @@ def cmd_radon(args) -> int:
         return 0
     if args.balanced:
         obj = _load(args.balanced)
-        try:
+        with _reading(args.balanced, "a balanced set problem"):
             alphas = [tuple(a) for a in obj["alphas"]]
             k, d = obj.get("k"), obj.get("d")
             if not all(map(is_int, [obj["type"], *(x for a in alphas for x in a),
                                     *(v for v in (k, d) if v is not None)])):
                 raise TypeError("type, k, d and the exponents must be integers")
             res = balanced_check(alphas, obj["type"], k=k, d=d)
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"{args.balanced}: not a balanced set problem "
-                             f"({type(exc).__name__}: {exc})") from exc
         rows = [["balanced", str(res.ok)]]
         if res.ok:
             rows += [["sigma", _rat_str(res.sigma)], ["r", _rat_str(res.r)],

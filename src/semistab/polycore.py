@@ -10,7 +10,7 @@ Coefficients live in one of two layers:
 
 The group action is one kernel for both, :func:`act_dense`.  A p x q matrix
 becomes a dense array of shape (p, q, n_mon) over the graded monomial basis
-of degree <= ``degree_cap`` (:class:`GradedBasis`, which carries the alpha!
+of degree <= P's degree (:class:`GradedBasis`, which carries the alpha!
 weights of the norm): float, or ``object`` holding Fractions when P and the
 acting matrices are all exact.  The kernel computes A . T . B^T on the first
 two axes and the symmetric power S(C) of the variable change on the monomial
@@ -287,9 +287,9 @@ def _invertible(M) -> bool:
 class PolyMatrix:
     """A p x q matrix of polynomials in d shared variables."""
 
-    __slots__ = ("p", "q", "d", "entries", "degree_cap")
+    __slots__ = ("p", "q", "d", "entries")
 
-    def __init__(self, entries: Sequence[Sequence[Poly]], degree_cap: int | None = None):
+    def __init__(self, entries: Sequence[Sequence[Poly]]):
         self.entries = [list(row) for row in entries]
         self.p = len(self.entries)
         self.q = len(self.entries[0]) if self.p else 0
@@ -297,10 +297,6 @@ class PolyMatrix:
         if len(dims) > 1:
             raise ValueError("entries disagree on variable count")
         self.d = dims.pop() if dims else 0
-        deg = self.degree()
-        self.degree_cap = deg if degree_cap is None else degree_cap
-        if deg > self.degree_cap:
-            raise ValueError(f"entry degree {deg} exceeds declared cap {self.degree_cap}")
 
     @staticmethod
     def identity(n: int, d: int) -> "PolyMatrix":
@@ -408,7 +404,7 @@ def graded_basis(d: int, D: int) -> GradedBasis:
 def to_dense(P: PolyMatrix, dtype=float):
     """(basis, T): P's coefficients as an array of shape (p, q, n_mon), float
     (FloatRangeError past its range) unless ``dtype=object`` keeps them exact."""
-    basis = graded_basis(P.d, max(P.degree_cap, 0))
+    basis = graded_basis(P.d, max(P.degree(), 0))
     T = np.zeros((P.p, P.q, len(basis.alphas)), dtype=dtype)
     for i, row in enumerate(P.entries):
         for j, e in enumerate(row):
@@ -423,7 +419,7 @@ def from_dense(basis: GradedBasis, T: np.ndarray) -> PolyMatrix:
     exact = T.dtype == object
     rows = [[Poly(basis.d, {basis.alphas[m]: e[m] for m in np.flatnonzero(e)},
                   exact=exact) for e in row] for row in T]
-    return PolyMatrix(rows, degree_cap=basis.D)
+    return PolyMatrix(rows)
 
 
 def _mix(T: np.ndarray, A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -158,8 +158,11 @@ class SemistabilityVerdict:
 class UnstableCertificate:
     frame: GroupElement | None      # volume-one element; None for trivial
     destabilizer: Destabilizer | None
-    exact: bool
     sigma: Fraction = Fraction(0)
+
+    @property
+    def exact(self) -> bool:  # every unstable certificate is exact
+        return True
 
     def reverify(self, P: PolyMatrix) -> bool:
         """Exact re-check: transport P through the frame and test every
@@ -321,7 +324,7 @@ def pencil_destabilizer(P: PolyMatrix, sigma):
 
 def _zero_stage(P: PolyMatrix, sigma):
     if P.is_zero():
-        cert = UnstableCertificate(None, None, exact=True, sigma=sigma)
+        cert = UnstableCertificate(None, None, sigma=sigma)
         return SemistabilityVerdict("unstable", cert, 0.0, "zero form")
 
 
@@ -337,13 +340,13 @@ def _sparse_stage(P: PolyMatrix, sigma):
 
 def _pencil_stage(P: PolyMatrix, sigma):
     if P.exact and (got := pencil_destabilizer(P, sigma)) is not None:
-        cert = UnstableCertificate(*got, exact=True, sigma=sigma)
+        cert = UnstableCertificate(*got, sigma=sigma)
         return SemistabilityVerdict("unstable", cert, 0.0, "pencil-reduction destabilizer")
 
 
 def _identity_frame_stage(P: PolyMatrix, sigma):
     if P.exact and (dest := find_destabilizer(support_set(P), sigma)) is not None:
-        cert = UnstableCertificate(None, dest, exact=True, sigma=sigma)
+        cert = UnstableCertificate(None, dest, sigma=sigma)
         return SemistabilityVerdict("unstable", cert, 0.0, "identity-frame destabilizer")
 
 

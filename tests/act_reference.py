@@ -103,7 +103,7 @@ def act_group(P: PolyMatrix, A, B, C) -> PolyMatrix:
                     acc = acc + sub[i][j].scale(coef)
             row.append(acc)
         rows.append(row)
-    return PolyMatrix(rows, degree_cap=max(P.degree_cap, 0))
+    return PolyMatrix(rows)
 
 
 def foc_matrices(P: PolyMatrix, sigma: float):

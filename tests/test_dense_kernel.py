@@ -4,7 +4,8 @@ Every shape (p, q, d, degree) the suite uses, each acted on by seeded Haar
 frames with random log-scales: the coefficients, the moment-map residual
 matrices and the diagonal optimum must agree with
 ``tests/act_reference.py``.  Acted on by seeded nonsingular rational frames,
-the exact results must equal the reference's term for term.
+the exact results must equal the reference's term for term, and invertible
+integer frames keep the degree of every shipped matrix and seeded form.
 """
 
 import random
@@ -24,6 +25,7 @@ from semistab.polycore import (
     to_dense,
 )
 from semistab.radon import CurvatureForm
+from test_sweep_kernel import SHIPPED
 
 FRAMES_PER_SHAPE = 5
 
@@ -59,7 +61,7 @@ def _frames(P, seed):
 def _cases():
     for shape, (make, sigma) in SHAPES.items():
         P = make()
-        assert (P.p, P.q, P.d, P.degree_cap) == shape
+        assert (P.p, P.q, P.d, P.degree()) == shape
         for k, (A, B, C) in enumerate(_frames(P, sum(shape))):
             yield pytest.param(P, sigma, A, B, C, id=f"{shape}-{k}")
 
@@ -76,7 +78,7 @@ def _act_both(P, A, B, C):
 @pytest.mark.parametrize("P, sigma, A, B, C", CASES)
 def test_coefficients_match_reference(P, sigma, A, B, C):
     new, old = _act_both(P, A, B, C)
-    assert not new.exact and new.degree_cap == old.degree_cap
+    assert not new.exact and new.degree() == old.degree()
     for i in range(P.p):
         for j in range(P.q):
             e_new, e_old = new.entries[i][j].terms, old.entries[i][j].terms
@@ -148,10 +150,39 @@ def test_exact_action_matches_reference(P, A, B, C):
     assert P.exact
     new = act_group(P, GroupElement(A, B, C, volume_preserving=False))
     old = ref.act_group(P, A, B, C)
-    assert new.exact and new.degree_cap == old.degree_cap
+    assert new.exact and new.degree() == old.degree()
     assert [[e.terms for e in row] for row in new.entries] == \
         [[e.terms for e in row] for row in old.entries]
     for row in P.entries:
         for e in row:
             got = _substitute(e, C)
             assert got.exact and got.terms == ref.substitute_linear(e, C).terms
+
+
+def _seeded_form(seed):
+    rng = random.Random(seed)
+    shape = [rng.randint(1, 5) for _ in range(3)]
+    return CurvatureForm([[[F(rng.randint(-9, 9)) for _ in range(shape[2])]
+                           for _ in range(shape[1])] for _ in range(shape[0])]).to_polymatrix()
+
+
+DEGREE_CASES = SHIPPED + [(f"form-{seed}", _seeded_form(seed)) for seed in range(8)]
+
+
+@pytest.mark.parametrize("name, P", DEGREE_CASES, ids=[name for name, _ in DEGREE_CASES])
+def test_exact_action_keeps_the_degree(name, P):
+    # an invertible C maps each homogeneous part invertibly and A, B act
+    # invertibly on the matrix of top-degree parts, so the degree is a
+    # property of the matrix that the action never lowers
+    rng = random.Random(name)
+
+    def frame(n):
+        while True:
+            M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if exact_det(M) != 0:
+                return M
+
+    for _ in range(3):
+        A, B, C = (frame(n) for n in (P.p, P.q, P.d))
+        got = act_group(P, GroupElement(A, B, C, volume_preserving=False))
+        assert got.exact and got.degree() == P.degree()

@@ -34,7 +34,7 @@ PERTURBATIONS = 200
 
 def layout(X: PolyMatrix):
     """Every entry's dimension, exactness and terms in dictionary order."""
-    return (X.p, X.q, X.d, X.degree_cap,
+    return (X.p, X.q, X.d, X.degree(),
             [[(e.dim, e.exact, [(a, type(c), c) for a, c in e.terms.items()])
               for e in row] for row in X.entries])
 

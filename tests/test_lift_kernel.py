@@ -7,11 +7,13 @@ Results must agree byte for byte: the same terms in the same order, each
 coefficient of the same type with the same repr (so -0.0 and a stored zero
 would show), and the same ``exact`` flag.  The cases are seeded random exact
 and float polynomials in 1-4 variables, sums that cancel to 0 and products
-that underflow to -0.0, mixed exact and float operands, and
-``reduced_product`` on every shipped fixture matrix with the witnesses that
-``eliminate`` gives it; and what the products refuse.
+that underflow to -0.0, mixed exact and float operands of ``Poly``
+arithmetic, and ``reduced_product`` on every shipped fixture matrix with the
+witnesses that ``eliminate`` gives it; and what the products refuse, float
+and mixed matrix operands included.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -20,6 +22,7 @@ import pytest
 
 import lift_reference as ref
 from semistab import blockdecomp as bd
+from semistab import fixtures as fx
 from semistab.polycore import Poly, PolyMatrix, partial_derivative
 from test_sweep_kernel import SHIPPED
 
@@ -99,17 +102,10 @@ def test_cancelling_sums_and_underflow_match_reference():
     assert image(a + b) == image(ref.add(a, b)) and (2,) not in (a + b).terms
     # in a matrix product the s term cancels after the second product and
     # comes back after the third, so it moves behind the constant term
-    for c in (1, 1.0):
-        s, unit = Poly(1, {(1,): c}), Poly.constant(1, c)
-        X, Y = PolyMatrix([[s + unit, -s, s]]), PolyMatrix([[unit], [unit], [unit]])
-        assert matrix_image(bd.pm_mul(X, Y)) == matrix_image(ref.pm_mul(X, Y))
-        assert list(bd.pm_mul(X, Y).entries[0][0].terms) == [(0,), (1,)]
-    # an exact sum turned float by a float product: its term 10^-400
-    # underflows to 0.0 and goes, as in the validating constructor
-    tiny, s = Poly(1, {(0,): F(1, 10**400), (2,): 3}), Poly(1, {(1,): 1.0})
-    X, Y = PolyMatrix([[tiny, s]]), PolyMatrix([[Poly.constant(1, 1)], [Poly.constant(1, 1.0)]])
+    s, unit = Poly(1, {(1,): 1}), Poly.constant(1, 1)
+    X, Y = PolyMatrix([[s + unit, -s, s]]), PolyMatrix([[unit], [unit], [unit]])
     assert matrix_image(bd.pm_mul(X, Y)) == matrix_image(ref.pm_mul(X, Y))
-    assert list(bd.pm_mul(X, Y).entries[0][0].terms.items()) == [((2,), 3.0), ((1,), 1.0)]
+    assert list(bd.pm_mul(X, Y).entries[0][0].terms) == [(0,), (1,)]
 
 
 def test_mixed_operands_keep_the_validating_constructor():
@@ -132,7 +128,7 @@ def random_matrix(rng, p: int, q: int, d: int, kind: str) -> PolyMatrix:
                         for _ in range(q)] for _ in range(p)])
 
 
-@pytest.mark.parametrize("kind", ["exact", "float", "mixed"])
+@pytest.mark.parametrize("kind", ["exact"])
 def test_pm_mul_matches_reference_on_random_matrices(kind):
     rng = random.Random(14)
     for _ in range(60):
@@ -154,6 +150,32 @@ def test_products_refuse_what_the_reference_refuses():
             mul(PolyMatrix([[zero, one]]), PolyMatrix([[one2], [one2]]))
     X, Y = PolyMatrix([[zero, one]]), PolyMatrix([[one2], [Poly.zero(2)]])
     assert matrix_image(bd.pm_mul(X, Y)) == matrix_image(ref.pm_mul(X, Y))
+
+
+@pytest.mark.parametrize("kind", ["float", "mixed"])
+def test_incidence_products_refuse_float_operands(kind):
+    # the product is exact-only, and so is every product built on it
+    M = fx.example61_matrix()
+    A, B, _, dec = bd.eliminate(M)
+    tile = bd.Tile((0, len(dec.row_groups) - 1), (0, len(dec.col_groups) - 1))
+
+    def cast(X):
+        """X with every nonzero entry float, or every other one."""
+        flip = itertools.cycle([True] if kind == "float" else [True, False])
+        Y = PolyMatrix([[e.scale(1.0) if e.terms and next(flip) else e for e in row]
+                        for row in X.entries])
+        kinds = {e.exact for row in Y.entries for e in row if e.terms}
+        assert kinds == ({False} if kind == "float" else {True, False})
+        return Y
+
+    calls = [lambda: bd.pm_mul(cast(A), A), lambda: bd.pm_mul(A, cast(A)),
+             lambda: bd.reduced_product(A, cast(M), B),
+             lambda: bd.reduced_product(cast(A), M, B),
+             lambda: bd.tile_map(cast(M), dec, tile, [F(0)] * M.d),
+             lambda: bd.verify_block_decomposition(cast(M), dec)]
+    for call in calls:
+        with pytest.raises(ValueError, match="exact operands"):
+            call()
 
 
 @pytest.mark.parametrize("name, M", SHIPPED, ids=[name for name, _ in SHIPPED])

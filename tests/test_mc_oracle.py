@@ -41,7 +41,7 @@ def _random_matrix(rng):
             return Poly.zero(d)
         return Poly(d, {a: coef() for a in rng.sample(alphas, rng.randint(1, len(alphas)))})
 
-    return PolyMatrix([[entry() for _ in range(q)] for _ in range(p)], degree_cap=D)
+    return PolyMatrix([[entry() for _ in range(q)] for _ in range(p)])
 
 
 def _largest_terms(M, pts):

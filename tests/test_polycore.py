@@ -324,7 +324,7 @@ def test_float_action_prunes_each_entry_once():
     assert set(got.entries[0][0].terms) == {(0, 1)}
     assert got.entries[0][0].terms[(0, 1)] == pytest.approx(math.sqrt(2), rel=1e-15)
     assert set(got.entries[1][0].terms) == {(1, 0), (0, 1)}
-    assert not got.exact and got.degree_cap == 1
+    assert not got.exact and got.degree() == 1
 
 
 def test_singular_variable_change_is_scale_free():

@@ -473,8 +473,7 @@ def test_radon_problem_shape_validation():
 
 def certified(P, got, sigma):
     """True when ``got`` is a (frame, destabilizer) pair that passes reverify."""
-    return got is not None and UnstableCertificate(*got, exact=True,
-                                                   sigma=sigma).reverify(P)
+    return got is not None and UnstableCertificate(*got, sigma=sigma).reverify(P)
 
 
 def test_verdict_degenerate_pencil_inputs_do_not_crash():
